@@ -33,7 +33,6 @@ from .controlled import (
 from .eframe import (
     BESSEL_ONLY,
     FRAME,
-    NOT_BESSEL,
     EFrameRecord,
     e_analysis,
     e_canonical_dual,
@@ -72,6 +71,7 @@ from .mapping import (
     identity_mapping,
 )
 from .neumann import (
+    ApproximateDual,
     NeumannReport,
     contraction_ratio,
     corrected_dual,

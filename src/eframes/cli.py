@@ -12,11 +12,18 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import controlled, eframe, gallery, neumann
-from .config import DEFAULT_SEED, DEFAULT_TRIALS, ConfigError, parse_config
+from .config import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    ConfigError,
+    parse_config,
+    require_positive,
+)
 from .errors import (
     ConvergenceError,
     DualConditionError,
@@ -34,13 +41,10 @@ def _sequence_pairs(seq) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(seq)]
 
 
-def _cert_dict(cert: controlled.DualCertificate) -> dict:
-    return {
-        "orientation": cert.orientation,
-        "max_residual": cert.max_residual,
-        "trials": cert.trials,
-        "verdict": cert.verdict,
-    }
+def _bounds_dict(record) -> dict:
+    """Bounds and verdict of an E-frame or controlled E-frame record."""
+    bounds = record.bounds
+    return {"lower": bounds.lo, "upper": bounds.hi, "verdict": record.verdict}
 
 
 def _render_text(report: dict, elapsed: float) -> str:
@@ -69,70 +73,46 @@ def _max_column_residual(values: np.ndarray, targets: np.ndarray) -> float:
 
 
 def cmd_analyze(cfg, strict: bool) -> tuple[dict, int]:
-    record = eframe.e_frame_bounds(cfg.mapping, cfg.psi, cfg.tol)
-    crecord = controlled.controlled_bounds(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report = {
         "command": "analyze",
-        "eframe": {
-            "lower": record.bounds.lo,
-            "upper": record.bounds.hi,
-            "verdict": record.verdict,
-        },
-        "controlled": {
-            "lower": crecord.bounds.lo,
-            "upper": crecord.bounds.hi,
-            "verdict": crecord.verdict,
-        },
-        "parseval": controlled.is_parseval(cfg.mapping, cfg.psi, cfg.u, cfg.tol),
+        "eframe": _bounds_dict(record.plain),
+        "controlled": _bounds_dict(record),
+        "parseval": record.is_parseval(),
     }
-    if crecord.verdict == controlled.CONTROLLED_FRAME:
-        ident = controlled.identity_errors(
-            cfg.mapping, cfg.psi, cfg.u, cfg.trials, cfg.seed, cfg.tol
-        )
-        report["identities"] = {
-            "err_sue_use": ident.err_sue_use,
-            "err_commute": ident.err_commute,
-            "err_switched_sum": ident.err_switched_sum,
-        }
+    if record.verdict == controlled.CONTROLLED_FRAME:
+        report["identities"] = asdict(record.identity_errors(cfg.trials, cfg.seed))
     failing = (
-        record.verdict != eframe.FRAME
-        or crecord.verdict != controlled.CONTROLLED_FRAME
+        record.plain.verdict != eframe.FRAME
+        or record.verdict != controlled.CONTROLLED_FRAME
     )
     return report, EXIT_VERDICT if strict and failing else EXIT_OK
 
 
 def cmd_dual(cfg, mode: str) -> tuple[dict, int]:
+    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report: dict = {"command": "dual", "mode": mode}
     code = EXIT_OK
     if mode == "canonical":
-        family = controlled.canonical_dual(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+        family = record.canonical_dual()
     elif mode == "right-inverse":
-        v = controlled.random_right_inverse(
-            cfg.mapping, cfg.psi, cfg.u, cfg.seed, cfg.tol
-        )
-        family = controlled.dual_from_right_inverse(
-            cfg.mapping, cfg.psi, cfg.u, v, cfg.tol
-        )
-    elif mode == "offset":
-        v = controlled.random_null_map(cfg.mapping, cfg.psi, cfg.u, cfg.seed, cfg.tol)
-        family = controlled.dual_with_offset(cfg.mapping, cfg.psi, cfg.u, v, cfg.tol)
-        recovered = controlled.extract_null_map(
-            cfg.mapping, cfg.psi, family, cfg.u, cfg.trials, cfg.seed
-        )
+        family = record.dual_from_right_inverse(record.random_right_inverse(cfg.seed))
+    else:  # offset; argparse restricts the choices
+        v = record.random_null_map(cfg.seed)
+        family = record.dual_with_offset(v)
+    images = record.images_of(family)
+    certs = record.certify(images, cfg.trials, cfg.seed)
+    if mode == "offset":
+        recovered = record.null_map(images, certs[0])
         roundtrip = float(
             np.linalg.norm(recovered - v) / max(np.linalg.norm(v), 1.0)
         )
         report["null_map_roundtrip"] = roundtrip
         if roundtrip > max(1e-9, cfg.tol):
             code = EXIT_VERDICT
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown dual mode {mode!r}")
-    cert_def, cert_sw = controlled.verify_dual(
-        cfg.mapping, cfg.psi, family, cfg.u, cfg.trials, cfg.seed, cfg.tol
-    )
     report["dual"] = _sequence_pairs(family)
-    report["certificates"] = [_cert_dict(cert_def), _cert_dict(cert_sw)]
-    if not cert_def.verdict:
+    report["certificates"] = [asdict(cert) for cert in certs]
+    if not certs[0].verdict:
         code = EXIT_VERDICT
     return report, code
 
@@ -140,20 +120,16 @@ def cmd_dual(cfg, mode: str) -> tuple[dict, int]:
 def cmd_verify(cfg) -> tuple[dict, int]:
     if cfg.phi is None:
         raise ConfigError("verify requires 'phi' in the configuration")
-    cert_def, cert_sw = controlled.verify_dual(
-        cfg.mapping, cfg.psi, cfg.phi, cfg.u, cfg.trials, cfg.seed, cfg.tol
-    )
-    report = {
-        "command": "verify",
-        "certificates": [_cert_dict(cert_def), _cert_dict(cert_sw)],
-    }
-    return report, EXIT_OK if cert_def.verdict else EXIT_VERDICT
+    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+    certs = record.certify(record.images_of(cfg.phi), cfg.trials, cfg.seed)
+    report = {"command": "verify", "certificates": [asdict(cert) for cert in certs]}
+    return report, EXIT_OK if certs[0].verdict else EXIT_VERDICT
 
 
 def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
+    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     if rho is not None:
-        base = controlled.canonical_dual(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
-        phi = rho * base
+        phi = rho * record.canonical_dual()
     elif cfg.phi is not None:
         phi = cfg.phi
     else:
@@ -161,27 +137,23 @@ def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
     report: dict = {"command": "neumann", "eps": eps, "max_terms": max_terms}
     if rho is not None:
         report["rho"] = float(rho)
-    ratio = neumann.contraction_ratio(cfg.mapping, cfg.psi, phi, cfg.u)
-    report["ratio"] = ratio
-    if ratio >= 1.0:
+    pair = neumann.ApproximateDual(record, phi)
+    report["ratio"] = pair.ratio
+    if pair.ratio >= 1.0:
         report["converged"] = False
         return report, EXIT_VERDICT
-    corrected, diag = neumann.corrected_dual(
-        cfg.mapping, cfg.psi, phi, cfg.u, eps, max_terms
-    )
+    corrected, diag = pair.corrected_dual(eps, max_terms)
     cert_tol = max(cfg.tol, 10.0 * eps / max(1.0 - diag.ratio, 1e-12))
-    cert_def, cert_sw = controlled.verify_dual(
-        cfg.mapping, cfg.psi, corrected, cfg.u, cfg.trials, cfg.seed, cert_tol
-    )
+    certs = record.certify(record.images_of(corrected), cfg.trials, cfg.seed, cert_tol)
     report.update(
         {
             "terms_used": diag.terms_used,
             "converged": diag.converged,
             "residual_history": list(diag.residual_history),
-            "certificates": [_cert_dict(cert_def), _cert_dict(cert_sw)],
+            "certificates": [asdict(cert) for cert in certs],
         }
     )
-    ok = diag.converged and cert_def.verdict
+    ok = diag.converged and certs[0].verdict
     return report, EXIT_OK if ok else EXIT_VERDICT
 
 
@@ -287,24 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    cfg = parse_config(args.config)
+def _overrides(args) -> dict:
+    """The --tol, --trials and --seed flags that were given, checked."""
     overrides = {}
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol must be positive")
-        overrides["tol"] = args.tol
+        overrides["tol"] = require_positive(args.tol, "--tol")
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials must be positive")
-        overrides["trials"] = args.trials
+        overrides["trials"] = require_positive(args.trials, "--trials", integer=True)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return overrides
 
 
 def main(argv=None) -> int:
@@ -317,14 +281,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.command == "paper-example":
-            tol = args.tol if args.tol is not None else DEFAULT_TOL
-            trials = args.trials if args.trials is not None else DEFAULT_TRIALS
-            seed = args.seed if args.seed is not None else DEFAULT_SEED
-            if tol <= 0 or trials < 1:
-                raise ConfigError("--tol and --trials must be positive")
-            report, code = cmd_paper_example(args.dim, tol, trials, seed)
+            settings = dict(tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED)
+            settings.update(_overrides(args))
+            report, code = cmd_paper_example(args.dim, **settings)
         else:
-            cfg = _load(args)
+            cfg = replace(parse_config(args.config), **_overrides(args))
             if args.command == "analyze":
                 report, code = cmd_analyze(cfg, args.strict)
             elif args.command == "dual":
@@ -332,7 +293,9 @@ def main(argv=None) -> int:
             elif args.command == "verify":
                 report, code = cmd_verify(cfg)
             else:
-                report, code = cmd_neumann(cfg, args.rho, args.eps, args.max_terms)
+                eps = require_positive(args.eps, "--eps")
+                terms = require_positive(args.max_terms, "--max-terms", integer=True)
+                report, code = cmd_neumann(cfg, args.rho, eps, terms)
     except (NotAFrameError, DualConditionError, ConvergenceError) as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return EXIT_VERDICT

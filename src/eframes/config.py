@@ -18,6 +18,7 @@ Schema (all complex entries are two-element [re, im] arrays):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,17 @@ def _complex_matrix(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
     return out
 
 
-def _positive_int(raw, key: str) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-        raise ConfigError(f"'{key}' must be a positive integer, got {raw!r}")
-    return raw
+def require_positive(raw, name: str, integer: bool = False):
+    """raw as a float, or an int when integer is set, if it is a finite number > 0.
+
+    Raises ConfigError for anything else: a bool, a non-number, NaN, an
+    infinity, or a value <= 0.
+    """
+    kinds = int if integer else (int, float)
+    if isinstance(raw, bool) or not isinstance(raw, kinds) or not 0 < raw < math.inf:
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"{name} must be a finite positive {kind}, got {raw!r}")
+    return int(raw) if integer else float(raw)
 
 
 def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
@@ -150,21 +158,18 @@ def parse_config(path) -> ProblemConfig:
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
 
-    dimension = _positive_int(raw["dimension"], "dimension")
-    count = _positive_int(raw["count"], "count")
+    dimension = require_positive(raw["dimension"], "'dimension'", integer=True)
+    count = require_positive(raw["count"], "'count'", integer=True)
     psi = _complex_matrix(raw["psi"], count, dimension, "psi")
 
-    tol = raw.get("tol", DEFAULT_TOL)
-    if not _is_number(tol) or tol <= 0:
-        raise ConfigError(f"'tol' must be a positive number, got {tol!r}")
+    tol = require_positive(raw.get("tol", DEFAULT_TOL), "'tol'")
     trials = raw.get("trials", DEFAULT_TRIALS)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError(f"'trials' must be a positive integer, got {trials!r}")
+    trials = require_positive(trials, "'trials'", integer=True)
     seed = raw.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
 
-    mapping = _build_mapping(raw["mapping"], count, float(tol))
+    mapping = _build_mapping(raw["mapping"], count, tol)
     u = _build_u(raw["u"], dimension)
     phi = None
     if raw.get("phi") is not None:
@@ -177,7 +182,7 @@ def parse_config(path) -> ProblemConfig:
         mapping=mapping,
         u=u,
         phi=phi,
-        tol=float(tol),
+        tol=tol,
         trials=trials,
         seed=seed,
     )

@@ -16,16 +16,25 @@ Dual families come in two complete parametrizations: right inverses
 (maps V with T_u V* = id) and null-space offsets (maps V with
 T_u V = 0 added to the canonical dual). Generators and the inverse
 extraction are provided for both.
+
+Everything works from one prepared record per (E, psi, U, tol),
+ControlledEFrame. Its constructor validates the inputs and applies E
+to psi once. S_E, S, the bounds and verdict, T_u, pinv(T_u) and S^{-1}
+are each computed on first use and cached; all of them are d x d or
+d x N, so no N x N array is cached. The module-level functions build a
+record per call; to run several operations on one problem, build the
+record once and call its methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import hilbert
-from .eframe import FRAME, e_frame_bounds, e_riesz_family
+from .eframe import FRAME, EFrameRecord, e_riesz_family, frame_record
 from .errors import (
     DimensionMismatchError,
     DualConditionError,
@@ -37,26 +46,13 @@ from .mapping import (
     MatrixMapping,
     apply_inverse_mapping,
     apply_mapping,
-    as_sequence,
     identity_mapping,
 )
 
 CONTROLLED_FRAME = "controlled-frame"
 INVALID = "invalid"
-
-
-@dataclass(frozen=True)
-class ControlledEFrame:
-    """Analysis result for one (mapping, sequence, control operator) triple."""
-
-    psi: np.ndarray
-    mapping: MatrixMapping
-    u: np.ndarray
-    images: np.ndarray
-    s_e: np.ndarray
-    s_ue: np.ndarray
-    bounds: SpectralBounds
-    verdict: str
+#: default certificate tolerance of extract_null_map
+EXTRACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,294 +84,356 @@ class RieszEquivalenceReport:
     agree: bool
 
 
-def _prepared(e: MatrixMapping, psi, u):
-    psi = as_sequence(psi)
-    u = hilbert.as_operator(u)
-    images = apply_mapping(e, psi)
-    if u.shape[0] != images.shape[1]:
-        raise DimensionMismatchError(
-            f"control operator dim {u.shape[0]} does not match sequence dim "
-            f"{images.shape[1]}"
+@dataclass(frozen=True)
+class ControlledEFrame:
+    """One (mapping, sequence, control operator, tolerance) problem.
+
+    Construction validates psi and U and applies the mapping to psi
+    once; everything else is computed on first use and cached.
+    """
+
+    mapping: MatrixMapping
+    psi: np.ndarray
+    u: np.ndarray
+    tol: float = DEFAULT_TOL
+    images: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        images = hilbert.frozen(apply_mapping(self.mapping, self.psi))
+        u = hilbert.validated(self.u, square=True)
+        if u.shape[0] != images.shape[1]:
+            raise DimensionMismatchError(
+                f"control operator dim {u.shape[0]} does not match sequence dim "
+                f"{images.shape[1]}"
+            )
+        object.__setattr__(self, "psi", hilbert.readonly(self.psi))
+        object.__setattr__(self, "u", hilbert.readonly(u))
+        object.__setattr__(self, "images", images)
+
+    @cached_property
+    def s_e(self) -> np.ndarray:
+        """S_E = T T*, the plain frame operator."""
+        return hilbert.frozen(self.images.T @ self.images.conj())
+
+    @cached_property
+    def plain(self) -> EFrameRecord:
+        """The E-frame half: bounds and verdict of S_E."""
+        return frame_record(self.mapping, self.psi, self.images, self.s_e, self.tol)
+
+    @cached_property
+    def s_ue(self) -> np.ndarray:
+        """f -> sum_n <f, (E psi)_n> U (E psi)_n, equal to U S_E."""
+        return hilbert.frozen(self.u @ self.s_e)
+
+    @cached_property
+    def _spectrum(self) -> tuple[bool, SpectralBounds]:
+        return hilbert.hermitian_spectrum(self.s_ue, self.tol)
+
+    @property
+    def bounds(self) -> SpectralBounds:
+        """Extreme eigenvalues of the Hermitian part of S_ue."""
+        return self._spectrum[1]
+
+    @property
+    def verdict(self) -> str:
+        """``controlled-frame`` iff S_ue is Hermitian to tol and its
+        smallest eigenvalue exceeds tol times the largest, else ``invalid``."""
+        hermitian, bounds = self._spectrum
+        valid = hermitian and bounds.lo > self.tol * bounds.hi
+        return CONTROLLED_FRAME if valid else INVALID
+
+    def require_valid(self) -> None:
+        if self.verdict != CONTROLLED_FRAME:
+            raise NotAFrameError(
+                "family is not a controlled frame: operator not Hermitian positive"
+            )
+
+    @cached_property
+    def t_u(self) -> np.ndarray:
+        """Synthesis map whose column n is U applied to the image (E psi)_n."""
+        return hilbert.frozen(self.u @ self.images.T)
+
+    @cached_property
+    def t_u_pinv(self) -> np.ndarray:
+        """Pseudoinverse of T_u, at the default cutoff of hilbert.pseudoinverse."""
+        return hilbert.frozen(hilbert.pseudoinverse(self.t_u))
+
+    @cached_property
+    def s_inv(self) -> np.ndarray:
+        """S_ue^{-1}; requires a valid controlled frame."""
+        self.require_valid()
+        return hilbert.frozen(hilbert.invert_operator(self.s_ue, self.tol))
+
+    def is_parseval(self) -> bool:
+        """True iff S_ue is the identity to tol * sqrt(d)."""
+        d = self.s_ue.shape[0]
+        return bool(np.linalg.norm(self.s_ue - np.eye(d)) <= self.tol * np.sqrt(d))
+
+    def identity_errors(self, trials: int = 100, seed: int = 42) -> IdentityReport:
+        """Measure the structural identities behind a valid controlled frame.
+
+        err_sue_use compares the summation route for the controlled frame
+        operator against the product U S; err_commute measures
+        ||U S - S U*||; err_switched_sum is the worst residual, over unit
+        trial vectors, between the sum and its switched counterpart with
+        U moved to the coefficient side. All three are relative.
+        """
+        self.require_valid()
+        images, u = self.images, self.u
+        u_images = images @ u.T
+        s_sum = u_images.T @ images.conj()
+        scale = np.linalg.norm(self.s_ue)
+        err_sue_use = float(np.linalg.norm(s_sum - self.s_ue) / scale)
+        err_commute = float(np.linalg.norm(self.s_ue - self.s_e @ u.conj().T) / scale)
+        f = hilbert.trial_matrix(images.shape[1], trials, seed)
+        lhs = u_images.T @ (images.conj() @ f)
+        rhs = images.T @ (u_images.conj() @ f)
+        err_switched = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
+        return IdentityReport(err_sue_use, err_commute, err_switched)
+
+    def commutation_criterion(self) -> bool:
+        """For self-adjoint U: controlled frame iff plain frame, U commutes
+        with the frame operator, and U is positive definite."""
+        hermitian, u_bounds = hilbert.hermitian_spectrum(self.u, self.tol)
+        if not hermitian:
+            raise NotHermitianError("control operator must be Hermitian to tolerance")
+        if self.plain.verdict != FRAME:
+            return False
+        commutator = np.linalg.norm(self.s_ue - self.s_e @ self.u)
+        if commutator > self.tol * np.linalg.norm(self.s_ue):
+            return False
+        return u_bounds.positive(self.tol)
+
+    def canonical_reconstruct(self, f) -> np.ndarray:
+        """sum_n <S^{-1} f, (E psi)_n> U (E psi)_n, which returns f."""
+        self.require_valid()
+        f = hilbert.validated(f, ndim=1)
+        if f.shape[0] != self.images.shape[1]:
+            raise DimensionMismatchError(
+                f"vector dim {f.shape[0]} does not match sequence dim "
+                f"{self.images.shape[1]}"
+            )
+        y = np.linalg.solve(self.s_ue, f)
+        return self.t_u @ (self.images.conj() @ y)
+
+    def canonical_dual(self) -> np.ndarray:
+        """Canonical controlled dual {S^{-1} psi_k}."""
+        return self.psi @ self.s_inv.T
+
+    def images_of(self, phi) -> np.ndarray:
+        """Images (E phi)_n of a candidate family shaped like psi."""
+        images_phi = apply_mapping(self.mapping, phi)
+        if images_phi.shape != self.images.shape:
+            raise DimensionMismatchError(
+                f"candidate family shape {images_phi.shape} does not match "
+                f"{self.images.shape}"
+            )
+        return images_phi
+
+    def certify(
+        self, images_phi, trials: int = 100, seed: int = 42, tol: float | None = None
+    ) -> tuple[DualCertificate, DualCertificate]:
+        """Certify the family with images images_phi as a controlled dual.
+
+        Definitional orientation: f = sum_n <f, (E phi)_n> U (E psi)_n.
+        Switched orientation exchanges the roles of psi and phi. Residuals
+        are evaluated on `trials` random unit vectors plus the standard
+        basis; a certificate passes when the worst residual is at most
+        tol (by default the record's).
+        """
+        tol = self.tol if tol is None else tol
+        f = hilbert.trial_matrix(self.images.shape[1], trials, seed)
+        total = f.shape[1]
+        t_u_phi = self.u @ images_phi.T
+        res_def = float(
+            np.max(np.linalg.norm(self.t_u @ (images_phi.conj() @ f) - f, axis=0))
         )
-    return psi, u, images
+        res_sw = float(
+            np.max(np.linalg.norm(t_u_phi @ (self.images.conj() @ f) - f, axis=0))
+        )
+        return (
+            DualCertificate("definitional", res_def, total, res_def <= tol),
+            DualCertificate("switched", res_sw, total, res_sw <= tol),
+        )
+
+    def dual_from_right_inverse(self, v) -> np.ndarray:
+        """Dual family built from a right inverse: member k is
+        (E^{-1} {V delta_n})_k for V with T_u V* = id.
+
+        V is a (d, N) map from coefficients into the space; its columns are
+        the V delta_n. Raises DualConditionError carrying the deviation
+        when the right-inverse condition fails.
+        """
+        v = hilbert.validated(v)
+        if v.shape != self.t_u.shape:
+            raise DimensionMismatchError(
+                f"right inverse must have shape {self.t_u.shape}, got {v.shape}"
+            )
+        d = self.t_u.shape[0]
+        dev = hilbert.operator_norm(self.t_u @ v.conj().T - np.eye(d))
+        if dev > self.tol:
+            raise DualConditionError(
+                f"right-inverse condition violated: ||T V* - id|| = {dev:.3e}",
+                deviation=dev,
+            )
+        return apply_inverse_mapping(self.mapping, v.T)
+
+    def dual_with_offset(self, v) -> np.ndarray:
+        """Dual family as canonical dual plus the offset (E^{-1} {V* delta_n})_k
+        for a null map V with T_u V = 0.
+
+        V is an (N, d) map from the space into coefficients. V = 0 gives
+        the canonical dual back.
+        """
+        v = hilbert.validated(v)
+        if v.shape != self.images.shape:
+            raise DimensionMismatchError(
+                f"null map must have shape {self.images.shape}, got {v.shape}"
+            )
+        dev = hilbert.operator_norm(self.t_u @ v)
+        if dev > self.tol * hilbert.operator_norm(self.t_u) * hilbert.operator_norm(v):
+            raise DualConditionError(
+                f"null condition violated: ||T V|| = {dev:.3e}", deviation=dev
+            )
+        return self.canonical_dual() + apply_inverse_mapping(self.mapping, v.conj())
+
+    def random_null_map(self, seed: int = 0) -> np.ndarray:
+        """Seeded member of the null-map family: (id - pinv(T_u) T_u) G for
+        a random (N, d) map G, projected onto the kernel of T_u."""
+        self.require_valid()
+        n, d = self.images.shape
+        pinv = self.t_u_pinv  # before the N x N identity, for a lower peak
+        projector = np.eye(n, dtype=np.complex128) - pinv @ self.t_u
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        return projector @ g
+
+    def random_right_inverse(self, seed: int = 0) -> np.ndarray:
+        """Seeded right inverse V with T_u V* = id.
+
+        V* = pinv(T_u) + (id - pinv(T_u) T_u) G over random G runs through
+        every solution as G varies, so seeding G samples the whole family.
+        """
+        null = self.random_null_map(seed)
+        return (self.t_u_pinv + null).conj().T
+
+    def null_map(
+        self, images_phi, cert: DualCertificate, tol: float = EXTRACT_TOL
+    ) -> np.ndarray:
+        """Null map generating a given dual: V = T_phi* - T_psi* S^{-1}.
+
+        cert is the definitional certificate of phi; when its residual
+        exceeds tol, phi is no controlled dual and DualConditionError is
+        raised. dual_with_offset applied to the result reproduces phi.
+        """
+        if not cert.max_residual <= tol:
+            raise DualConditionError(
+                f"family is not a controlled dual: residual {cert.max_residual:.3e}",
+                deviation=cert.max_residual,
+            )
+        return images_phi.conj() - self.images.conj() @ self.s_inv
 
 
 def controlled_synthesis(e: MatrixMapping, psi, u) -> np.ndarray:
     """Synthesis map whose column n is U applied to the image (E psi)_n."""
-    _, u, images = _prepared(e, psi, u)
-    return u @ images.T
+    return ControlledEFrame(e, psi, u).t_u.copy()
 
 
 def controlled_frame_operator(e: MatrixMapping, psi, u) -> np.ndarray:
     """f -> sum_n <f, (E psi)_n> U (E psi)_n, equal to U composed with
     the plain frame operator."""
-    _, u, images = _prepared(e, psi, u)
-    return u @ (images.T @ images.conj())
+    return ControlledEFrame(e, psi, u).s_ue.copy()
 
 
 def controlled_bounds(
     e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL
 ) -> ControlledEFrame:
-    """Controlled frame bounds and verdict.
-
-    Valid iff the controlled frame operator is Hermitian to tol and its
-    smallest eigenvalue exceeds tol times the largest. Bounds always
-    report the spectrum of the Hermitian part.
-    """
-    psi, u, images = _prepared(e, psi, u)
-    s_e = images.T @ images.conj()
-    s_ue = u @ s_e
-    hermitian = hilbert.hermitian_deviation(s_ue) <= tol * np.linalg.norm(s_ue)
-    w = np.linalg.eigvalsh((s_ue + s_ue.conj().T) / 2.0)
-    bounds = SpectralBounds(float(w[0]), float(w[-1]))
-    verdict = (
-        CONTROLLED_FRAME if hermitian and bounds.lo > tol * bounds.hi else INVALID
-    )
-    return ControlledEFrame(
-        psi=hilbert.readonly(psi),
-        mapping=e,
-        u=hilbert.readonly(u),
-        images=hilbert.readonly(images),
-        s_e=hilbert.readonly(s_e),
-        s_ue=hilbert.readonly(s_ue),
-        bounds=bounds,
-        verdict=verdict,
-    )
-
-
-def _require_valid(e, psi, u, tol) -> ControlledEFrame:
-    record = controlled_bounds(e, psi, u, tol)
-    if record.verdict != CONTROLLED_FRAME:
-        raise NotAFrameError(
-            "family is not a controlled frame: operator not Hermitian positive"
-        )
-    return record
+    """Controlled frame bounds and verdict: the prepared record itself."""
+    return ControlledEFrame(e, psi, u, tol)
 
 
 def identity_errors(
     e: MatrixMapping, psi, u, trials: int = 100, seed: int = 42,
     tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
-    """Measure the structural identities behind a valid controlled frame.
-
-    err_sue_use compares the summation route for the controlled frame
-    operator against the product U S; err_commute measures
-    ||U S - S U*||; err_switched_sum is the worst residual, over unit
-    trial vectors, between the sum and its switched counterpart with
-    U moved to the coefficient side. All three are relative.
-    """
-    record = _require_valid(e, psi, u, tol)
-    images, u_arr = record.images, record.u
-    u_images = images @ u_arr.T
-    s_sum = u_images.T @ images.conj()
-    s_prod = u_arr @ record.s_e
-    scale = np.linalg.norm(s_prod)
-    err_sue_use = float(np.linalg.norm(s_sum - s_prod) / scale)
-    err_commute = float(
-        np.linalg.norm(u_arr @ record.s_e - record.s_e @ u_arr.conj().T) / scale
-    )
-    f = hilbert.trial_matrix(images.shape[1], trials, seed)
-    lhs = u_images.T @ (images.conj() @ f)
-    rhs = images.T @ (u_images.conj() @ f)
-    err_switched = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
-    return IdentityReport(err_sue_use, err_commute, err_switched)
+    """See ControlledEFrame.identity_errors."""
+    return ControlledEFrame(e, psi, u, tol).identity_errors(trials, seed)
 
 
-def commutation_criterion(
-    e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL
-) -> bool:
-    """For self-adjoint U: controlled frame iff plain frame, U commutes
-    with the frame operator, and U is positive definite."""
-    u = hilbert.as_operator(u)
-    if hilbert.hermitian_deviation(u) > tol * np.linalg.norm(u):
-        raise NotHermitianError("control operator must be Hermitian to tolerance")
-    record = e_frame_bounds(e, psi, tol)
-    if record.verdict != FRAME:
-        return False
-    us = u @ record.frame_op
-    if np.linalg.norm(us - record.frame_op @ u) > tol * np.linalg.norm(us):
-        return False
-    return hilbert.is_positive_definite(u, tol)
+def commutation_criterion(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> bool:
+    """See ControlledEFrame.commutation_criterion."""
+    return ControlledEFrame(e, psi, u, tol).commutation_criterion()
 
 
 def is_parseval(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> bool:
     """True iff the controlled frame operator is the identity to tol * sqrt(d)."""
-    _, u, images = _prepared(e, psi, u)
-    s_ue = u @ (images.T @ images.conj())
-    d = s_ue.shape[0]
-    return bool(np.linalg.norm(s_ue - np.eye(d)) <= tol * np.sqrt(d))
+    return ControlledEFrame(e, psi, u, tol).is_parseval()
 
 
 def canonical_reconstruct(
     e: MatrixMapping, psi, u, f, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """sum_n <S^{-1} f, (E psi)_n> U (E psi)_n, which returns f."""
-    record = _require_valid(e, psi, u, tol)
-    f = hilbert.as_vector(f)
-    if f.shape[0] != record.images.shape[1]:
-        raise DimensionMismatchError(
-            f"vector dim {f.shape[0]} does not match sequence dim "
-            f"{record.images.shape[1]}"
-        )
-    y = np.linalg.solve(record.s_ue, f)
-    return (record.u @ record.images.T) @ (record.images.conj() @ y)
+    return ControlledEFrame(e, psi, u, tol).canonical_reconstruct(f)
 
 
 def canonical_dual(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Canonical controlled dual {S^{-1} psi_k}."""
-    record = _require_valid(e, psi, u, tol)
-    s_inv = hilbert.invert_operator(record.s_ue, tol)
-    return record.psi @ s_inv.T
+    return ControlledEFrame(e, psi, u, tol).canonical_dual()
 
 
 def verify_dual(
-    e: MatrixMapping,
-    psi,
-    phi,
-    u,
-    trials: int = 100,
-    seed: int = 42,
+    e: MatrixMapping, psi, phi, u, trials: int = 100, seed: int = 42,
     tol: float = DEFAULT_TOL,
 ) -> tuple[DualCertificate, DualCertificate]:
-    """Certify phi as a controlled dual of psi in both orientations.
-
-    Definitional orientation: f = sum_n <f, (E phi)_n> U (E psi)_n.
-    Switched orientation exchanges the roles of psi and phi. Residuals
-    are evaluated on `trials` random unit vectors plus the standard
-    basis; a certificate passes when the worst residual is at most tol.
-    """
-    psi, u, images_psi = _prepared(e, psi, u)
-    images_phi = apply_mapping(e, as_sequence(phi))
-    if images_phi.shape != images_psi.shape:
-        raise DimensionMismatchError(
-            f"candidate dual shape {images_phi.shape} does not match "
-            f"{images_psi.shape}"
-        )
-    f = hilbert.trial_matrix(images_psi.shape[1], trials, seed)
-    total = f.shape[1]
-    t_u_psi = u @ images_psi.T
-    t_u_phi = u @ images_phi.T
-    res_def = float(
-        np.max(np.linalg.norm(t_u_psi @ (images_phi.conj() @ f) - f, axis=0))
-    )
-    res_sw = float(
-        np.max(np.linalg.norm(t_u_phi @ (images_psi.conj() @ f) - f, axis=0))
-    )
-    return (
-        DualCertificate("definitional", res_def, total, res_def <= tol),
-        DualCertificate("switched", res_sw, total, res_sw <= tol),
-    )
+    """Certify phi as a controlled dual of psi in both orientations; see
+    ControlledEFrame.certify."""
+    record = ControlledEFrame(e, psi, u, tol)
+    return record.certify(record.images_of(phi), trials, seed)
 
 
 def dual_from_right_inverse(
     e: MatrixMapping, psi, u, v, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Dual family built from a right inverse: member k is
-    (E^{-1} {V delta_n})_k for V with T_u V* = id.
-
-    V is a (d, N) map from coefficients into the space; its columns are
-    the V delta_n. Raises DualConditionError carrying the deviation
-    when the right-inverse condition fails.
-    """
-    psi, u, images = _prepared(e, psi, u)
-    v = hilbert.as_map(v)
-    t_u = u @ images.T
-    if v.shape != t_u.shape:
-        raise DimensionMismatchError(
-            f"right inverse must have shape {t_u.shape}, got {v.shape}"
-        )
-    d = t_u.shape[0]
-    dev = hilbert.operator_norm(t_u @ v.conj().T - np.eye(d))
-    if dev > tol:
-        raise DualConditionError(
-            f"right-inverse condition violated: ||T V* - id|| = {dev:.3e}",
-            deviation=dev,
-        )
-    return apply_inverse_mapping(e, v.T)
+    """See ControlledEFrame.dual_from_right_inverse."""
+    return ControlledEFrame(e, psi, u, tol).dual_from_right_inverse(v)
 
 
 def dual_with_offset(
     e: MatrixMapping, psi, u, v, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Dual family as canonical dual plus the offset (E^{-1} {V* delta_n})_k
-    for a null map V with T_u V = 0.
-
-    V is an (N, d) map from the space into coefficients. V = 0 gives
-    the canonical dual back.
-    """
-    psi, u, images = _prepared(e, psi, u)
-    v = hilbert.as_map(v)
-    t_u = u @ images.T
-    if v.shape != (t_u.shape[1], t_u.shape[0]):
-        raise DimensionMismatchError(
-            f"null map must have shape {(t_u.shape[1], t_u.shape[0])}, got {v.shape}"
-        )
-    dev = hilbert.operator_norm(t_u @ v)
-    if dev > tol * hilbert.operator_norm(t_u) * hilbert.operator_norm(v):
-        raise DualConditionError(
-            f"null condition violated: ||T V|| = {dev:.3e}", deviation=dev
-        )
-    return canonical_dual(e, psi, u, tol) + apply_inverse_mapping(e, v.conj())
+    """See ControlledEFrame.dual_with_offset."""
+    return ControlledEFrame(e, psi, u, tol).dual_with_offset(v)
 
 
 def random_null_map(
     e: MatrixMapping, psi, u, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Seeded member of the null-map family: project a random map onto
-    the kernel of the controlled synthesis operator."""
-    record = _require_valid(e, psi, u, tol)
-    t_u = record.u @ record.images.T
-    pinv = hilbert.pseudoinverse(t_u)
-    projector = np.eye(t_u.shape[1], dtype=np.complex128) - pinv @ t_u
-    rng = np.random.default_rng(seed)
-    shape = (t_u.shape[1], t_u.shape[0])
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return projector @ g
+    """See ControlledEFrame.random_null_map."""
+    return ControlledEFrame(e, psi, u, tol).random_null_map(seed)
 
 
 def random_right_inverse(
     e: MatrixMapping, psi, u, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Seeded right inverse V with T_u V* = id.
-
-    V* = pinv(T_u) + (id - pinv(T_u) T_u) G over random G runs through
-    every solution as G varies, so seeding G samples the whole family.
-    """
-    record = _require_valid(e, psi, u, tol)
-    t_u = record.u @ record.images.T
-    pinv = hilbert.pseudoinverse(t_u)
-    projector = np.eye(t_u.shape[1], dtype=np.complex128) - pinv @ t_u
-    rng = np.random.default_rng(seed)
-    shape = (t_u.shape[1], t_u.shape[0])
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v_star = pinv + projector @ g
-    return v_star.conj().T
+    """See ControlledEFrame.random_right_inverse."""
+    return ControlledEFrame(e, psi, u, tol).random_right_inverse(seed)
 
 
 def extract_null_map(
-    e: MatrixMapping,
-    psi,
-    phi,
-    u,
-    trials: int = 100,
-    seed: int = 42,
-    tol: float = 1e-9,
+    e: MatrixMapping, psi, phi, u, trials: int = 100, seed: int = 42,
+    tol: float = EXTRACT_TOL,
 ) -> np.ndarray:
     """Recover the null map generating a given dual: V = T_phi* - T_psi* S^{-1}.
 
     Requires phi to verify as a controlled dual in the definitional
-    orientation; dual_with_offset applied to the result reproduces phi.
+    orientation at tol; dual_with_offset applied to the result
+    reproduces phi.
     """
-    cert, _ = verify_dual(e, psi, phi, u, trials, seed, tol)
-    if not cert.verdict:
-        raise DualConditionError(
-            f"family is not a controlled dual: residual {cert.max_residual:.3e}",
-            deviation=cert.max_residual,
-        )
-    record = _require_valid(e, psi, u, DEFAULT_TOL)
-    images_phi = apply_mapping(e, as_sequence(phi))
-    s_inv = hilbert.invert_operator(record.s_ue)
-    return images_phi.conj() - record.images.conj() @ s_inv
+    record = ControlledEFrame(e, psi, u)
+    images_phi = record.images_of(phi)
+    cert, _ = record.certify(images_phi, trials, seed, tol)
+    return record.null_map(images_phi, cert, tol)
 
 
 def riesz_equivalence(
@@ -389,17 +447,14 @@ def riesz_equivalence(
     the spectra must agree.
     """
     psi = e_riesz_family(v, e, basis)
-    riesz_rec = controlled_bounds(e, psi, u)
-    direct_seq = as_sequence(basis) @ np.asarray(v, dtype=np.complex128).T
-    direct_rec = controlled_bounds(identity_mapping(e.n), direct_seq, u)
-    dev = max(
-        abs(riesz_rec.bounds.lo - direct_rec.bounds.lo),
-        abs(riesz_rec.bounds.hi - direct_rec.bounds.hi),
-    )
-    scale = max(abs(riesz_rec.bounds.hi), abs(direct_rec.bounds.hi), 1.0)
+    riesz = ControlledEFrame(e, psi, u).bounds
+    direct_seq = hilbert.validated(basis) @ np.asarray(v, dtype=np.complex128).T
+    direct = ControlledEFrame(identity_mapping(e.n), direct_seq, u).bounds
+    dev = max(abs(riesz.lo - direct.lo), abs(riesz.hi - direct.hi))
+    scale = max(abs(riesz.hi), abs(direct.hi), 1.0)
     return RieszEquivalenceReport(
-        riesz_bounds=riesz_rec.bounds,
-        direct_bounds=direct_rec.bounds,
+        riesz_bounds=riesz,
+        direct_bounds=direct,
         max_deviation=float(dev),
         agree=bool(dev <= tol * scale),
     )

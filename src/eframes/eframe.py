@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatchError, NotAFrameError, SingularOperatorError
+from .errors import DimensionMismatchError, NotAFrameError
 from .hilbert import DEFAULT_TOL, SpectralBounds
-from .mapping import MatrixMapping, apply_inverse_mapping, apply_mapping, as_sequence
+from .mapping import MatrixMapping, apply_inverse_mapping, apply_mapping
 
 FRAME = "frame"
 BESSEL_ONLY = "bessel-only"
-#: unreachable for finite, validated input; kept so reports cover the full range
-NOT_BESSEL = "not-bessel"
 
 
 @dataclass(frozen=True)
@@ -36,6 +34,18 @@ class EFrameRecord:
     verdict: str
 
 
+def frame_record(e: MatrixMapping, psi, images, frame_op, tol: float) -> EFrameRecord:
+    """Bounds and verdict of frame_op, the frame operator of the images of psi.
+
+    The verdict is ``frame`` iff the smallest eigenvalue exceeds tol
+    times the largest one (scale-invariant threshold), otherwise
+    ``bessel-only``.
+    """
+    bounds = hilbert.hermitian_bounds(frame_op)
+    verdict = FRAME if bounds.lo > tol * bounds.hi else BESSEL_ONLY
+    return EFrameRecord(psi, e, images, frame_op, bounds, verdict)
+
+
 def e_synthesis(e: MatrixMapping, psi) -> np.ndarray:
     """Synthesis map C^N -> H whose column n is the image (E psi)_n."""
     return apply_mapping(e, psi).T
@@ -43,7 +53,7 @@ def e_synthesis(e: MatrixMapping, psi) -> np.ndarray:
 
 def e_analysis(e: MatrixMapping, psi, f) -> np.ndarray:
     """Coefficient vector {<f, (E psi)_n>}_n."""
-    f = hilbert.as_vector(f)
+    f = hilbert.validated(f, ndim=1)
     images = apply_mapping(e, psi)
     if images.shape[1] != f.shape[0]:
         raise DimensionMismatchError(
@@ -60,25 +70,10 @@ def e_frame_operator(e: MatrixMapping, psi) -> np.ndarray:
 
 
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
-    """Frame bounds and verdict from the spectrum of the frame operator.
-
-    The verdict is ``frame`` iff the smallest eigenvalue exceeds
-    tol times the largest one (scale-invariant threshold), otherwise
-    ``bessel-only``.
-    """
-    psi = as_sequence(psi)
-    images = apply_mapping(e, psi)
-    frame_op = images.T @ images.conj()
-    bounds = hilbert.hermitian_bounds(frame_op)
-    verdict = FRAME if bounds.lo > tol * bounds.hi else BESSEL_ONLY
-    return EFrameRecord(
-        psi=hilbert.readonly(psi),
-        mapping=e,
-        images=hilbert.readonly(images),
-        frame_op=hilbert.readonly(frame_op),
-        bounds=bounds,
-        verdict=verdict,
-    )
+    """Frame bounds and verdict from the spectrum of the frame operator."""
+    images = hilbert.frozen(apply_mapping(e, psi))
+    frame_op = hilbert.frozen(images.T @ images.conj())
+    return frame_record(e, hilbert.readonly(psi), images, frame_op, tol)
 
 
 def e_canonical_dual(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -92,7 +87,7 @@ def e_canonical_dual(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> np.ndar
 
 def e_reconstruct(e: MatrixMapping, psi, phi, f) -> np.ndarray:
     """sum_n <f, (E phi)_n> (E psi)_n: coefficients from phi, synthesis from psi."""
-    f = hilbert.as_vector(f)
+    f = hilbert.validated(f, ndim=1)
     images_psi = apply_mapping(e, psi)
     images_phi = apply_mapping(e, phi)
     if images_psi.shape != images_phi.shape or images_psi.shape[1] != f.shape[0]:
@@ -111,8 +106,8 @@ def e_riesz_family(
     V must be invertible and the basis orthonormal with as many members
     as dimensions.
     """
-    v = hilbert.as_operator(v)
-    basis = as_sequence(basis)
+    v = hilbert.validated(v, square=True)
+    basis = hilbert.validated(basis)
     n, d = basis.shape
     if n != d:
         raise DimensionMismatchError(
@@ -122,9 +117,7 @@ def e_riesz_family(
         raise DimensionMismatchError(
             f"mapping size {e.n} and operator dim {v.shape[0]} must equal {n}"
         )
-    s = np.linalg.svd(v, compute_uv=False)
-    if s[-1] <= tol * s[0]:
-        raise SingularOperatorError("operator is singular to tolerance")
+    hilbert.require_nonsingular(v, tol)
     gram = basis @ basis.conj().T
     if np.linalg.norm(gram - np.eye(n)) > tol * np.sqrt(n):
         raise ValueError("basis is not orthonormal to tolerance")

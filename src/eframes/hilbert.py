@@ -21,47 +21,31 @@ from .errors import DimensionMismatchError, NotHermitianError, SingularOperatorE
 DEFAULT_TOL = 1e-10
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce to a finite, nonempty 1-d complex vector."""
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatchError(
-            f"expected a nonempty 1-d vector, got shape {arr.shape}"
-        )
+def validated(x, ndim: int = 2, square: bool = False) -> np.ndarray:
+    """Coerce to a finite, nonempty complex array with ndim axes.
+
+    ndim=1 is a vector, ndim=2 a linear map or (N, d) sequence, and
+    square=True a square operator. Raises DimensionMismatchError for
+    any other shape and ValueError for a non-finite entry.
+    """
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim != ndim or arr.size == 0 or (square and arr.shape[0] != arr.shape[1]):
+        kind = "square operator" if square else f"nonempty {ndim}-d array"
+        raise DimensionMismatchError(f"expected a {kind}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
-    return arr
-
-
-def as_operator(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise DimensionMismatchError(
-            f"expected a square operator, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError("operator entries must be finite")
-    return arr
-
-
-def as_map(m) -> np.ndarray:
-    """Coerce to a finite rectangular complex linear map."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatchError(
-            f"expected a 2-d linear map, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError("map entries must be finite")
+        raise ValueError("entries must be finite")
     return arr
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
     """Copy and freeze an array for storage in an immutable record."""
-    out = np.array(arr, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
+    return frozen(np.array(arr, dtype=np.complex128, copy=True))
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Freeze a freshly computed array in place, without a copy."""
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -71,11 +55,15 @@ class SpectralBounds:
     lo: float
     hi: float
 
+    def positive(self, tol: float) -> bool:
+        """True iff lo > tol * max(|lo|, |hi|): positive, away from zero."""
+        return bool(self.lo > tol * max(abs(self.lo), abs(self.hi)))
+
 
 def inner(u, v) -> complex:
     """<u, v>: linear in u, conjugate-linear in v."""
-    u = as_vector(u)
-    v = as_vector(v)
+    u = validated(u, ndim=1)
+    v = validated(v, ndim=1)
     if u.shape != v.shape:
         raise DimensionMismatchError(
             f"inner product needs equal dimensions, got {u.shape[0]} and {v.shape[0]}"
@@ -85,18 +73,19 @@ def inner(u, v) -> complex:
 
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose of a (possibly rectangular) linear map."""
-    return as_map(a).conj().T
+    return validated(a).conj().T
 
 
-def hermitian_deviation(a) -> float:
-    """Frobenius norm of a - a*."""
-    a = np.asarray(a, dtype=np.complex128)
-    return float(np.linalg.norm(a - a.conj().T))
+def hermitian_spectrum(a: np.ndarray, tol: float) -> tuple[bool, SpectralBounds]:
+    """Whether a is Hermitian to tol, and the spectrum of its Hermitian part.
 
-
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_operator(a)
-    return hermitian_deviation(a) <= tol * np.linalg.norm(a)
+    a is Hermitian when the Frobenius norm of a - a* is at most tol
+    times that of a. The bounds are the extreme eigenvalues of
+    (a + a*) / 2 either way.
+    """
+    hermitian = bool(np.linalg.norm(a - a.conj().T) <= tol * np.linalg.norm(a))
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return hermitian, SpectralBounds(float(w[0]), float(w[-1]))
 
 
 def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
@@ -105,53 +94,46 @@ def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
     Raises NotHermitianError when the skew part exceeds tol times the
     Frobenius norm of the operator.
     """
-    a = as_operator(a)
-    if hermitian_deviation(a) > tol * np.linalg.norm(a):
-        raise NotHermitianError(
-            f"operator is not Hermitian to tolerance {tol:g}"
-        )
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return SpectralBounds(float(w[0]), float(w[-1]))
+    hermitian, bounds = hermitian_spectrum(validated(a, square=True), tol)
+    if not hermitian:
+        raise NotHermitianError(f"operator is not Hermitian to tolerance {tol:g}")
+    return bounds
 
 
-def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Dense inverse; rejects operators singular to tolerance.
+def require_nonsingular(a: np.ndarray, tol: float) -> None:
+    """Raise SingularOperatorError when sigma_min <= tol * sigma_max.
 
-    Singularity test is scale invariant: sigma_min <= tol * sigma_max.
+    The test is scale invariant.
     """
-    a = as_operator(a)
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= tol * s[0]:
         raise SingularOperatorError(
-            f"operator is singular to tolerance (sigma_min/sigma_max = "
+            f"matrix is singular to tolerance (sigma_min/sigma_max = "
             f"{s[-1] / s[0] if s[0] else 0.0:.3e})"
         )
+
+
+def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Dense inverse; rejects operators singular to tolerance."""
+    a = validated(a, square=True)
+    require_nonsingular(a, tol)
     return np.linalg.inv(a)
 
 
 def pseudoinverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse, singular values below tol*sigma_max dropped."""
-    return np.linalg.pinv(as_map(m), rcond=tol)
+    return np.linalg.pinv(validated(m), rcond=tol)
 
 
 def operator_norm(m) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(as_map(m), 2))
+    return float(np.linalg.norm(validated(m), 2))
 
 
 def is_positive_definite(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff Hermitian to tol with spectrum bounded away from zero."""
-    a = as_operator(a)
-    if hermitian_deviation(a) > tol * np.linalg.norm(a):
-        return False
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return bool(w[0] > tol * max(abs(w[0]), abs(w[-1])))
-
-
-def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian direction normalized to unit norm."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    hermitian, bounds = hermitian_spectrum(validated(a, square=True), tol)
+    return hermitian and bounds.positive(tol)
 
 
 def trial_matrix(dim: int, trials: int, seed: int) -> np.ndarray:

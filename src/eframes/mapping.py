@@ -14,20 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularOperatorError
-from .hilbert import DEFAULT_TOL, readonly
-
-
-def as_sequence(seq) -> np.ndarray:
-    """Coerce to a finite (N, d) complex sequence array."""
-    arr = np.asarray(seq, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise DimensionMismatchError(
-            f"expected an (N, d) vector sequence, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError("sequence entries must be finite")
-    return arr
+from .errors import DimensionMismatchError
+from .hilbert import DEFAULT_TOL, readonly, require_nonsingular, validated
 
 
 @dataclass(frozen=True)
@@ -47,16 +35,8 @@ def build_dense(entries, tol: float = DEFAULT_TOL) -> MatrixMapping:
 
     Raises SingularOperatorError when sigma_min <= tol * sigma_max.
     """
-    arr = np.asarray(entries, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise DimensionMismatchError(
-            f"mapping grid must be square, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError("mapping entries must be finite")
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s[-1] <= tol * s[0]:
-        raise SingularOperatorError("mapping is singular to tolerance")
+    arr = validated(entries, square=True)
+    require_nonsingular(arr, tol)
     return MatrixMapping(readonly(arr), readonly(np.linalg.inv(arr)))
 
 
@@ -97,7 +77,7 @@ def identity_mapping(n: int) -> MatrixMapping:
 
 def apply_mapping(e: MatrixMapping, seq) -> np.ndarray:
     """(E psi)_n = sum_k E[n, k] psi_k for every n."""
-    seq = as_sequence(seq)
+    seq = validated(seq)
     if e.n != seq.shape[0]:
         raise DimensionMismatchError(
             f"mapping size {e.n} does not match sequence count {seq.shape[0]}"
@@ -107,7 +87,7 @@ def apply_mapping(e: MatrixMapping, seq) -> np.ndarray:
 
 def apply_inverse_mapping(e: MatrixMapping, seq) -> np.ndarray:
     """Sequence psi with apply_mapping(e, psi) = seq."""
-    seq = as_sequence(seq)
+    seq = validated(seq)
     if e.n != seq.shape[0]:
         raise DimensionMismatchError(
             f"mapping size {e.n} does not match sequence count {seq.shape[0]}"

@@ -26,6 +26,12 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian direction normalized to unit norm."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
 def random_conditioned_matrix(rng, n, cond_max=1e3):
     """Random complex matrix with singular values inside [1/sqrt(c), sqrt(c)]."""
     a = random_complex(rng, (n, n))

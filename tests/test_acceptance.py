@@ -6,14 +6,17 @@ the criterion failed).
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_complex, random_conditioned_matrix
+import eframes
 from eframes import controlled, eframe, gallery, hilbert, mapping, neumann
 
 
@@ -221,6 +224,10 @@ def test_criterion_8_riesz_equivalence():
 
 def test_criterion_9_cli_contract(tmp_path):
     start = time.perf_counter()
+    # the subprocess imports the same eframes as the tests, installed or not
+    src = str(Path(eframes.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def cli(*argv):
         return subprocess.run(
@@ -228,6 +235,7 @@ def test_criterion_9_cli_contract(tmp_path):
             capture_output=True,
             text=True,
             timeout=60,
+            env=env,
         )
 
     result = cli("paper-example", "--dim", "3", "--format", "machine")

@@ -245,3 +245,31 @@ def test_flag_overrides_take_precedence(tmp_path, capsys):
     )
     assert code == 0
     assert report["certificates"][0]["trials"] == 5 + 3  # trials plus basis vectors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--strict", "--tol", "nan"),
+        ("analyze", "--tol", "inf"),
+        ("neumann", "--rho", "0.9", "--eps", "inf"),
+        ("neumann", "--rho", "0.9", "--eps", "-1"),
+        ("neumann", "--rho", "0.9", "--max-terms", "0"),
+    ],
+)
+def test_non_finite_or_non_positive_flags_exit_1(tmp_path, capsys, argv):
+    command, *flags = argv
+    assert main([command, write_config(tmp_path), *flags]) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_paper_example_non_finite_tol_exits_1(capsys, tol):
+    assert main(["paper-example", "--dim", "3", "--tol", tol]) == 1
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_config_non_finite_tol_exits_1(tmp_path, capsys, tol):
+    path = write_config(tmp_path, tol=tol)
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["analyze", path, "--strict"]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_complex, random_conditioned_matrix
+from conftest import random_complex, random_conditioned_matrix, random_unit_vector
 from eframes import controlled, eframe, hilbert, mapping
 from eframes.errors import (
     DualConditionError,
@@ -54,7 +54,7 @@ def test_frame_operator_matches_explicit_sum(worked):
     s = controlled.controlled_frame_operator(worked.mapping, worked.psi, worked.u)
     images = mapping.apply_mapping(worked.mapping, worked.psi)
     for _ in range(10):
-        f = hilbert.random_unit_vector(3, rng)
+        f = random_unit_vector(3, rng)
         assert np.linalg.norm(s @ f - explicit_controlled_sum(images, worked.u, f)) <= 1e-13
 
 
@@ -191,7 +191,7 @@ def test_canonical_reconstruct_parseval_without_inversion(worked):
     psi = gallery.example_parseval_psi(3)
     images = mapping.apply_mapping(worked.mapping, psi)
     rng = np.random.default_rng(35)
-    f = hilbert.random_unit_vector(3, rng)
+    f = random_unit_vector(3, rng)
     plain_sum = explicit_controlled_sum(images, worked.u, f)
     assert np.linalg.norm(plain_sum - f) <= 1e-12
     got = controlled.canonical_reconstruct(worked.mapping, psi, worked.u, f)
@@ -434,7 +434,7 @@ def test_controlled_frame_inequality_conjugate_pairing():
         record = controlled.controlled_bounds(e, psi, u)
         images = record.images
         for _ in range(10):
-            f = hilbert.random_unit_vector(d, rng)
+            f = random_unit_vector(d, rng)
             terms = (images.conj() @ f).conj() * ((images @ u.T).conj() @ f)
             total = complex(np.sum(terms))
             assert record.bounds.lo - 1e-8 <= total.real <= record.bounds.hi + 1e-8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_complex, random_conditioned_matrix
+from conftest import random_complex, random_conditioned_matrix, random_unit_vector
 from eframes import eframe, hilbert, mapping
 from eframes.errors import (
     DimensionMismatchError,
@@ -153,7 +153,7 @@ def test_e_canonical_dual_requires_frame():
 def test_e_reconstruct_worked_sums(worked):
     rng = np.random.default_rng(21)
     for _ in range(20):
-        f = hilbert.random_unit_vector(3, rng)
+        f = random_unit_vector(3, rng)
         doubled = eframe.e_reconstruct(worked.mapping, worked.psi, worked.psi_tilde, f)
         assert np.linalg.norm(doubled - 2 * f) <= 1e-12
         plain = eframe.e_reconstruct(worked.mapping, worked.psi, worked.phi, f)
@@ -166,7 +166,7 @@ def test_e_reconstruct_canonical_dual_oracle(worked):
     images_psi = mapping.apply_mapping(worked.mapping, worked.psi)
     images_dual = mapping.apply_mapping(worked.mapping, dual)
     for _ in range(10):
-        f = hilbert.random_unit_vector(3, rng)
+        f = random_unit_vector(3, rng)
         got = eframe.e_reconstruct(worked.mapping, worked.psi, dual, f)
         assert np.linalg.norm(got - f) <= 1e-12
         assert np.linalg.norm(got - explicit_reconstruct(images_psi, images_dual, f)) <= 1e-13
@@ -210,7 +210,7 @@ def test_factorization_against_explicit_sum_random():
         images = mapping.apply_mapping(e, psi)
         oracle = explicit_frame_operator(images)
         assert np.linalg.norm(s - oracle) <= 1e-12 * max(np.linalg.norm(s), 1.0)
-        f = hilbert.random_unit_vector(d, rng)
+        f = random_unit_vector(d, rng)
         direct = explicit_reconstruct(images, images, f)
         assert np.linalg.norm(s @ f - direct) <= 1e-12 * max(np.linalg.norm(direct), 1.0)
 
@@ -222,7 +222,7 @@ def test_frame_inequality_random():
     record = eframe.e_frame_bounds(e, psi)
     images = record.images
     for _ in range(100):
-        f = hilbert.random_unit_vector(4, rng)
+        f = random_unit_vector(4, rng)
         total = float(np.sum(np.abs(images.conj() @ f) ** 2))
         assert record.bounds.lo - 1e-8 <= total <= record.bounds.hi + 1e-8
 
@@ -235,7 +235,7 @@ def test_canonical_dual_reconstructs_both_orientations():
         e = mapping.build_dense(random_conditioned_matrix(rng, n))
         psi = random_complex(rng, (n, d))
         dual = eframe.e_canonical_dual(e, psi)
-        f = hilbert.random_unit_vector(d, rng)
+        f = random_unit_vector(d, rng)
         got = eframe.e_reconstruct(e, psi, dual, f)
         assert np.linalg.norm(got - f) <= 1e-10
         twin = eframe.e_reconstruct(e, dual, psi, f)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from conftest import random_unit_vector
 from eframes import hilbert
 from eframes.errors import (
     DimensionMismatchError,
@@ -82,8 +83,8 @@ def test_adjoint_defining_identity():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for _ in range(20):
-        u = hilbert.random_unit_vector(4, rng)
-        v = hilbert.random_unit_vector(4, rng)
+        u = random_unit_vector(4, rng)
+        v = random_unit_vector(4, rng)
         lhs = hilbert.inner(a @ u, v)
         rhs = hilbert.inner(u, hilbert.adjoint(a) @ v)
         assert abs(lhs - rhs) <= 1e-12
@@ -119,7 +120,7 @@ def test_hermitian_bounds_sandwich():
     a = (a + a.conj().T) / 2
     bounds = hilbert.hermitian_bounds(a)
     for _ in range(100):
-        f = hilbert.random_unit_vector(6, rng)
+        f = random_unit_vector(6, rng)
         quotient = hilbert.inner(a @ f, f).real
         assert bounds.lo - 1e-8 <= quotient <= bounds.hi + 1e-8
 
@@ -215,7 +216,18 @@ def test_is_positive_definite():
 
 
 def test_finite_validation():
+    assert hilbert.validated([1, 2j], ndim=1).dtype == np.complex128
+    assert hilbert.validated(np.ones((2, 3))).shape == (2, 3)
+    for bad, kwargs in [
+        ([], {"ndim": 1}),
+        (np.ones((2, 2)), {"ndim": 1}),
+        (np.ones(3), {}),
+        (np.ones((0, 3)), {}),
+        (np.ones((3, 2)), {"square": True}),
+    ]:
+        with pytest.raises(DimensionMismatchError):
+            hilbert.validated(bad, **kwargs)
     with pytest.raises(ValueError):
-        hilbert.as_vector([np.nan, 1.0])
+        hilbert.validated([np.nan, 1.0], ndim=1)
     with pytest.raises(ValueError):
-        hilbert.as_operator([[np.inf, 0.0], [0.0, 1.0]])
+        hilbert.validated([[np.inf, 0.0], [0.0, 1.0]], square=True)

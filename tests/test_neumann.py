@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_complex
+from conftest import random_complex, random_unit_vector
 from eframes import controlled, eframe, hilbert, mapping, neumann
 from eframes.errors import ConvergenceError
 
@@ -115,7 +115,7 @@ def test_iterative_reconstruct_scaled_dual(worked):
 
 def test_iterative_reconstruct_exact_dual_one_term(worked):
     rng = np.random.default_rng(51)
-    f = hilbert.random_unit_vector(3, rng)
+    f = random_unit_vector(3, rng)
     got, report = neumann.iterative_reconstruct(
         worked.mapping, worked.psi, worked.psi_tilde, worked.u, f
     )
