@@ -2,8 +2,9 @@
 
 The library computes frame and controlled-frame bounds, canonical and
 parametrized dual families, and Neumann-series corrections for
-approximate duals, all at finite-section scale (dense complex matrices,
-sequences as (N, d) arrays).
+approximate duals, all at finite-section scale (complex d x d
+operators, sequences as (N, d) arrays, and N x N mappings applied as
+structured or dense operators).
 """
 
 from . import controlled, eframe, gallery, hilbert, mapping, neumann

@@ -161,27 +161,25 @@ def cmd_paper_example(
     dim: int, tol: float, trials: int, seed: int
 ) -> tuple[dict, int]:
     mapping = gallery.example_mapping(dim)
-    psi = gallery.example_psi(dim)
-    psi_tilde = gallery.example_psi_tilde(dim)
-    phi = gallery.example_phi(dim)
     u = gallery.example_u(dim)
-
-    images_psi = apply_mapping(mapping, psi)
-    images_tilde = apply_mapping(mapping, psi_tilde)
-    images_phi = apply_mapping(mapping, phi)
+    images_psi = apply_mapping(mapping, gallery.example_psi(dim))
+    images_tilde = apply_mapping(mapping, gallery.example_psi_tilde(dim))
+    images_phi = apply_mapping(mapping, gallery.example_phi(dim))
     f = trial_matrix(dim, trials, seed)
 
-    plain_pair = images_tilde.T @ (images_psi.conj() @ f)
-    controlled_pair = (u @ images_tilde.T) @ (images_psi.conj() @ f)
-    plain_dual = images_psi.T @ (images_phi.conj() @ f)
-    controlled_dual = (u @ images_psi.T) @ (images_phi.conj() @ f)
+    def both_residuals(analysis, synthesis, plain_target, controlled_target):
+        """Residuals of the plain and the controlled sum of one pair, from one
+        coefficient block that is freed before the next pair's is formed."""
+        coef = analysis.conj() @ f
+        plain = _max_column_residual(synthesis.T @ coef, plain_target * f)
+        controlled = _max_column_residual((u @ synthesis.T) @ coef, controlled_target * f)
+        return plain, controlled
 
-    residuals = {
-        "plain_psi_tilde": _max_column_residual(plain_pair, 2.0 * f),
-        "controlled_psi_tilde": _max_column_residual(controlled_pair, f),
-        "plain_phi": _max_column_residual(plain_dual, f),
-        "controlled_phi": _max_column_residual(controlled_dual, 0.5 * f),
-    }
+    residuals = dict(zip(
+        ("plain_psi_tilde", "controlled_psi_tilde", "plain_phi", "controlled_phi"),
+        both_residuals(images_psi, images_tilde, 2.0, 1.0)
+        + both_residuals(images_phi, images_psi, 1.0, 0.5),
+    ))
     expected = {
         "plain_psi_tilde": "2f",
         "controlled_psi_tilde": "f",

@@ -155,8 +155,8 @@ class ControlledEFrame:
 
     @cached_property
     def t_u_pinv(self) -> np.ndarray:
-        """Pseudoinverse of T_u, at the default cutoff of hilbert.pseudoinverse."""
-        return hilbert.frozen(hilbert.pseudoinverse(self.t_u))
+        """Pseudoinverse of T_u; singular values below tol * sigma_max are cut."""
+        return hilbert.frozen(hilbert.pseudoinverse(self.t_u, self.tol))
 
     @cached_property
     def s_inv(self) -> np.ndarray:

@@ -39,9 +39,10 @@ def frame_record(e: MatrixMapping, psi, images, frame_op, tol: float) -> EFrameR
 
     The verdict is ``frame`` iff the smallest eigenvalue exceeds tol
     times the largest one (scale-invariant threshold), otherwise
-    ``bessel-only``.
+    ``bessel-only``. Raises NotHermitianError when frame_op is not
+    Hermitian to tol.
     """
-    bounds = hilbert.hermitian_bounds(frame_op)
+    bounds = hilbert.hermitian_bounds(frame_op, tol)
     verdict = FRAME if bounds.lo > tol * bounds.hi else BESSEL_ONLY
     return EFrameRecord(psi, e, images, frame_op, bounds, verdict)
 

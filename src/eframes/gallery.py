@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mapping import MatrixMapping, build_bidiagonal
+from .mapping import MatrixMapping, apply_inverse_mapping, build_bidiagonal
 
 
 def _check_dim(dim: int) -> None:
@@ -25,34 +25,33 @@ def example_mapping(dim: int) -> MatrixMapping:
     return build_bidiagonal(dim + 1)
 
 
+def _strictly_lower(dim: int) -> np.ndarray:
+    """(dim + 1, dim) array whose row k, counted from 0, is e1 + ... + e_k."""
+    return np.tril(np.ones((dim + 1, dim), dtype=np.complex128), -1)
+
+
 def example_psi(dim: int) -> np.ndarray:
     """psi_1 = e1, psi_k = 2 e1 + e2 + ... + e_{k-1} for k >= 2."""
     _check_dim(dim)
-    psi = np.zeros((dim + 1, dim), dtype=np.complex128)
+    psi = _strictly_lower(dim)
+    psi[:, 0] *= 2.0
     psi[0, 0] = 1.0
-    for k in range(1, dim + 1):
-        psi[k, 0] = 2.0
-        psi[k, 1:k] = 1.0
     return psi
 
 
 def example_psi_tilde(dim: int) -> np.ndarray:
     """psi~_1 = e1, psi~_k = 2 (e1 + ... + e_{k-1}) for k >= 2."""
     _check_dim(dim)
-    out = np.zeros((dim + 1, dim), dtype=np.complex128)
+    out = 2.0 * _strictly_lower(dim)
     out[0, 0] = 1.0
-    for k in range(1, dim + 1):
-        out[k, :k] = 2.0
     return out
 
 
 def example_phi(dim: int) -> np.ndarray:
     """phi_1 = e1 / 3, phi_k = e1 + ... + e_{k-1} for k >= 2."""
     _check_dim(dim)
-    out = np.zeros((dim + 1, dim), dtype=np.complex128)
+    out = _strictly_lower(dim)
     out[0, 0] = 1.0 / 3.0
-    for k in range(1, dim + 1):
-        out[k, :k] = 1.0
     return out
 
 
@@ -72,6 +71,6 @@ def example_parseval_psi(dim: int) -> np.ndarray:
     images = np.zeros((dim + 1, dim), dtype=np.complex128)
     images[0, 0] = 1.0
     images[1, 0] = 1.0
-    for k in range(2, dim + 1):
-        images[k, k - 1] = np.sqrt(2.0)
-    return np.asarray(example_mapping(dim).inverse @ images)
+    k = np.arange(2, dim + 1)
+    images[k, k - 1] = np.sqrt(2.0)
+    return apply_inverse_mapping(example_mapping(dim), images)

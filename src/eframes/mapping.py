@@ -2,61 +2,159 @@
 
 A sequence {psi_k} of N members of C^d is stored as an (N, d) array
 whose k-th row is psi_k. A mapping E acts by
-(E psi)_n = sum_k E[n, k] psi_k, which is the matrix product
-E @ psi. Mappings cache their inverse at build time; a mapping that
-cannot be inverted is a build error. Intended envelope is dense
-N <= 256.
+(E psi)_n = sum_k E[n, k] psi_k, the matrix product E @ psi.
+
+A mapping is an operator with a size n, apply and apply_inverse. Each
+kind applies E and E^{-1} in its own way, and only the dense kind holds
+N x N arrays:
+
+    identity     a copy                               O(N d)
+    bidiagonal   first difference and running sum     O(N d)
+    banded       shifted diagonal products, and the
+                 banded LU factors made at build      O(N d (kl + ku + 1))
+    dense        E @ seq and E^{-1} @ seq             O(N^2 d)
+
+A mapping that cannot be inverted is a build error. The dense forms
+`entries` and `inverse` are computed on first read and cached, for
+tests and callers that want the matrices; the library never reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .hilbert import DEFAULT_TOL, readonly, require_nonsingular, validated
+from .errors import DimensionMismatchError, SingularOperatorError
+from .hilbert import DEFAULT_TOL, frozen, readonly, require_nonsingular, validated
 
 
-@dataclass(frozen=True)
 class MatrixMapping:
-    """Invertible N x N matrix with its inverse cached at build time."""
+    """Invertible N x N matrix E, applied to (N, d) sequences.
 
-    entries: np.ndarray
-    inverse: np.ndarray
+    Subclasses implement _apply and _apply_inverse on validated
+    sequences and return a new array.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("mapping size must be at least 1")
+        self.n = n
+
+    def _checked(self, seq) -> np.ndarray:
+        seq = validated(seq)
+        if self.n != seq.shape[0]:
+            raise DimensionMismatchError(
+                f"mapping size {self.n} does not match sequence count {seq.shape[0]}"
+            )
+        return seq
+
+    def apply(self, seq) -> np.ndarray:
+        """(E seq)_n = sum_k E[n, k] seq_k for every n."""
+        return self._apply(self._checked(seq))
+
+    def apply_inverse(self, seq) -> np.ndarray:
+        """Sequence psi with apply(psi) = seq."""
+        return self._apply_inverse(self._checked(seq))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """E as a read-only dense N x N array."""
+        return frozen(self._apply(np.eye(self.n, dtype=np.complex128)))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """E^{-1} as a read-only dense N x N array."""
+        return frozen(self._apply_inverse(np.eye(self.n, dtype=np.complex128)))
+
+
+class _Identity(MatrixMapping):
+    def _apply(self, seq):
+        return seq.copy()
+
+    _apply_inverse = _apply
+
+
+class _Bidiagonal(MatrixMapping):
+    """1 on the diagonal, -1 on the subdiagonal; unit lower triangular,
+    so it is invertible at every size and its inverse is the running sum."""
+
+    def _apply(self, seq):
+        out = np.empty_like(seq)
+        out[0] = seq[0]
+        np.subtract(seq[1:], seq[:-1], out=out[1:])
+        return out
+
+    def _apply_inverse(self, seq):
+        return np.cumsum(seq, axis=0)
+
+
+class _Banded(MatrixMapping):
+    """Diagonals {offset: values} with their banded LU factors (LAPACK
+    gbtrf storage: kl + ku + 1 band rows under kl rows of fill-in)."""
+
+    def __init__(self, n, diagonals, kl, ku, lu, piv):
+        super().__init__(n)
+        self._diagonals = diagonals
+        self._kl, self._ku, self._lu, self._piv = kl, ku, lu, piv
+
+    def _apply(self, seq):
+        out = np.zeros_like(seq)
+        for off, vals in self._diagonals.items():
+            if off >= 0:
+                out[: self.n - off] += vals[:, None] * seq[off:]
+            else:
+                out[-off:] += vals[:, None] * seq[: self.n + off]
+        return out
+
+    def _apply_inverse(self, seq):
+        from scipy.linalg.lapack import zgbtrs
+
+        return zgbtrs(self._lu, self._kl, self._ku, seq, self._piv)[0]
+
+
+class _Dense(MatrixMapping):
+    def __init__(self, entries, inverse):
+        super().__init__(entries.shape[0])
+        self.entries = entries
+        self.inverse = inverse
+
+    def _apply(self, seq):
+        return self.entries @ seq
+
+    def _apply_inverse(self, seq):
+        return self.inverse @ seq
 
 
 def build_dense(entries, tol: float = DEFAULT_TOL) -> MatrixMapping:
-    """Validate a square grid, invert it, and wrap both.
+    """Validate a square grid, invert it, and keep both.
 
     Raises SingularOperatorError when sigma_min <= tol * sigma_max.
     """
     arr = validated(entries, square=True)
     require_nonsingular(arr, tol)
-    return MatrixMapping(readonly(arr), readonly(np.linalg.inv(arr)))
+    return _Dense(readonly(arr), readonly(np.linalg.inv(arr)))
 
 
 def build_bidiagonal(n: int) -> MatrixMapping:
     """First-difference mapping: 1 on the diagonal, -1 on the subdiagonal.
 
-    Its inverse is the running-sum matrix (lower triangular all ones).
+    Its inverse is the running sum (lower triangular all ones).
     """
-    if n < 1:
-        raise ValueError("mapping size must be at least 1")
-    e = np.eye(n, dtype=np.complex128) - np.eye(n, k=-1, dtype=np.complex128)
-    inv = np.tril(np.ones((n, n), dtype=np.complex128))
-    return MatrixMapping(readonly(e), readonly(inv))
+    return _Bidiagonal(n)
 
 
 def build_banded(n: int, diagonals, tol: float = DEFAULT_TOL) -> MatrixMapping:
-    """Assemble a mapping from {offset: values}; offset 0 is the main diagonal."""
+    """Mapping from {offset: values}; offset 0 is the main diagonal.
+
+    The banded LU factors are computed here and reused by every inverse
+    apply. Raises SingularOperatorError when LAPACK's estimate of the
+    reciprocal 1-norm condition number is at most tol (scale invariant),
+    and ValueError for a non-finite value.
+    """
     if n < 1:
         raise ValueError("mapping size must be at least 1")
-    grid = np.zeros((n, n), dtype=np.complex128)
+    merged: dict[int, np.ndarray] = {}
     for off, vals in diagonals.items():
         off = int(off)
         vals = np.asarray(vals, dtype=np.complex128)
@@ -64,32 +162,41 @@ def build_banded(n: int, diagonals, tol: float = DEFAULT_TOL) -> MatrixMapping:
             raise DimensionMismatchError(
                 f"diagonal at offset {off} must have length {n - abs(off)}"
             )
-        grid += np.diag(vals, off)
-    return build_dense(grid, tol)
+        if not np.isfinite(vals).all():
+            raise ValueError("entries must be finite")
+        merged[off] = merged[off] + vals if off in merged else vals
+    kl = max([-off for off in merged] + [0])
+    ku = max([off for off in merged] + [0])
+    # A[i, j] sits at band[kl + ku + i - j, j]; the top kl rows take the fill-in
+    band = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128)
+    for off, vals in merged.items():
+        start = max(off, 0)
+        band[kl + ku - off, start : start + vals.shape[0]] = vals
+    anorm = float(np.abs(band[kl:]).sum(axis=0).max())
+
+    from scipy.linalg.lapack import zgbcon, zgbtrf
+
+    lu, piv, info = zgbtrf(band, kl, ku)
+    # info > 0 is an exact zero pivot
+    rcond = zgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
+    if not rcond > tol:
+        raise SingularOperatorError(
+            f"matrix is singular to tolerance (1-norm reciprocal condition "
+            f"estimate = {rcond:.3e})"
+        )
+    diagonals = {off: readonly(merged[off]) for off in sorted(merged)}
+    return _Banded(n, diagonals, kl, ku, frozen(lu), piv)
 
 
 def identity_mapping(n: int) -> MatrixMapping:
-    if n < 1:
-        raise ValueError("mapping size must be at least 1")
-    eye = np.eye(n, dtype=np.complex128)
-    return MatrixMapping(readonly(eye), readonly(eye))
+    return _Identity(n)
 
 
 def apply_mapping(e: MatrixMapping, seq) -> np.ndarray:
     """(E psi)_n = sum_k E[n, k] psi_k for every n."""
-    seq = validated(seq)
-    if e.n != seq.shape[0]:
-        raise DimensionMismatchError(
-            f"mapping size {e.n} does not match sequence count {seq.shape[0]}"
-        )
-    return e.entries @ seq
+    return e.apply(seq)
 
 
 def apply_inverse_mapping(e: MatrixMapping, seq) -> np.ndarray:
     """Sequence psi with apply_mapping(e, psi) = seq."""
-    seq = validated(seq)
-    if e.n != seq.shape[0]:
-        raise DimensionMismatchError(
-            f"mapping size {e.n} does not match sequence count {seq.shape[0]}"
-        )
-    return e.inverse @ seq
+    return e.apply_inverse(seq)

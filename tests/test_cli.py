@@ -215,6 +215,25 @@ def test_singular_mapping_exits_1(tmp_path, capsys):
     assert main(["analyze", path]) == 1
 
 
+@pytest.mark.parametrize(
+    "main_diagonal",
+    [[[1, 0], [0, 0], [1, 0], [1, 0]], [[1, 0], [1e-14, 0], [1, 0], [1, 0]]],
+    ids=["singular", "near-singular"],
+)
+def test_singular_banded_mapping_exits_1(tmp_path, capsys, main_diagonal):
+    diagonals = {"0": main_diagonal, "1": [[0.5, 0]] * 3}
+    path = write_config(tmp_path, mapping={"kind": "banded", "diagonals": diagonals})
+    assert main(["analyze", path]) == 1
+    assert "singular" in capsys.readouterr().err
+
+
+def test_non_finite_banded_diagonal_exits_1(tmp_path, capsys):
+    diagonals = {"0": [[1, 0], [float("nan"), 0], [1, 0], [1, 0]]}
+    path = write_config(tmp_path, mapping={"kind": "banded", "diagonals": diagonals})
+    assert main(["analyze", path]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
 

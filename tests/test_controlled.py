@@ -448,3 +448,14 @@ def test_parseval_soundness(worked):
     assert controlled.is_parseval(worked.mapping, psi, worked.u)
     cert_def, _ = controlled.verify_dual(worked.mapping, psi, psi, worked.u)
     assert cert_def.verdict
+
+
+def test_t_u_pinv_cutoff_uses_record_tol():
+    """T_u has singular values 1 and 1e-8: tol = 1e-6 cuts the small one,
+    the default tolerance keeps it."""
+    psi = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]], dtype=complex)
+    e = mapping.identity_mapping(3)
+    loose = controlled.ControlledEFrame(e, psi, np.eye(2), tol=1e-6)
+    assert np.isclose(np.linalg.norm(loose.t_u_pinv, 2), 1.0)
+    default = controlled.ControlledEFrame(e, psi, np.eye(2))
+    assert np.isclose(np.linalg.norm(default.t_u_pinv, 2), 1e8)

@@ -7,6 +7,7 @@ from eframes import eframe, hilbert, mapping
 from eframes.errors import (
     DimensionMismatchError,
     NotAFrameError,
+    NotHermitianError,
     SingularOperatorError,
 )
 
@@ -253,3 +254,15 @@ def test_riesz_family_bounds_are_squared_singular_values():
         s = np.linalg.svd(v, compute_uv=False)
         assert record.bounds.hi == pytest.approx(s[0] ** 2, rel=1e-8)
         assert record.bounds.lo == pytest.approx(s[-1] ** 2, rel=1e-8)
+
+
+def test_frame_record_hermitian_test_uses_record_tol():
+    """A skew part of relative size about 6e-9 fails the default tolerance
+    and passes tol = 1e-6."""
+    e = mapping.identity_mapping(2)
+    psi = np.eye(2, dtype=complex)
+    frame_op = np.array([[2.0, 1e-8], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotHermitianError):
+        eframe.frame_record(e, psi, psi, frame_op, hilbert.DEFAULT_TOL)
+    record = eframe.frame_record(e, psi, psi, frame_op, 1e-6)
+    assert record.verdict == eframe.FRAME

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_complex, random_conditioned_matrix
@@ -163,3 +171,154 @@ def test_mapping_is_immutable():
     e = mapping.build_bidiagonal(3)
     with pytest.raises(ValueError):
         e.entries[0, 0] = 5.0
+
+
+# ------------------------------------------------------------ operator kinds
+
+KINDS = ("identity", "bidiagonal", "banded", "dense")
+
+
+def banded_diagonals(rng, n, offsets):
+    """Off-diagonals of modulus at most 1 around a main diagonal of modulus
+    len(offsets) + 2, so the mapping is diagonally dominant."""
+    diagonals = {
+        off: rng.uniform(size=n - abs(off)) * np.exp(2j * np.pi * rng.uniform(size=n - abs(off)))
+        for off in offsets
+        if off != 0 and abs(off) < n
+    }
+    diagonals[0] = (len(offsets) + 2) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return diagonals
+
+
+def build_kind(kind, n, offsets, rng):
+    """A mapping of the kind and its matrix assembled independently."""
+    if kind == "identity":
+        return mapping.identity_mapping(n), np.eye(n)
+    if kind == "bidiagonal":
+        return mapping.build_bidiagonal(n), np.eye(n) - np.eye(n, k=-1)
+    if kind == "banded":
+        diagonals = banded_diagonals(rng, n, offsets)
+        grid = sum(np.diag(vals, off) for off, vals in diagonals.items())
+        return mapping.build_banded(n, diagonals), grid
+    grid = random_conditioned_matrix(rng, n)
+    return mapping.build_dense(grid), grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(1, 40),
+    d=st.integers(1, 4),
+    offsets=st.sets(st.integers(-6, 6), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_kinds_match_dense_forms(kind, n, d, offsets, seed):
+    rng = np.random.default_rng(seed)
+    e, grid = build_kind(kind, n, offsets, rng)
+    assert e.n == n
+    assert_allclose(e.entries, grid, atol=0)
+    seq = random_complex(rng, (n, d))
+    scale = np.linalg.norm(seq)
+    for apply, dense in (
+        (mapping.apply_mapping, e.entries),
+        (mapping.apply_inverse_mapping, e.inverse),
+    ):
+        assert np.linalg.norm(apply(e, seq) - dense @ seq) <= (
+            1e-13 * np.linalg.norm(dense) * scale
+        )
+    roundtrip_tol = 1e-10 if kind == "dense" else 1e-12
+    forward_back = mapping.apply_inverse_mapping(e, mapping.apply_mapping(e, seq))
+    back_forward = mapping.apply_mapping(e, mapping.apply_inverse_mapping(e, seq))
+    assert np.linalg.norm(forward_back - seq) <= roundtrip_tol * scale
+    assert np.linalg.norm(back_forward - seq) <= roundtrip_tol * scale
+    assert_allclose(grid @ e.inverse, np.eye(n), atol=roundtrip_tol * n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_returns_new_array_and_keeps_input(kind):
+    rng = np.random.default_rng(11)
+    e, _ = build_kind(kind, 6, {-1, 2}, rng)
+    seq = random_complex(rng, (6, 2))
+    before = seq.copy()
+    for apply in (mapping.apply_mapping, mapping.apply_inverse_mapping):
+        out = apply(e, seq)
+        out[...] = 0.0
+        assert_allclose(seq, before, atol=0)
+    with pytest.raises(ValueError):
+        e.inverse[0, 0] = 5.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    offsets=st.sets(st.integers(-6, 6), max_size=4),
+    row=st.integers(0, 39),
+    shrink=st.sampled_from([0.0, 1e-14]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_singular_or_near_singular_is_rejected(n, offsets, row, shrink, seed):
+    """Row r of the banded mapping scaled by 0 (singular) or 1e-14."""
+    rng = np.random.default_rng(seed)
+    diagonals = banded_diagonals(rng, n, offsets)
+    r = row % n
+    for off, vals in diagonals.items():
+        k = r if off >= 0 else r + off  # A[r, r + off] is vals[k]
+        if 0 <= k < vals.shape[0]:
+            vals[k] *= shrink
+    with pytest.raises(SingularOperatorError):
+        mapping.build_banded(n, diagonals)
+
+
+def test_banded_empty_is_singular():
+    with pytest.raises(SingularOperatorError):
+        mapping.build_banded(3, {})
+
+
+def test_banded_condition_test_is_scale_invariant():
+    diagonals = {0: [1.0, 1.0, 1.0], 1: [0.5, 0.5]}
+    for scale in (1e-150, 1.0, 1e150):
+        scaled = {off: scale * np.asarray(vals) for off, vals in diagonals.items()}
+        e = mapping.build_banded(3, scaled)
+        assert_allclose(e.entries / scale, np.eye(3) + 0.5 * np.eye(3, k=1), rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_banded_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        mapping.build_banded(3, {0: [1.0, bad, 1.0]})
+    with pytest.raises(ValueError, match="finite"):
+        mapping.build_banded(3, {0: [1.0, 1.0, 1.0], -1: [bad, 0.0]})
+
+
+def test_banded_rejects_bad_diagonal_length():
+    with pytest.raises(DimensionMismatchError):
+        mapping.build_banded(3, {0: [1.0, 1.0]})
+    with pytest.raises(DimensionMismatchError):
+        mapping.build_banded(3, {3: []})
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(mapping.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, eframes; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_bidiagonal_memory_is_linear_in_n():
+    n, d = 200_000, 4  # an N x N complex array would take 640 GB
+    seq = np.ones((n, d), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        e = mapping.build_bidiagonal(n)
+        images = mapping.apply_mapping(e, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * seq.nbytes
+    assert_allclose(images[0], seq[0], atol=0)
+    assert not images[1:].any()
