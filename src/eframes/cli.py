@@ -38,7 +38,7 @@ EXIT_VERDICT = 2
 
 
 def _sequence_pairs(seq) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(seq)]
+    return np.stack([seq.real, seq.imag], -1).tolist()
 
 
 def _bounds_dict(record) -> dict:

@@ -1,6 +1,7 @@
 """Problem configuration: JSON ingestion with [re, im] complex pairs.
 
-Schema (all complex entries are two-element [re, im] arrays):
+Schema (each complex entry is an [re, im] pair of JSON numbers: not
+booleans, strings or null; an integer beyond double range is an error):
 
     dimension  int                  space dimension d
     count      int                  sequence length N
@@ -50,26 +51,26 @@ class ProblemConfig:
     seed: int
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
+    """raw, an array of the given shape of [re, im] pairs, as complex128.
 
-
-def _complex_entry(x, where: str) -> complex:
-    if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(t) for t in x)):
-        raise ConfigError(f"{where}: complex entries must be [re, im] pairs, got {x!r}")
-    return complex(x[0], x[1])
-
-
-def _complex_matrix(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != nrows:
-        raise ConfigError(f"{where}: expected {nrows} rows")
-    out = np.zeros((nrows, ncols), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != ncols:
-            raise ConfigError(f"{where}: row {i} must have {ncols} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex_entry(entry, f"{where}[{i}][{j}]")
-    return out
+    Raises ConfigError for a part that is not an int or a float (a bool,
+    string or null, say) and for an integer beyond the range of a double.
+    """
+    full = (*shape, 2)
+    expected = f"expected [re, im] pairs of JSON numbers, shape {full}"
+    arr = np.array(raw, dtype=object)
+    if arr.shape != full:
+        raise ConfigError(f"{where}: {expected}, got shape {arr.shape}")
+    if not set(map(type, arr.flat)) <= {int, float}:
+        index = next(i for i in np.ndindex(full) if type(arr[i]) not in (int, float))
+        at = "".join(f"[{i}]" for i in index[:-1])
+        raise ConfigError(f"{where}{at}: {expected}, got {arr[index[:-1]].tolist()!r}")
+    try:
+        parts = arr.astype(np.float64)
+    except OverflowError:
+        raise ConfigError(f"{where}: an integer is beyond double range") from None
+    return parts.view(np.complex128).reshape(shape)
 
 
 def require_positive(raw, name: str, integer: bool = False):
@@ -91,9 +92,7 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
     kind = spec["kind"]
     try:
         if kind == "dense":
-            entries = _complex_matrix(
-                spec.get("entries"), count, count, "mapping.entries"
-            )
+            entries = _complex_array(spec.get("entries"), (count, count), "mapping.entries")
             return build_dense(entries, tol)
         if kind == "paper_bidiagonal":
             return build_bidiagonal(count)
@@ -109,9 +108,8 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
                     raise ConfigError(f"bad diagonal offset {off!r}") from None
                 if not isinstance(vals, list):
                     raise ConfigError(f"diagonal {off} must be a list of pairs")
-                parsed[off_int] = [
-                    _complex_entry(v, f"mapping.diagonals[{off}]") for v in vals
-                ]
+                where = f"mapping.diagonals[{off}]"
+                parsed[off_int] = _complex_array(vals, (len(vals),), where)
             return build_banded(count, parsed, tol)
     except DimensionMismatchError as exc:
         raise ConfigError(str(exc)) from exc
@@ -126,13 +124,10 @@ def _build_u(spec, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=np.complex128)
     if kind == "scalar":
         value = spec.get("value")
-        if _is_number(value):
-            scale = complex(value)
-        else:
-            scale = _complex_entry(value, "u.value")
-        return scale * np.eye(dim, dtype=np.complex128)
+        pair = [value, 0] if type(value) in (int, float) else value
+        return _complex_array(pair, (), "u.value") * np.eye(dim, dtype=np.complex128)
     if kind == "dense":
-        return _complex_matrix(spec.get("entries"), dim, dim, "u.entries")
+        return _complex_array(spec.get("entries"), (dim, dim), "u.entries")
     raise ConfigError(f"unknown control operator kind {kind!r}")
 
 
@@ -160,7 +155,7 @@ def parse_config(path) -> ProblemConfig:
 
     dimension = require_positive(raw["dimension"], "'dimension'", integer=True)
     count = require_positive(raw["count"], "'count'", integer=True)
-    psi = _complex_matrix(raw["psi"], count, dimension, "psi")
+    psi = _complex_array(raw["psi"], (count, dimension), "psi")
 
     tol = require_positive(raw.get("tol", DEFAULT_TOL), "'tol'")
     trials = raw.get("trials", DEFAULT_TRIALS)
@@ -173,7 +168,7 @@ def parse_config(path) -> ProblemConfig:
     u = _build_u(raw["u"], dimension)
     phi = None
     if raw.get("phi") is not None:
-        phi = _complex_matrix(raw["phi"], count, dimension, "phi")
+        phi = _complex_array(raw["phi"], (count, dimension), "phi")
 
     return ProblemConfig(
         dimension=dimension,

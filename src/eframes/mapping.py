@@ -158,7 +158,11 @@ def build_banded(n: int, diagonals, tol: float = DEFAULT_TOL) -> MatrixMapping:
     for off, vals in diagonals.items():
         off = int(off)
         vals = np.asarray(vals, dtype=np.complex128)
-        if abs(off) >= n or vals.shape != (n - abs(off),):
+        if abs(off) >= n:
+            raise DimensionMismatchError(
+                f"diagonal offset {off} must lie between {1 - n} and {n - 1}"
+            )
+        if vals.shape != (n - abs(off),):
             raise DimensionMismatchError(
                 f"diagonal at offset {off} must have length {n - abs(off)}"
             )
