@@ -29,7 +29,7 @@ from .errors import (
     DualConditionError,
     NotAFrameError,
 )
-from .hilbert import DEFAULT_TOL, trial_matrix
+from .hilbert import DEFAULT_TOL, trial_sums, trial_vectors, worst_residual
 from .mapping import apply_mapping
 
 EXIT_OK = 0
@@ -66,10 +66,6 @@ def _render_text(report: dict, elapsed: float) -> str:
 
 def _render_machine(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
-def _max_column_residual(values: np.ndarray, targets: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(values - targets, axis=0)))
 
 
 def cmd_analyze(cfg, strict: bool) -> tuple[dict, int]:
@@ -157,40 +153,29 @@ def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_VERDICT
 
 
-def cmd_paper_example(
-    dim: int, tol: float, trials: int, seed: int
-) -> tuple[dict, int]:
+def cmd_paper_example(dim: int, tol: float, trials: int, seed: int) -> tuple[dict, int]:
     mapping = gallery.example_mapping(dim)
     u = gallery.example_u(dim)
     images_psi = apply_mapping(mapping, gallery.example_psi(dim))
     images_tilde = apply_mapping(mapping, gallery.example_psi_tilde(dim))
     images_phi = apply_mapping(mapping, gallery.example_phi(dim))
-    f = trial_matrix(dim, trials, seed)
+    f = trial_vectors(dim, trials, seed)
 
     def both_residuals(analysis, synthesis, plain_target, controlled_target):
-        """Residuals of the plain and the controlled sum of one pair, from one
-        coefficient block that is freed before the next pair's is formed."""
-        coef = analysis.conj() @ f
-        plain = _max_column_residual(synthesis.T @ coef, plain_target * f)
-        controlled = _max_column_residual((u @ synthesis.T) @ coef, controlled_target * f)
-        return plain, controlled
+        plain = trial_sums(synthesis.T, analysis, f)  # U @ plain: the controlled sums
+        controlled = worst_residual(u @ plain, f, controlled_target)
+        return worst_residual(plain, f, plain_target), controlled
 
     residuals = dict(zip(
         ("plain_psi_tilde", "controlled_psi_tilde", "plain_phi", "controlled_phi"),
         both_residuals(images_psi, images_tilde, 2.0, 1.0)
         + both_residuals(images_phi, images_psi, 1.0, 0.5),
     ))
-    expected = {
-        "plain_psi_tilde": "2f",
-        "controlled_psi_tilde": "f",
-        "plain_phi": "f",
-        "controlled_phi": "f/2",
-    }
     report = {
         "command": "paper-example",
         "dim": dim,
         "count": dim + 1,
-        "expected": expected,
+        "expected": dict(zip(residuals, ("2f", "f", "f", "f/2"))),
         "residuals": residuals,
         "tol": tol,
     }

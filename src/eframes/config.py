@@ -125,7 +125,8 @@ def _build_u(spec, dim: int) -> np.ndarray:
     if kind == "scalar":
         value = spec.get("value")
         pair = [value, 0] if type(value) in (int, float) else value
-        return _complex_array(pair, (), "u.value") * np.eye(dim, dtype=np.complex128)
+        with np.errstate(invalid="ignore"):  # inf * 0; validation rejects U
+            return _complex_array(pair, (), "u.value") * np.eye(dim, dtype=np.complex128)
     if kind == "dense":
         return _complex_array(spec.get("entries"), (dim, dim), "u.entries")
     raise ConfigError(f"unknown control operator kind {kind!r}")

@@ -181,13 +181,12 @@ class ControlledEFrame:
         self.require_valid()
         images, u = self.images, self.u
         u_images = images @ u.T
-        s_sum = u_images.T @ images.conj()
+        f = hilbert.trial_vectors(images.shape[1], trials, seed)
+        lhs = hilbert.trial_sums(u_images.T, images, f)  # last d columns: summed S
+        rhs = hilbert.trial_sums(images.T, u_images, f)
         scale = np.linalg.norm(self.s_ue)
-        err_sue_use = float(np.linalg.norm(s_sum - self.s_ue) / scale)
+        err_sue_use = float(np.linalg.norm(lhs[:, trials:] - self.s_ue) / scale)
         err_commute = float(np.linalg.norm(self.s_ue - self.s_e @ u.conj().T) / scale)
-        f = hilbert.trial_matrix(images.shape[1], trials, seed)
-        lhs = u_images.T @ (images.conj() @ f)
-        rhs = images.T @ (u_images.conj() @ f)
         err_switched = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
         return IdentityReport(err_sue_use, err_commute, err_switched)
 
@@ -242,18 +241,16 @@ class ControlledEFrame:
         tol (by default the record's).
         """
         tol = self.tol if tol is None else tol
-        f = hilbert.trial_matrix(self.images.shape[1], trials, seed)
-        total = f.shape[1]
-        t_u_phi = self.u @ images_phi.T
-        res_def = float(
-            np.max(np.linalg.norm(self.t_u @ (images_phi.conj() @ f) - f, axis=0))
-        )
-        res_sw = float(
-            np.max(np.linalg.norm(t_u_phi @ (self.images.conj() @ f) - f, axis=0))
-        )
+        f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
+
+        def certificate(orientation, synthesis, analysis):
+            block = hilbert.trial_sums(synthesis, analysis, f)
+            res = hilbert.worst_residual(block, f, 1.0)
+            return DualCertificate(orientation, res, block.shape[1], res <= tol)
+
         return (
-            DualCertificate("definitional", res_def, total, res_def <= tol),
-            DualCertificate("switched", res_sw, total, res_sw <= tol),
+            certificate("definitional", self.t_u, images_phi),
+            certificate("switched", self.u @ images_phi.T, self.images),
         )
 
     def dual_from_right_inverse(self, v) -> np.ndarray:

@@ -4,9 +4,9 @@ Conventions: vectors are 1-d complex128 arrays; operators on the
 d-dimensional space are (d, d) arrays; rectangular (d, N) and (N, d)
 arrays are synthesis and analysis maps between coefficient space C^N
 and the vector space. The inner product is linear in its first
-argument and conjugate-linear in the second. All functions are pure
-and never mutate their arguments, so values can be shared freely
-between threads.
+argument and conjugate-linear in the second. All functions but
+worst_residual are pure and never mutate their arguments, so values
+can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -136,9 +136,26 @@ def is_positive_definite(a, tol: float = DEFAULT_TOL) -> bool:
     return hermitian and bounds.positive(tol)
 
 
-def trial_matrix(dim: int, trials: int, seed: int) -> np.ndarray:
-    """Trial vectors as columns: seeded random unit vectors, then the basis."""
+def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
+    """Seeded random unit vectors of C^dim, as the columns of a (dim, trials) array."""
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((dim, trials)) + 1j * rng.standard_normal((dim, trials))
-    f /= np.linalg.norm(f, axis=0)
-    return np.concatenate([f, np.eye(dim, dtype=np.complex128)], axis=1)
+    return f / np.linalg.norm(f, axis=0)
+
+
+def trial_sums(synthesis, analysis, f) -> np.ndarray:
+    """[synthesis analysis* f | synthesis analysis*]: the sums of the trial vectors,
+    then those of the basis, read from the d x d mixed operator."""
+    trials = f.shape[1]
+    block = np.empty((synthesis.shape[0], trials + f.shape[0]), dtype=np.complex128)
+    np.matmul(synthesis, analysis.conj() @ f, out=block[:, :trials])
+    np.matmul(synthesis, analysis.conj(), out=block[:, trials:])
+    return block
+
+
+def worst_residual(block: np.ndarray, f: np.ndarray, target: float) -> float:
+    """Largest column norm of block - target * [f | I]; overwrites block."""
+    trials = f.shape[1]
+    block[:, :trials] -= target * f
+    block[:, trials:][np.diag_indices(f.shape[0])] -= target
+    return float(np.max(np.linalg.norm(block, axis=0)))

@@ -45,7 +45,10 @@ def test_criterion_1_worked_example_sums():
         images_psi = mapping.apply_mapping(e, psi)
         images_tilde = mapping.apply_mapping(e, tilde)
         images_phi = mapping.apply_mapping(e, phi)
-        f = hilbert.trial_matrix(dim, 100, seed=42)
+        f = np.concatenate(
+            [hilbert.trial_vectors(dim, 100, seed=42), np.eye(dim, dtype=np.complex128)],
+            axis=1,
+        )
         sums_and_targets = [
             (images_tilde.T @ (images_psi.conj() @ f), 2.0 * f),
             ((u @ images_tilde.T) @ (images_psi.conj() @ f), f),

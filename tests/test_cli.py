@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eframes import gallery
-from eframes.cli import main
+from eframes.cli import cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
 
 
@@ -195,6 +196,20 @@ def test_paper_example_dims(capsys):
             "controlled_phi",
         }
         assert all(v <= 1e-12 for v in report["residuals"].values())
+
+
+def test_paper_example_peak_memory():
+    """The basis sums come from the d x d mixed operators: about 33 MB at
+    d = 512, where a chain through N x (trials + d) coefficient blocks
+    peaks at about 47 MB."""
+    tracemalloc.start()
+    try:
+        report, code = cmd_paper_example(512, 1e-10, 100, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 42e6
 
 
 def test_paper_example_dim_1_is_input_error(capsys):

@@ -171,3 +171,11 @@ def test_banded_offset_outside_range_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, mapping={"kind": "banded", "diagonals": diagonals})
     assert main(["analyze", path]) == 1
     assert "offset 5" in (err := capsys.readouterr().err) and "-3 and 3" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_scalar_u_exits_1_without_a_warning(tmp_path, capsys, value):
+    path = write_config(tmp_path, **field_config("u.value", value))
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == "error: entries must be finite\n"

@@ -459,3 +459,24 @@ def test_t_u_pinv_cutoff_uses_record_tol():
     assert np.isclose(np.linalg.norm(loose.t_u_pinv, 2), 1.0)
     default = controlled.ControlledEFrame(e, psi, np.eye(2))
     assert np.isclose(np.linalg.norm(default.t_u_pinv, 2), 1e8)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100])
+@pytest.mark.parametrize("d, n", [(4, 5), (16, 33), (32, 64)])
+def test_certify_counts_the_basis_and_matches_the_chain(d, n, trials):
+    """Each certificate covers the trial vectors plus the standard basis, and
+    its residual is that of the product chain through [f | I]."""
+    rng = np.random.default_rng(d + n)
+    e, psi, u = random_commuting_instance(rng, d, n)
+    record = controlled.ControlledEFrame(e, psi, u)
+    f = np.concatenate([hilbert.trial_vectors(d, trials, 5), np.eye(d)], axis=1)
+    for phi in (record.canonical_dual(), 0.5 * record.canonical_dual()):
+        images_phi = record.images_of(phi)
+        chains = (
+            record.t_u @ (images_phi.conj() @ f),
+            (u @ images_phi.T) @ (record.images.conj() @ f),
+        )
+        for cert, chain in zip(record.certify(images_phi, trials, 5), chains):
+            assert cert.trials == trials + d
+            old = np.max(np.linalg.norm(chain - f, axis=0))
+            assert abs(cert.max_residual - old) <= 16 * np.finfo(float).eps

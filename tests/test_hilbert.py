@@ -231,3 +231,57 @@ def test_finite_validation():
         hilbert.validated([np.nan, 1.0], ndim=1)
     with pytest.raises(ValueError):
         hilbert.validated([[np.inf, 0.0], [0.0, 1.0]], square=True)
+
+
+
+def old_trial_matrix(dim, trials, seed):
+    """The trial vectors followed by the standard basis, built in one array."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((dim, trials)) + 1j * rng.standard_normal((dim, trials))
+    f /= np.linalg.norm(f, axis=0)
+    return np.concatenate([f, np.eye(dim, dtype=np.complex128)], axis=1)
+
+
+dims = st.integers(1, 40)
+trial_counts = st.integers(0, 40)
+scales = st.floats(1e-3, 1e3)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def gaussian(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=dims, trials=trial_counts, seed=seeds)
+def test_trial_vectors_are_the_old_trial_columns(d, trials, seed):
+    f = hilbert.trial_vectors(d, trials, seed)
+    assert f.shape == (d, trials)
+    assert np.array_equal(f, old_trial_matrix(d, trials, seed)[:, :trials])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=dims, n=st.integers(1, 80), trials=trial_counts, scale=scales, seed=seeds)
+def test_trial_sums_match_the_chain_through_the_basis(d, n, trials, scale, seed):
+    rng = np.random.default_rng(seed)
+    synthesis = gaussian(rng, (d, n), scale)
+    analysis = gaussian(rng, (n, d), scale)
+    f = hilbert.trial_vectors(d, trials, seed)
+    block = hilbert.trial_sums(synthesis, analysis, f)
+    chain = synthesis @ (analysis.conj() @ np.hstack([f, np.eye(d)]))
+    assert block.shape == chain.shape == (d, trials + d)
+    assert np.linalg.norm(block - chain) <= 1e-13 * np.linalg.norm(chain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=dims, trials=trial_counts, scale=scales, seed=seeds, target=st.floats(-2.0, 2.0)
+)
+def test_worst_residual_is_the_largest_column_norm(d, trials, scale, seed, target):
+    rng = np.random.default_rng(seed)
+    f = hilbert.trial_vectors(d, trials, seed)
+    block = gaussian(rng, (d, trials + d), scale)
+    target *= scale
+    explicit = np.max(np.linalg.norm(block - target * np.hstack([f, np.eye(d)]), axis=0))
+    worst = hilbert.worst_residual(block, f, target)
+    assert abs(worst - explicit) <= 16 * np.finfo(float).eps * scale
