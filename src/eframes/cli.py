@@ -100,11 +100,9 @@ def cmd_dual(cfg, mode: str) -> tuple[dict, int]:
     certs = record.certify(images, cfg.trials, cfg.seed)
     if mode == "offset":
         recovered = record.null_map(images, certs[0])
-        roundtrip = float(
-            np.linalg.norm(recovered - v) / max(np.linalg.norm(v), 1.0)
-        )
+        roundtrip = float(np.linalg.norm(recovered - v) / max(np.linalg.norm(v), 1.0))
         report["null_map_roundtrip"] = roundtrip
-        if roundtrip > max(1e-9, cfg.tol):
+        if roundtrip > cfg.tol:
             code = EXIT_VERDICT
     report["dual"] = _sequence_pairs(family)
     report["certificates"] = [asdict(cert) for cert in certs]

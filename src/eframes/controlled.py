@@ -51,8 +51,6 @@ from .mapping import (
 
 CONTROLLED_FRAME = "controlled-frame"
 INVALID = "invalid"
-#: default certificate tolerance of extract_null_map
-EXTRACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,9 @@ class ControlledEFrame:
 
     @cached_property
     def s_inv(self) -> np.ndarray:
-        """S_ue^{-1}; requires a valid controlled frame."""
+        """S_ue^{-1}; the valid verdict it requires bounds S_ue from singular."""
         self.require_valid()
-        return hilbert.frozen(hilbert.invert_operator(self.s_ue, self.tol))
+        return hilbert.frozen(np.linalg.inv(self.s_ue))
 
     def is_parseval(self) -> bool:
         """True iff S_ue is the identity to tol * sqrt(d)."""
@@ -238,7 +236,8 @@ class ControlledEFrame:
         Switched orientation exchanges the roles of psi and phi. Residuals
         are evaluated on `trials` random unit vectors plus the standard
         basis; a certificate passes when the worst residual is at most
-        tol (by default the record's).
+        tol (by default the record's) times the Frobenius norms of the
+        synthesis and analysis maps of the sum (hilbert.backward_ok).
         """
         tol = self.tol if tol is None else tol
         f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
@@ -246,7 +245,8 @@ class ControlledEFrame:
         def certificate(orientation, synthesis, analysis):
             block = hilbert.trial_sums(synthesis, analysis, f)
             res = hilbert.worst_residual(block, f, 1.0)
-            return DualCertificate(orientation, res, block.shape[1], res <= tol)
+            ok = hilbert.backward_ok(res, synthesis, analysis, tol)
+            return DualCertificate(orientation, res, block.shape[1], ok)
 
         return (
             certificate("definitional", self.t_u, images_phi),
@@ -258,17 +258,17 @@ class ControlledEFrame:
         (E^{-1} {V delta_n})_k for V with T_u V* = id.
 
         V is a (d, N) map from coefficients into the space; its columns are
-        the V delta_n. Raises DualConditionError carrying the deviation
-        when the right-inverse condition fails.
+        the V delta_n. Unless hilbert.backward_ok accepts ||T V* - id||_F
+        against T and V, raises DualConditionError carrying ||T V* - id||.
         """
         v = hilbert.validated(v)
         if v.shape != self.t_u.shape:
             raise DimensionMismatchError(
                 f"right inverse must have shape {self.t_u.shape}, got {v.shape}"
             )
-        d = self.t_u.shape[0]
-        dev = hilbert.operator_norm(self.t_u @ v.conj().T - np.eye(d))
-        if dev > self.tol:
+        gap = self.t_u @ v.conj().T - np.eye(self.t_u.shape[0])
+        if not hilbert.backward_ok(np.linalg.norm(gap), self.t_u, v, self.tol):
+            dev = hilbert.operator_norm(gap)
             raise DualConditionError(
                 f"right-inverse condition violated: ||T V* - id|| = {dev:.3e}",
                 deviation=dev,
@@ -280,30 +280,30 @@ class ControlledEFrame:
         for a null map V with T_u V = 0.
 
         V is an (N, d) map from the space into coefficients. V = 0 gives
-        the canonical dual back.
+        the canonical dual back. Unless hilbert.backward_ok accepts
+        ||T_u V||_F against T_u and V, raises DualConditionError carrying ||T_u V||.
         """
         v = hilbert.validated(v)
         if v.shape != self.images.shape:
             raise DimensionMismatchError(
                 f"null map must have shape {self.images.shape}, got {v.shape}"
             )
-        dev = hilbert.operator_norm(self.t_u @ v)
-        if dev > self.tol * hilbert.operator_norm(self.t_u) * hilbert.operator_norm(v):
+        product = self.t_u @ v
+        if not hilbert.backward_ok(np.linalg.norm(product), self.t_u, v, self.tol):
+            dev = hilbert.operator_norm(product)
             raise DualConditionError(
                 f"null condition violated: ||T V|| = {dev:.3e}", deviation=dev
             )
         return self.canonical_dual() + apply_inverse_mapping(self.mapping, v.conj())
 
     def random_null_map(self, seed: int = 0) -> np.ndarray:
-        """Seeded member of the null-map family: (id - pinv(T_u) T_u) G for
-        a random (N, d) map G, projected onto the kernel of T_u."""
+        """Seeded member of the null-map family: G - pinv(T_u) (T_u G), the
+        projection of a random (N, d) map G onto the kernel of T_u."""
         self.require_valid()
         n, d = self.images.shape
-        pinv = self.t_u_pinv  # before the N x N identity, for a lower peak
-        projector = np.eye(n, dtype=np.complex128) - pinv @ self.t_u
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        return projector @ g
+        return g - self.t_u_pinv @ (self.t_u @ g)
 
     def random_right_inverse(self, seed: int = 0) -> np.ndarray:
         """Seeded right inverse V with T_u V* = id.
@@ -314,16 +314,14 @@ class ControlledEFrame:
         null = self.random_null_map(seed)
         return (self.t_u_pinv + null).conj().T
 
-    def null_map(
-        self, images_phi, cert: DualCertificate, tol: float = EXTRACT_TOL
-    ) -> np.ndarray:
+    def null_map(self, images_phi, cert: DualCertificate) -> np.ndarray:
         """Null map generating a given dual: V = T_phi* - T_psi* S^{-1}.
 
-        cert is the definitional certificate of phi; when its residual
-        exceeds tol, phi is no controlled dual and DualConditionError is
-        raised. dual_with_offset applied to the result reproduces phi.
+        cert is the definitional certificate of phi; when it fails, phi is
+        no controlled dual and DualConditionError is raised.
+        dual_with_offset applied to the result reproduces phi.
         """
-        if not cert.max_residual <= tol:
+        if not cert.verdict:
             raise DualConditionError(
                 f"family is not a controlled dual: residual {cert.max_residual:.3e}",
                 deviation=cert.max_residual,
@@ -419,7 +417,7 @@ def random_right_inverse(
 
 def extract_null_map(
     e: MatrixMapping, psi, phi, u, trials: int = 100, seed: int = 42,
-    tol: float = EXTRACT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Recover the null map generating a given dual: V = T_phi* - T_psi* S^{-1}.
 
@@ -427,31 +425,26 @@ def extract_null_map(
     orientation at tol; dual_with_offset applied to the result
     reproduces phi.
     """
-    record = ControlledEFrame(e, psi, u)
+    record = ControlledEFrame(e, psi, u, tol)
     images_phi = record.images_of(phi)
-    cert, _ = record.certify(images_phi, trials, seed, tol)
-    return record.null_map(images_phi, cert, tol)
+    cert, _ = record.certify(images_phi, trials, seed)
+    return record.null_map(images_phi, cert)
 
 
 def riesz_equivalence(
-    v, basis, e: MatrixMapping, u, tol: float = 1e-9
+    v, basis, e: MatrixMapping, u, tol: float = DEFAULT_TOL
 ) -> RieszEquivalenceReport:
     """Controlled bounds of the Riesz-type family along both routes.
 
     Route one maps the basis through E^{-1}, applies V, and runs the
     controlled analysis over E; route two analyses {V b_j} directly over
     the identity mapping. The defining sums coincide term by term, so
-    the spectra must agree.
+    the spectra must agree to tol relative to the larger upper bound.
     """
-    psi = e_riesz_family(v, e, basis)
-    riesz = ControlledEFrame(e, psi, u).bounds
+    psi = e_riesz_family(v, e, basis, tol)
+    riesz = ControlledEFrame(e, psi, u, tol).bounds
     direct_seq = hilbert.validated(basis) @ np.asarray(v, dtype=np.complex128).T
-    direct = ControlledEFrame(identity_mapping(e.n), direct_seq, u).bounds
-    dev = max(abs(riesz.lo - direct.lo), abs(riesz.hi - direct.hi))
-    scale = max(abs(riesz.hi), abs(direct.hi), 1.0)
-    return RieszEquivalenceReport(
-        riesz_bounds=riesz,
-        direct_bounds=direct,
-        max_deviation=float(dev),
-        agree=bool(dev <= tol * scale),
-    )
+    direct = ControlledEFrame(identity_mapping(e.n), direct_seq, u, tol).bounds
+    dev = float(max(abs(riesz.lo - direct.lo), abs(riesz.hi - direct.hi)))
+    agree = dev <= tol * max(abs(riesz.hi), abs(direct.hi))
+    return RieszEquivalenceReport(riesz, direct, dev, bool(agree))

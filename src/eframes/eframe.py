@@ -78,12 +78,11 @@ def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRec
 
 
 def e_canonical_dual(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Canonical dual {S^{-1} psi_k}; requires a genuine frame."""
+    """Canonical dual {S^{-1} psi_k}; the frame verdict bounds S from singular."""
     record = e_frame_bounds(e, psi, tol)
     if record.verdict != FRAME:
         raise NotAFrameError("family is not a frame: lower bound vanishes")
-    s_inv = hilbert.invert_operator(record.frame_op, tol)
-    return record.psi @ s_inv.T
+    return record.psi @ np.linalg.inv(record.frame_op).T
 
 
 def e_reconstruct(e: MatrixMapping, psi, phi, f) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, SingularOperatorError
 
-#: default tolerance for identity-style checks (desk scale, d <= 64)
+#: default tolerance: relative to the scale of each check (see backward_ok)
 DEFAULT_TOL = 1e-10
 
 
@@ -123,6 +123,15 @@ def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 def pseudoinverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse, singular values below tol*sigma_max dropped."""
     return np.linalg.pinv(validated(m), rcond=tol)
+
+
+def backward_ok(residual: float, a, b, tol: float) -> bool:
+    """The pass rule of every dual check and certificate: the residual of
+    a product of a and b is at most tol * ||a||_F * ||b||_F, a normwise
+    backward error (Rigal and Gaches 1967; Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 7). Scaling a by c and b by 1/c, or a
+    unitary change of basis, leaves the verdict as it is."""
+    return bool(residual <= tol * np.linalg.norm(a) * np.linalg.norm(b))
 
 
 def operator_norm(m) -> float:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_complex, random_conditioned_matrix, random_unit_vector
@@ -480,3 +484,198 @@ def test_certify_counts_the_basis_and_matches_the_chain(d, n, trials):
             assert cert.trials == trials + d
             old = np.max(np.linalg.norm(chain - f, axis=0))
             assert abs(cert.max_residual - old) <= 16 * np.finfo(float).eps
+
+
+def test_extract_null_map_passes_tol_to_its_record(worked):
+    """S_ue is Hermitian only to about 1e-6: a valid controlled frame at
+    tol = 1e-3, so the null map of its canonical dual is extracted, and it
+    vanishes up to that Hermitian deviation."""
+    u = worked.u.copy()
+    u[0, 1] = 1e-6
+    record = controlled.ControlledEFrame(worked.mapping, worked.psi, u, tol=1e-3)
+    assert record.verdict == controlled.CONTROLLED_FRAME
+    assert controlled.ControlledEFrame(worked.mapping, worked.psi, u).verdict == (
+        controlled.INVALID
+    )
+    v = controlled.extract_null_map(
+        worked.mapping, worked.psi, record.canonical_dual(), u, tol=1e-3
+    )
+    assert np.linalg.norm(v) <= 1e-5
+
+
+def test_riesz_equivalence_passes_tol_to_the_family():
+    """A basis orthonormal only to about 1e-8 is accepted at tol = 1e-6."""
+    basis = np.eye(3, dtype=complex)
+    basis[0, 1] = 1e-8
+    e = mapping.build_bidiagonal(3)
+    v = 2.0 * np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="orthonormal"):
+        controlled.riesz_equivalence(v, basis, e, np.eye(3))
+    assert controlled.riesz_equivalence(v, basis, e, np.eye(3), tol=1e-6).agree
+
+
+def test_square_gaussian_problem_accepts_its_own_duals():
+    """At (N, d) = (257, 256) with dense Gaussian E and psi and U = I/2, the
+    exact canonical dual leaves a residual near 8e-10 and the generated
+    right inverse ||T V* - id|| near 1e-9, both above tol = 1e-10; both
+    pass, since the rule is relative to the norms of their factors."""
+    rng = np.random.default_rng(1)
+    n, d = 257, 256
+    e = mapping.build_dense(random_complex(rng, (n, n)))
+    record = controlled.ControlledEFrame(e, random_complex(rng, (n, d)), 0.5 * np.eye(d))
+    certs = record.certify(record.images_of(record.canonical_dual()))
+    assert all(cert.verdict for cert in certs)
+    assert max(cert.max_residual for cert in certs) > 1e-10
+    family = record.dual_from_right_inverse(record.random_right_inverse(1))
+    assert all(cert.verdict for cert in record.certify(record.images_of(family)))
+
+
+def test_scaled_sequence_keeps_its_generated_duals():
+    """psi scaled by 1000 over E = I + 0.1 G, (N, d) = (128, 32): the null
+    part of a generated map is O(1) while T_u is O(1000), so both
+    generated duals leave residuals near 5e-9, small against their factors."""
+    rng = np.random.default_rng(0)
+    n, d = 128, 32
+    e = mapping.build_dense(np.eye(n) + 0.1 * random_complex(rng, (n, n)))
+    psi = random_complex(rng, (n, d))
+    for scale in (1.0, 1e3):
+        record = controlled.ControlledEFrame(e, scale * psi, 0.5 * np.eye(d))
+        for family in (
+            record.dual_from_right_inverse(record.random_right_inverse(1)),
+            record.dual_with_offset(record.random_null_map(1)),
+        ):
+            assert all(c.verdict for c in record.certify(record.images_of(family)))
+
+
+@pytest.mark.parametrize("generator", ["random_null_map", "random_right_inverse"])
+def test_generators_peak_memory_is_linear_in_n_d(generator):
+    """Neither generator forms the N x N projector id - pinv(T_u) T_u."""
+    n, d = 4097, 16
+    rng = np.random.default_rng(7)
+    e = mapping.build_bidiagonal(n)
+    record = controlled.ControlledEFrame(e, random_complex(rng, (n, d)), 0.5 * np.eye(d))
+    assert record.verdict == controlled.CONTROLLED_FRAME
+    tracemalloc.start()
+    try:
+        getattr(record, generator)(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * d * 16  # eight complex (N, d) arrays; N x N is 4097 / 8 times that
+
+
+def make_problem(seed, n, d, cond, u_kind, bidiagonal=False):
+    """(E, psi, U) with U = I/2 or a Hermitian positive U commuting with S_E.
+
+    E is the paper's bidiagonal mapping when asked for; otherwise it is
+    dense with cond(E) up to cond for N <= 96, and beyond that the banded
+    D (I + 0.5 Z), Z the down shift and D diagonal with cond(D) = cond,
+    so cond(E) lies within a factor 3 of cond.
+    """
+    rng = np.random.default_rng(seed)
+    if bidiagonal:
+        e = mapping.build_bidiagonal(n)
+    elif n <= 96:
+        e = mapping.build_dense(random_conditioned_matrix(rng, n, cond))
+    else:
+        diag = np.exp(np.log(cond) * rng.permutation(np.linspace(-0.5, 0.5, n)))
+        e = mapping.build_banded(n, {0: diag, -1: 0.5 * diag[1:]})
+    psi = random_complex(rng, (n, d))
+    if u_kind == "half":
+        return e, psi, 0.5 * np.eye(d, dtype=complex)
+    s_e = eframe.e_frame_operator(e, psi)
+    s_e = (s_e + s_e.conj().T) / 2.0
+    a, b = rng.uniform(0.25, 1.0, size=2)
+    return e, psi, a * np.eye(d) + b * s_e / np.linalg.norm(s_e, 2)
+
+
+def dual_verdicts(e, psi, u, families, right_inverses, null_maps):
+    """Pass/fail of certify (both orientations) on each family, of the two
+    dual generators on each candidate map, and of extract_null_map."""
+    record = controlled.ControlledEFrame(e, psi, u)
+
+    def accepts(call, arg):
+        try:
+            call(arg)
+        except DualConditionError:
+            return False
+        return True
+
+    verdicts = [c.verdict for phi in families for c in record.certify(record.images_of(phi))]
+    verdicts += [accepts(record.dual_from_right_inverse, v) for v in right_inverses]
+    verdicts += [accepts(record.dual_with_offset, v) for v in null_maps]
+    verdicts += [
+        accepts(lambda phi: controlled.extract_null_map(e, psi, phi, u), phi)
+        for phi in families
+    ]
+    return verdicts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 16),
+    extra=st.integers(1, 48),
+    mapping_kind=st.sampled_from(["dense", "bidiagonal"]),
+    u_kind=st.sampled_from(["half", "commuting"]),
+    log_c=st.floats(-3.0, 3.0),
+)
+def test_dual_verdicts_invariant_under_scaling_and_unitary_basis_change(
+    seed, d, extra, mapping_kind, u_kind, log_c
+):
+    """psi -> c psi W^T, U -> W U W*; duals and right inverses scale by 1/c
+    (phi -> phi W^T / c, V -> W V / c), null maps become V W* / c."""
+    n = d + extra
+    e, psi, u = make_problem(seed, n, d, 1e3, u_kind, mapping_kind == "bidiagonal")
+    record = controlled.ControlledEFrame(e, psi, u)
+    assume(record.verdict == controlled.CONTROLLED_FRAME)
+    rng = np.random.default_rng([seed, 1])
+    null = record.random_null_map(seed)
+    right = record.random_right_inverse(seed)
+    can = record.canonical_dual()
+    families = (can, 0.5 * can, record.dual_with_offset(null))
+    rights = (right, 0.9 * right)
+    nulls = (null, random_complex(rng, (n, d)))
+    before = dual_verdicts(e, psi, u, families, rights, nulls)
+    assert before == [
+        True, True, False, False, True, True,  # certify: each family, both orientations
+        True, False,  # dual_from_right_inverse: right, 0.9 right
+        True, False,  # dual_with_offset: null map, random map
+        True, False, True,  # extract_null_map: each family
+    ]
+
+    c = 10.0**log_c
+    w, _ = np.linalg.qr(random_complex(rng, (d, d)))
+    after = dual_verdicts(
+        e, c * psi @ w.T, w @ u @ w.conj().T,
+        [phi @ w.T / c for phi in families],
+        [w @ v / c for v in rights],
+        [v @ w.conj().T / c for v in nulls],
+    )
+    assert after == before
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 32),
+    n=st.integers(2, 1024),
+    u_kind=st.sampled_from(["half", "commuting"]),
+    log_cond=st.floats(0.0, 6.0),
+    log_c=st.floats(-3.0, 3.0),
+)
+def test_generated_duals_pass_their_own_certificate(seed, d, n, u_kind, log_cond, log_c):
+    """Canonical, right-inverse and offset duals of a valid controlled
+    frame all pass certify, for N up to 1024, cond(E) up to about 1e6 and
+    psi scaled by c in [1e-3, 1e3]."""
+    d = min(d, n - 1)
+    e, psi, u = make_problem(seed, n, d, 10.0**log_cond, u_kind)
+    record = controlled.ControlledEFrame(e, 10.0**log_c * psi, u)
+    assume(record.verdict == controlled.CONTROLLED_FRAME)
+    families = (
+        record.canonical_dual(),
+        record.dual_from_right_inverse(record.random_right_inverse(seed)),
+        record.dual_with_offset(record.random_null_map(seed)),
+    )
+    for phi in families:
+        assert all(cert.verdict for cert in record.certify(record.images_of(phi)))
