@@ -17,19 +17,19 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import controlled, eframe, gallery, neumann
-from .config import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    ConfigError,
-    parse_config,
-    require_positive,
-)
+from .config import DEFAULT_SEED, DEFAULT_TRIALS, ConfigError, parse_config
 from .errors import (
     ConvergenceError,
     DualConditionError,
     NotAFrameError,
 )
-from .hilbert import DEFAULT_TOL, trial_sums, trial_vectors, worst_residual
+from .hilbert import (
+    DEFAULT_TOL,
+    require_positive,
+    trial_sums,
+    trial_vectors,
+    worst_residual,
+)
 from .mapping import apply_mapping
 
 EXIT_OK = 0

@@ -19,13 +19,12 @@ booleans, strings or null; an integer beyond double range is an error):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularOperatorError
-from .hilbert import DEFAULT_TOL
+from .hilbert import DEFAULT_TOL, require_positive
 from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
 
 DEFAULT_TRIALS = 100
@@ -71,19 +70,6 @@ def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
     except OverflowError:
         raise ConfigError(f"{where}: an integer is beyond double range") from None
     return parts.view(np.complex128).reshape(shape)
-
-
-def require_positive(raw, name: str, integer: bool = False):
-    """raw as a float, or an int when integer is set, if it is a finite number > 0.
-
-    Raises ConfigError for anything else: a bool, a non-number, NaN, an
-    infinity, or a value <= 0.
-    """
-    kinds = int if integer else (int, float)
-    if isinstance(raw, bool) or not isinstance(raw, kinds) or not 0 < raw < math.inf:
-        kind = "integer" if integer else "number"
-        raise ConfigError(f"{name} must be a finite positive {kind}, got {raw!r}")
-    return int(raw) if integer else float(raw)
 
 
 def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
@@ -154,13 +140,15 @@ def parse_config(path) -> ProblemConfig:
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
 
-    dimension = require_positive(raw["dimension"], "'dimension'", integer=True)
-    count = require_positive(raw["count"], "'count'", integer=True)
+    try:
+        dimension = require_positive(raw["dimension"], "'dimension'", integer=True)
+        count = require_positive(raw["count"], "'count'", integer=True)
+        tol = require_positive(raw.get("tol", DEFAULT_TOL), "'tol'")
+        trials = raw.get("trials", DEFAULT_TRIALS)
+        trials = require_positive(trials, "'trials'", integer=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     psi = _complex_array(raw["psi"], (count, dimension), "psi")
-
-    tol = require_positive(raw.get("tol", DEFAULT_TOL), "'tol'")
-    trials = raw.get("trials", DEFAULT_TRIALS)
-    trials = require_positive(trials, "'trials'", integer=True)
     seed = raw.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")

@@ -35,12 +35,7 @@ import numpy as np
 
 from . import hilbert
 from .eframe import FRAME, EFrameRecord, e_riesz_family, frame_record
-from .errors import (
-    DimensionMismatchError,
-    DualConditionError,
-    NotAFrameError,
-    NotHermitianError,
-)
+from .errors import DualConditionError, NotAFrameError, NotHermitianError
 from .hilbert import DEFAULT_TOL, SpectralBounds
 from .mapping import (
     MatrixMapping,
@@ -86,8 +81,9 @@ class RieszEquivalenceReport:
 class ControlledEFrame:
     """One (mapping, sequence, control operator, tolerance) problem.
 
-    Construction validates psi and U and applies the mapping to psi
-    once; everything else is computed on first use and cached.
+    Construction checks tol, psi and U (hilbert.require_positive and
+    hilbert.validated) and applies the mapping to psi once; everything
+    else is computed on first use and cached.
     """
 
     mapping: MatrixMapping
@@ -97,14 +93,11 @@ class ControlledEFrame:
     images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        images = hilbert.frozen(apply_mapping(self.mapping, self.psi))
-        u = hilbert.validated(self.u, square=True)
-        if u.shape[0] != images.shape[1]:
-            raise DimensionMismatchError(
-                f"control operator dim {u.shape[0]} does not match sequence dim "
-                f"{images.shape[1]}"
-            )
-        object.__setattr__(self, "psi", hilbert.readonly(self.psi))
+        object.__setattr__(self, "tol", hilbert.require_positive(self.tol, "tol"))
+        psi = hilbert.require_shape(self.psi, "psi", (self.mapping.n, None))
+        images = hilbert.frozen(apply_mapping(self.mapping, psi))
+        u = hilbert.validated(self.u, "u", (images.shape[1],) * 2)
+        object.__setattr__(self, "psi", hilbert.readonly(psi))
         object.__setattr__(self, "u", hilbert.readonly(u))
         object.__setattr__(self, "images", images)
 
@@ -134,11 +127,10 @@ class ControlledEFrame:
 
     @property
     def verdict(self) -> str:
-        """``controlled-frame`` iff S_ue is Hermitian to tol and its
-        smallest eigenvalue exceeds tol times the largest, else ``invalid``."""
+        """``controlled-frame`` iff S_ue is Hermitian to tol and positive
+        (SpectralBounds.positive), else ``invalid``."""
         hermitian, bounds = self._spectrum
-        valid = hermitian and bounds.lo > self.tol * bounds.hi
-        return CONTROLLED_FRAME if valid else INVALID
+        return CONTROLLED_FRAME if hermitian and bounds.positive(self.tol) else INVALID
 
     def require_valid(self) -> None:
         if self.verdict != CONTROLLED_FRAME:
@@ -204,13 +196,7 @@ class ControlledEFrame:
     def canonical_reconstruct(self, f) -> np.ndarray:
         """sum_n <S^{-1} f, (E psi)_n> U (E psi)_n, which returns f."""
         self.require_valid()
-        f = hilbert.validated(f, ndim=1)
-        if f.shape[0] != self.images.shape[1]:
-            raise DimensionMismatchError(
-                f"vector dim {f.shape[0]} does not match sequence dim "
-                f"{self.images.shape[1]}"
-            )
-        y = np.linalg.solve(self.s_ue, f)
+        y = np.linalg.solve(self.s_ue, hilbert.validated(f, "f", self.images.shape[1:]))
         return self.t_u @ (self.images.conj() @ y)
 
     def canonical_dual(self) -> np.ndarray:
@@ -219,13 +205,8 @@ class ControlledEFrame:
 
     def images_of(self, phi) -> np.ndarray:
         """Images (E phi)_n of a candidate family shaped like psi."""
-        images_phi = apply_mapping(self.mapping, phi)
-        if images_phi.shape != self.images.shape:
-            raise DimensionMismatchError(
-                f"candidate family shape {images_phi.shape} does not match "
-                f"{self.images.shape}"
-            )
-        return images_phi
+        phi = hilbert.require_shape(phi, "phi", self.psi.shape)
+        return apply_mapping(self.mapping, phi)
 
     def certify(
         self, images_phi, trials: int = 100, seed: int = 42, tol: float | None = None
@@ -239,7 +220,8 @@ class ControlledEFrame:
         tol (by default the record's) times the Frobenius norms of the
         synthesis and analysis maps of the sum (hilbert.backward_ok).
         """
-        tol = self.tol if tol is None else tol
+        tol = self.tol if tol is None else hilbert.require_positive(tol, "tol")
+        images_phi = hilbert.validated(images_phi, "images_phi", self.images.shape)
         f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
 
         def certificate(orientation, synthesis, analysis):
@@ -261,11 +243,7 @@ class ControlledEFrame:
         the V delta_n. Unless hilbert.backward_ok accepts ||T V* - id||_F
         against T and V, raises DualConditionError carrying ||T V* - id||.
         """
-        v = hilbert.validated(v)
-        if v.shape != self.t_u.shape:
-            raise DimensionMismatchError(
-                f"right inverse must have shape {self.t_u.shape}, got {v.shape}"
-            )
+        v = hilbert.validated(v, "v", self.t_u.shape)
         gap = self.t_u @ v.conj().T - np.eye(self.t_u.shape[0])
         if not hilbert.backward_ok(np.linalg.norm(gap), self.t_u, v, self.tol):
             dev = hilbert.operator_norm(gap)
@@ -283,11 +261,7 @@ class ControlledEFrame:
         the canonical dual back. Unless hilbert.backward_ok accepts
         ||T_u V||_F against T_u and V, raises DualConditionError carrying ||T_u V||.
         """
-        v = hilbert.validated(v)
-        if v.shape != self.images.shape:
-            raise DimensionMismatchError(
-                f"null map must have shape {self.images.shape}, got {v.shape}"
-            )
+        v = hilbert.validated(v, "v", self.images.shape)
         product = self.t_u @ v
         if not hilbert.backward_ok(np.linalg.norm(product), self.t_u, v, self.tol):
             dev = hilbert.operator_norm(product)
@@ -321,6 +295,7 @@ class ControlledEFrame:
         no controlled dual and DualConditionError is raised.
         dual_with_offset applied to the result reproduces phi.
         """
+        images_phi = hilbert.validated(images_phi, "images_phi", self.images.shape)
         if not cert.verdict:
             raise DualConditionError(
                 f"family is not a controlled dual: residual {cert.max_residual:.3e}",
@@ -443,7 +418,7 @@ def riesz_equivalence(
     """
     psi = e_riesz_family(v, e, basis, tol)
     riesz = ControlledEFrame(e, psi, u, tol).bounds
-    direct_seq = hilbert.validated(basis) @ np.asarray(v, dtype=np.complex128).T
+    direct_seq = np.asarray(basis, dtype=complex) @ np.asarray(v, dtype=complex).T
     direct = ControlledEFrame(identity_mapping(e.n), direct_seq, u, tol).bounds
     dev = float(max(abs(riesz.lo - direct.lo), abs(riesz.hi - direct.hi)))
     agree = dev <= tol * max(abs(riesz.hi), abs(direct.hi))

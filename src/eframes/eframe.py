@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatchError, NotAFrameError
+from .errors import NotAFrameError
 from .hilbert import DEFAULT_TOL, SpectralBounds
 from .mapping import MatrixMapping, apply_inverse_mapping, apply_mapping
 
@@ -38,41 +38,40 @@ def frame_record(e: MatrixMapping, psi, images, frame_op, tol: float) -> EFrameR
     """Bounds and verdict of frame_op, the frame operator of the images of psi.
 
     The verdict is ``frame`` iff the smallest eigenvalue exceeds tol
-    times the largest one (scale-invariant threshold), otherwise
+    times the largest magnitude (SpectralBounds.positive), otherwise
     ``bessel-only``. Raises NotHermitianError when frame_op is not
     Hermitian to tol.
     """
-    bounds = hilbert.hermitian_bounds(frame_op, tol)
-    verdict = FRAME if bounds.lo > tol * bounds.hi else BESSEL_ONLY
+    bounds = hilbert.hermitian_bounds(frame_op, tol)  # checks tol too
+    verdict = FRAME if bounds.positive(tol) else BESSEL_ONLY
     return EFrameRecord(psi, e, images, frame_op, bounds, verdict)
+
+
+def _images(e: MatrixMapping, psi) -> np.ndarray:
+    """Images (E psi)_n of an (e.n, d) family; a wrong shape names psi."""
+    return apply_mapping(e, hilbert.require_shape(psi, "psi", (e.n, None)))
 
 
 def e_synthesis(e: MatrixMapping, psi) -> np.ndarray:
     """Synthesis map C^N -> H whose column n is the image (E psi)_n."""
-    return apply_mapping(e, psi).T
+    return _images(e, psi).T
 
 
 def e_analysis(e: MatrixMapping, psi, f) -> np.ndarray:
     """Coefficient vector {<f, (E psi)_n>}_n."""
-    f = hilbert.validated(f, ndim=1)
-    images = apply_mapping(e, psi)
-    if images.shape[1] != f.shape[0]:
-        raise DimensionMismatchError(
-            f"vector dimension {f.shape[0]} does not match sequence dimension "
-            f"{images.shape[1]}"
-        )
-    return images.conj() @ f
+    images = _images(e, psi)
+    return images.conj() @ hilbert.validated(f, "f", images.shape[1:])
 
 
 def e_frame_operator(e: MatrixMapping, psi) -> np.ndarray:
     """S = T T*, the sum of outer products of the images."""
-    images = apply_mapping(e, psi)
+    images = _images(e, psi)
     return images.T @ images.conj()
 
 
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
     """Frame bounds and verdict from the spectrum of the frame operator."""
-    images = hilbert.frozen(apply_mapping(e, psi))
+    images = hilbert.frozen(_images(e, psi))
     frame_op = hilbert.frozen(images.T @ images.conj())
     return frame_record(e, hilbert.readonly(psi), images, frame_op, tol)
 
@@ -87,14 +86,9 @@ def e_canonical_dual(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> np.ndar
 
 def e_reconstruct(e: MatrixMapping, psi, phi, f) -> np.ndarray:
     """sum_n <f, (E phi)_n> (E psi)_n: coefficients from phi, synthesis from psi."""
-    f = hilbert.validated(f, ndim=1)
-    images_psi = apply_mapping(e, psi)
-    images_phi = apply_mapping(e, phi)
-    if images_psi.shape != images_phi.shape or images_psi.shape[1] != f.shape[0]:
-        raise DimensionMismatchError(
-            f"incompatible shapes: images {images_psi.shape} vs {images_phi.shape}, "
-            f"vector dim {f.shape[0]}"
-        )
+    images_psi = _images(e, psi)
+    images_phi = apply_mapping(e, hilbert.require_shape(phi, "phi", images_psi.shape))
+    f = hilbert.validated(f, "f", images_psi.shape[1:])
     return images_psi.T @ (images_phi.conj() @ f)
 
 
@@ -106,18 +100,10 @@ def e_riesz_family(
     V must be invertible and the basis orthonormal with as many members
     as dimensions.
     """
-    v = hilbert.validated(v, square=True)
-    basis = hilbert.validated(basis)
-    n, d = basis.shape
-    if n != d:
-        raise DimensionMismatchError(
-            f"need as many basis members as dimensions, got {n} of dim {d}"
-        )
-    if e.n != n or v.shape[0] != d:
-        raise DimensionMismatchError(
-            f"mapping size {e.n} and operator dim {v.shape[0]} must equal {n}"
-        )
-    hilbert.require_nonsingular(v, tol)
+    n = e.n
+    basis = hilbert.validated(basis, "basis", (n, n))
+    v = hilbert.validated(v, "v", (n, n))
+    hilbert.require_nonsingular(v, hilbert.require_positive(tol, "tol"))
     gram = basis @ basis.conj().T
     if np.linalg.norm(gram - np.eye(n)) > tol * np.sqrt(n):
         raise ValueError("basis is not orthonormal to tolerance")

@@ -7,10 +7,16 @@ and the vector space. The inner product is linear in its first
 argument and conjugate-linear in the second. All functions but
 worst_residual are pure and never mutate their arguments, so values
 can be shared freely between threads.
+
+Input is checked here, once: validated (with require_shape, its shape
+half) for every array, and require_positive for every tol, eps and count
+that configuration, CLI or library takes.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +27,40 @@ from .errors import DimensionMismatchError, NotHermitianError, SingularOperatorE
 DEFAULT_TOL = 1e-10
 
 
-def validated(x, ndim: int = 2, square: bool = False) -> np.ndarray:
-    """Coerce to a finite, nonempty complex array with ndim axes.
-
-    ndim=1 is a vector, ndim=2 a linear map or (N, d) sequence, and
-    square=True a square operator. Raises DimensionMismatchError for
-    any other shape and ValueError for a non-finite entry.
-    """
+def require_shape(x, name: str, shape: tuple, square: bool = False) -> np.ndarray:
+    """x as a complex array if it is nonempty with the given shape (None for
+    a free axis; square=True also asks for equal axes), else
+    DimensionMismatchError naming the argument. Entries are not checked."""
     arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != ndim or arr.size == 0 or (square and arr.shape[0] != arr.shape[1]):
-        kind = "square operator" if square else f"nonempty {ndim}-d array"
-        raise DimensionMismatchError(f"expected a {kind}, got shape {arr.shape}")
+    sizes = zip(shape, arr.shape)
+    fits = arr.ndim == len(shape) and all(n in (None, k) for n, k in sizes)
+    if not fits or arr.size == 0 or (square and arr.shape[0] != arr.shape[-1]):
+        axes = ", ".join("*" if n is None else str(n) for n in shape)
+        axes += "," if len(shape) == 1 else ""
+        kind = "square array" if square else "array"
+        raise DimensionMismatchError(
+            f"{name}: expected a nonempty {kind} of shape ({axes}), got {arr.shape}"
+        )
+    return arr
+
+
+def validated(x, name: str = "array", shape=(None, None), square=False) -> np.ndarray:
+    """require_shape, then ValueError("entries must be finite") for an
+    entry that is NaN or infinite: the one check of array input."""
+    arr = require_shape(x, name, shape, square)
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
     return arr
+
+
+def require_positive(raw, name: str, integer: bool = False):
+    """raw as a float, or an int when integer is set, if it is a finite number
+    > 0; else ValueError naming it (a bool, non-number, NaN, infinity or <= 0)."""
+    kinds = numbers.Integral if integer else numbers.Real
+    if isinstance(raw, bool) or not isinstance(raw, kinds) or not 0 < raw < math.inf:
+        kind = "integer" if integer else "number"
+        raise ValueError(f"{name} must be a finite positive {kind}, got {raw!r}")
+    return int(raw) if integer else float(raw)
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
@@ -62,18 +88,13 @@ class SpectralBounds:
 
 def inner(u, v) -> complex:
     """<u, v>: linear in u, conjugate-linear in v."""
-    u = validated(u, ndim=1)
-    v = validated(v, ndim=1)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(
-            f"inner product needs equal dimensions, got {u.shape[0]} and {v.shape[0]}"
-        )
-    return complex(np.vdot(v, u))
+    u = validated(u, "u", (None,))
+    return complex(np.vdot(validated(v, "v", u.shape), u))
 
 
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose of a (possibly rectangular) linear map."""
-    return validated(a).conj().T
+    return validated(a, "a").conj().T
 
 
 def hermitian_spectrum(a: np.ndarray, tol: float) -> tuple[bool, SpectralBounds]:
@@ -94,7 +115,8 @@ def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
     Raises NotHermitianError when the skew part exceeds tol times the
     Frobenius norm of the operator.
     """
-    hermitian, bounds = hermitian_spectrum(validated(a, square=True), tol)
+    tol = require_positive(tol, "tol")
+    hermitian, bounds = hermitian_spectrum(validated(a, "a", square=True), tol)
     if not hermitian:
         raise NotHermitianError(f"operator is not Hermitian to tolerance {tol:g}")
     return bounds
@@ -115,14 +137,14 @@ def require_nonsingular(a: np.ndarray, tol: float) -> None:
 
 def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Dense inverse; rejects operators singular to tolerance."""
-    a = validated(a, square=True)
-    require_nonsingular(a, tol)
+    a = validated(a, "a", square=True)
+    require_nonsingular(a, require_positive(tol, "tol"))
     return np.linalg.inv(a)
 
 
 def pseudoinverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse, singular values below tol*sigma_max dropped."""
-    return np.linalg.pinv(validated(m), rcond=tol)
+    return np.linalg.pinv(validated(m, "m"), rcond=require_positive(tol, "tol"))
 
 
 def backward_ok(residual: float, a, b, tol: float) -> bool:
@@ -136,12 +158,13 @@ def backward_ok(residual: float, a, b, tol: float) -> bool:
 
 def operator_norm(m) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(validated(m), 2))
+    return float(np.linalg.norm(validated(m, "m"), 2))
 
 
 def is_positive_definite(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff Hermitian to tol with spectrum bounded away from zero."""
-    hermitian, bounds = hermitian_spectrum(validated(a, square=True), tol)
+    tol = require_positive(tol, "tol")
+    hermitian, bounds = hermitian_spectrum(validated(a, "a", square=True), tol)
     return hermitian and bounds.positive(tol)
 
 

@@ -14,7 +14,10 @@ N x N arrays:
                  banded LU factors made at build      O(N d (kl + ku + 1))
     dense        E @ seq and E^{-1} @ seq             O(N^2 d)
 
-A mapping that cannot be inverted is a build error. The dense forms
+A mapping that cannot be inverted is a build error, as are a tol that
+is not a finite number > 0 and a non-finite entry (hilbert.validated).
+apply and apply_inverse take an (n, d) sequence and raise
+DimensionMismatchError naming `seq` for any other shape. The dense forms
 `entries` and `inverse` are computed on first read and cached, for
 tests and callers that want the matrices; the library never reads them.
 """
@@ -25,15 +28,16 @@ from functools import cached_property
 
 import numpy as np
 
+from . import hilbert
 from .errors import DimensionMismatchError, SingularOperatorError
-from .hilbert import DEFAULT_TOL, frozen, readonly, require_nonsingular, validated
+from .hilbert import DEFAULT_TOL
 
 
 class MatrixMapping:
     """Invertible N x N matrix E, applied to (N, d) sequences.
 
     Subclasses implement _apply and _apply_inverse on validated
-    sequences and return a new array.
+    (n, d) sequences and return a new array.
     """
 
     def __init__(self, n: int):
@@ -41,31 +45,23 @@ class MatrixMapping:
             raise ValueError("mapping size must be at least 1")
         self.n = n
 
-    def _checked(self, seq) -> np.ndarray:
-        seq = validated(seq)
-        if self.n != seq.shape[0]:
-            raise DimensionMismatchError(
-                f"mapping size {self.n} does not match sequence count {seq.shape[0]}"
-            )
-        return seq
-
     def apply(self, seq) -> np.ndarray:
         """(E seq)_n = sum_k E[n, k] seq_k for every n."""
-        return self._apply(self._checked(seq))
+        return self._apply(hilbert.validated(seq, "seq", (self.n, None)))
 
     def apply_inverse(self, seq) -> np.ndarray:
         """Sequence psi with apply(psi) = seq."""
-        return self._apply_inverse(self._checked(seq))
+        return self._apply_inverse(hilbert.validated(seq, "seq", (self.n, None)))
 
     @cached_property
     def entries(self) -> np.ndarray:
         """E as a read-only dense N x N array."""
-        return frozen(self._apply(np.eye(self.n, dtype=np.complex128)))
+        return hilbert.frozen(self._apply(np.eye(self.n, dtype=np.complex128)))
 
     @cached_property
     def inverse(self) -> np.ndarray:
         """E^{-1} as a read-only dense N x N array."""
-        return frozen(self._apply_inverse(np.eye(self.n, dtype=np.complex128)))
+        return hilbert.frozen(self._apply_inverse(np.eye(self.n, dtype=np.complex128)))
 
 
 class _Identity(MatrixMapping):
@@ -93,10 +89,38 @@ class _Banded(MatrixMapping):
     """Diagonals {offset: values} with their banded LU factors (LAPACK
     gbtrf storage: kl + ku + 1 band rows under kl rows of fill-in)."""
 
-    def __init__(self, n, diagonals, kl, ku, lu, piv):
+    def __init__(self, n, diagonals, tol):
         super().__init__(n)
-        self._diagonals = diagonals
-        self._kl, self._ku, self._lu, self._piv = kl, ku, lu, piv
+        merged: dict[int, np.ndarray] = {}
+        for off, vals in diagonals.items():
+            off = int(off)
+            if abs(off) >= n:
+                raise DimensionMismatchError(
+                    f"diagonal offset {off} must lie between {1 - n} and {n - 1}"
+                )
+            vals = hilbert.validated(vals, f"diagonals[{off}]", (n - abs(off),))
+            merged[off] = merged[off] + vals if off in merged else vals
+        kl = max([-off for off in merged] + [0])
+        ku = max([off for off in merged] + [0])
+        # A[i, j] sits at band[kl + ku + i - j, j]; the top kl rows take the fill-in
+        band = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128)
+        for off, vals in merged.items():
+            start = max(off, 0)
+            band[kl + ku - off, start : start + vals.shape[0]] = vals
+        anorm = float(np.abs(band[kl:]).sum(axis=0).max())
+
+        from scipy.linalg.lapack import zgbcon, zgbtrf
+
+        lu, piv, info = zgbtrf(band, kl, ku)
+        # info > 0 is an exact zero pivot
+        rcond = zgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
+        if not rcond > tol:
+            raise SingularOperatorError(
+                f"matrix is singular to tolerance (1-norm reciprocal condition "
+                f"estimate = {rcond:.3e})"
+            )
+        self._diagonals = {off: hilbert.readonly(merged[off]) for off in sorted(merged)}
+        self._kl, self._ku, self._lu, self._piv = kl, ku, hilbert.frozen(lu), piv
 
     def _apply(self, seq):
         out = np.zeros_like(seq)
@@ -131,9 +155,9 @@ def build_dense(entries, tol: float = DEFAULT_TOL) -> MatrixMapping:
 
     Raises SingularOperatorError when sigma_min <= tol * sigma_max.
     """
-    arr = validated(entries, square=True)
-    require_nonsingular(arr, tol)
-    return _Dense(readonly(arr), readonly(np.linalg.inv(arr)))
+    arr = hilbert.validated(entries, "entries", square=True)
+    hilbert.require_nonsingular(arr, hilbert.require_positive(tol, "tol"))
+    return _Dense(hilbert.readonly(arr), hilbert.readonly(np.linalg.inv(arr)))
 
 
 def build_bidiagonal(n: int) -> MatrixMapping:
@@ -147,49 +171,11 @@ def build_bidiagonal(n: int) -> MatrixMapping:
 def build_banded(n: int, diagonals, tol: float = DEFAULT_TOL) -> MatrixMapping:
     """Mapping from {offset: values}; offset 0 is the main diagonal.
 
-    The banded LU factors are computed here and reused by every inverse
-    apply. Raises SingularOperatorError when LAPACK's estimate of the
-    reciprocal 1-norm condition number is at most tol (scale invariant),
-    and ValueError for a non-finite value.
+    The banded LU factors are computed once, at build, and reused by
+    every inverse apply. Raises SingularOperatorError when LAPACK's estimate of the
+    reciprocal 1-norm condition number is at most tol (scale invariant).
     """
-    if n < 1:
-        raise ValueError("mapping size must be at least 1")
-    merged: dict[int, np.ndarray] = {}
-    for off, vals in diagonals.items():
-        off = int(off)
-        vals = np.asarray(vals, dtype=np.complex128)
-        if abs(off) >= n:
-            raise DimensionMismatchError(
-                f"diagonal offset {off} must lie between {1 - n} and {n - 1}"
-            )
-        if vals.shape != (n - abs(off),):
-            raise DimensionMismatchError(
-                f"diagonal at offset {off} must have length {n - abs(off)}"
-            )
-        if not np.isfinite(vals).all():
-            raise ValueError("entries must be finite")
-        merged[off] = merged[off] + vals if off in merged else vals
-    kl = max([-off for off in merged] + [0])
-    ku = max([off for off in merged] + [0])
-    # A[i, j] sits at band[kl + ku + i - j, j]; the top kl rows take the fill-in
-    band = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128)
-    for off, vals in merged.items():
-        start = max(off, 0)
-        band[kl + ku - off, start : start + vals.shape[0]] = vals
-    anorm = float(np.abs(band[kl:]).sum(axis=0).max())
-
-    from scipy.linalg.lapack import zgbcon, zgbtrf
-
-    lu, piv, info = zgbtrf(band, kl, ku)
-    # info > 0 is an exact zero pivot
-    rcond = zgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
-    if not rcond > tol:
-        raise SingularOperatorError(
-            f"matrix is singular to tolerance (1-norm reciprocal condition "
-            f"estimate = {rcond:.3e})"
-        )
-    diagonals = {off: readonly(merged[off]) for off in sorted(merged)}
-    return _Banded(n, diagonals, kl, ku, frozen(lu), piv)
+    return _Banded(n, diagonals, hilbert.require_positive(tol, "tol"))
 
 
 def identity_mapping(n: int) -> MatrixMapping:

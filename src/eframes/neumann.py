@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hilbert
 from .controlled import ControlledEFrame
-from .errors import ConvergenceError, DimensionMismatchError
+from .errors import ConvergenceError
 from .mapping import MatrixMapping
 
 
@@ -80,8 +80,11 @@ class ApproximateDual:
         accumulated norm; terms_used is the index of that final term, so an
         already-exact dual reports 1. The corrected family reconstructs to
         eps / (1 - ratio). Raises ConvergenceError when the ratio is >= 1;
-        an exhausted max_terms returns converged=False.
+        an exhausted max_terms returns converged=False. eps and max_terms
+        must be finite and > 0 (hilbert.require_positive).
         """
+        eps = hilbert.require_positive(eps, "eps")
+        max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
         self._require_contraction()
         frame = self.frame
         d = frame.images.shape[1]
@@ -110,14 +113,12 @@ class ApproximateDual:
         Accumulates partial sums of (id - T_u D*)^n applied to the one-step
         reconstruction of f and stops once the true residual drops below
         eps times the norm of f. Raises ConvergenceError when the ratio is
-        >= 1; an exhausted max_terms returns converged=False.
+        >= 1; an exhausted max_terms returns converged=False. eps and
+        max_terms must be finite and > 0 (hilbert.require_positive).
         """
-        f = hilbert.validated(f, ndim=1)
-        if f.shape[0] != self.images.shape[1]:
-            raise DimensionMismatchError(
-                f"vector dim {f.shape[0]} does not match sequence dim "
-                f"{self.images.shape[1]}"
-            )
+        f = hilbert.validated(f, "f", self.images.shape[1:])
+        eps = hilbert.require_positive(eps, "eps")
+        max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
         self._require_contraction()
         one_step = self.one_step
         f_norm = float(np.linalg.norm(f))

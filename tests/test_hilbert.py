@@ -216,11 +216,11 @@ def test_is_positive_definite():
 
 
 def test_finite_validation():
-    assert hilbert.validated([1, 2j], ndim=1).dtype == np.complex128
+    assert hilbert.validated([1, 2j], shape=(None,)).dtype == np.complex128
     assert hilbert.validated(np.ones((2, 3))).shape == (2, 3)
     for bad, kwargs in [
-        ([], {"ndim": 1}),
-        (np.ones((2, 2)), {"ndim": 1}),
+        ([], {"shape": (None,)}),
+        (np.ones((2, 2)), {"shape": (None,)}),
         (np.ones(3), {}),
         (np.ones((0, 3)), {}),
         (np.ones((3, 2)), {"square": True}),
@@ -228,7 +228,7 @@ def test_finite_validation():
         with pytest.raises(DimensionMismatchError):
             hilbert.validated(bad, **kwargs)
     with pytest.raises(ValueError):
-        hilbert.validated([np.nan, 1.0], ndim=1)
+        hilbert.validated([np.nan, 1.0], shape=(None,))
     with pytest.raises(ValueError):
         hilbert.validated([[np.inf, 0.0], [0.0, 1.0]], square=True)
 
