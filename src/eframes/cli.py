@@ -17,14 +17,16 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import controlled, eframe, gallery, neumann
-from .config import DEFAULT_SEED, DEFAULT_TRIALS, ConfigError, parse_config
+from .config import ConfigError, parse_config
 from .errors import (
     ConvergenceError,
     DualConditionError,
     NotAFrameError,
 )
 from .hilbert import (
+    DEFAULT_SEED,
     DEFAULT_TOL,
+    DEFAULT_TRIALS,
     require_positive,
     trial_sums,
     trial_vectors,

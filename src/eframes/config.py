@@ -23,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularOperatorError
-from .hilbert import DEFAULT_TOL, require_positive
+from .errors import DimensionMismatchError
+from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, require_positive
 from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
-
-DEFAULT_TRIALS = 100
-DEFAULT_SEED = 42
 
 _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials", "seed"}
 

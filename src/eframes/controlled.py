@@ -36,7 +36,7 @@ import numpy as np
 from . import hilbert
 from .eframe import FRAME, EFrameRecord, e_riesz_family, frame_record
 from .errors import DualConditionError, NotAFrameError, NotHermitianError
-from .hilbert import DEFAULT_TOL, SpectralBounds
+from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, SpectralBounds
 from .mapping import (
     MatrixMapping,
     apply_inverse_mapping,
@@ -159,7 +159,9 @@ class ControlledEFrame:
         d = self.s_ue.shape[0]
         return bool(np.linalg.norm(self.s_ue - np.eye(d)) <= self.tol * np.sqrt(d))
 
-    def identity_errors(self, trials: int = 100, seed: int = 42) -> IdentityReport:
+    def identity_errors(
+        self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
+    ) -> IdentityReport:
         """Measure the structural identities behind a valid controlled frame.
 
         err_sue_use compares the summation route for the controlled frame
@@ -168,15 +170,16 @@ class ControlledEFrame:
         trial vectors, between the sum and its switched counterpart with
         U moved to the coefficient side. All three are relative.
         """
+        trials = hilbert.require_positive(trials, "trials", integer=True)
         self.require_valid()
-        images, u = self.images, self.u
-        u_images = images @ u.T
+        images, t_u = self.images, self.t_u
         f = hilbert.trial_vectors(images.shape[1], trials, seed)
-        lhs = hilbert.trial_sums(u_images.T, images, f)  # last d columns: summed S
-        rhs = hilbert.trial_sums(images.T, u_images, f)
+        lhs = hilbert.trial_sums(t_u, images, f)  # last d columns: summed S
+        rhs = hilbert.trial_sums(images.T, t_u.T, f)
         scale = np.linalg.norm(self.s_ue)
         err_sue_use = float(np.linalg.norm(lhs[:, trials:] - self.s_ue) / scale)
-        err_commute = float(np.linalg.norm(self.s_ue - self.s_e @ u.conj().T) / scale)
+        err_commute = np.linalg.norm(self.s_ue - self.s_e @ self.u.conj().T) / scale
+        err_commute = float(err_commute)
         err_switched = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
         return IdentityReport(err_sue_use, err_commute, err_switched)
 
@@ -195,13 +198,14 @@ class ControlledEFrame:
 
     def canonical_reconstruct(self, f) -> np.ndarray:
         """sum_n <S^{-1} f, (E psi)_n> U (E psi)_n, which returns f."""
-        self.require_valid()
-        y = np.linalg.solve(self.s_ue, hilbert.validated(f, "f", self.images.shape[1:]))
+        y = self.s_inv @ hilbert.validated(f, "f", self.images.shape[1:])
         return self.t_u @ (self.images.conj() @ y)
 
     def canonical_dual(self) -> np.ndarray:
-        """Canonical controlled dual {S^{-1} psi_k}."""
-        return self.psi @ self.s_inv.T
+        """Canonical controlled dual {S^{-*} psi_k}, which is {S^{-1} psi_k} for a
+        Hermitian S. Its synthesis map D has T_u D* = S S^{-1} = id even when S
+        is Hermitian only to tol."""
+        return self.psi @ self.s_inv.conj()
 
     def images_of(self, phi) -> np.ndarray:
         """Images (E phi)_n of a candidate family shaped like psi."""
@@ -209,7 +213,8 @@ class ControlledEFrame:
         return apply_mapping(self.mapping, phi)
 
     def certify(
-        self, images_phi, trials: int = 100, seed: int = 42, tol: float | None = None
+        self, images_phi, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
+        tol: float | None = None,
     ) -> tuple[DualCertificate, DualCertificate]:
         """Certify the family with images images_phi as a controlled dual.
 
@@ -220,6 +225,7 @@ class ControlledEFrame:
         tol (by default the record's) times the Frobenius norms of the
         synthesis and analysis maps of the sum (hilbert.backward_ok).
         """
+        trials = hilbert.require_positive(trials, "trials", integer=True)
         tol = self.tol if tol is None else hilbert.require_positive(tol, "tol")
         images_phi = hilbert.validated(images_phi, "images_phi", self.images.shape)
         f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
@@ -323,8 +329,8 @@ def controlled_bounds(
 
 
 def identity_errors(
-    e: MatrixMapping, psi, u, trials: int = 100, seed: int = 42,
-    tol: float = DEFAULT_TOL,
+    e: MatrixMapping, psi, u, trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
     """See ControlledEFrame.identity_errors."""
     return ControlledEFrame(e, psi, u, tol).identity_errors(trials, seed)
@@ -348,13 +354,13 @@ def canonical_reconstruct(
 
 
 def canonical_dual(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Canonical controlled dual {S^{-1} psi_k}."""
+    """See ControlledEFrame.canonical_dual."""
     return ControlledEFrame(e, psi, u, tol).canonical_dual()
 
 
 def verify_dual(
-    e: MatrixMapping, psi, phi, u, trials: int = 100, seed: int = 42,
-    tol: float = DEFAULT_TOL,
+    e: MatrixMapping, psi, phi, u, trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
 ) -> tuple[DualCertificate, DualCertificate]:
     """Certify phi as a controlled dual of psi in both orientations; see
     ControlledEFrame.certify."""
@@ -391,8 +397,8 @@ def random_right_inverse(
 
 
 def extract_null_map(
-    e: MatrixMapping, psi, phi, u, trials: int = 100, seed: int = 42,
-    tol: float = DEFAULT_TOL,
+    e: MatrixMapping, psi, phi, u, trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Recover the null map generating a given dual: V = T_phi* - T_psi* S^{-1}.
 

@@ -97,13 +97,13 @@ def e_riesz_family(
 ) -> np.ndarray:
     """Family with member k equal to V applied to (E^{-1} basis)_k.
 
-    V must be invertible and the basis orthonormal with as many members
-    as dimensions.
+    V must be invertible (hilbert.invert_operator at tol) and the basis
+    orthonormal with as many members as dimensions.
     """
     n = e.n
     basis = hilbert.validated(basis, "basis", (n, n))
     v = hilbert.validated(v, "v", (n, n))
-    hilbert.require_nonsingular(v, hilbert.require_positive(tol, "tol"))
+    hilbert.invert_operator(v, tol)
     gram = basis @ basis.conj().T
     if np.linalg.norm(gram - np.eye(n)) > tol * np.sqrt(n):
         raise ValueError("basis is not orthonormal to tolerance")

@@ -16,6 +16,8 @@ N x N arrays:
 
 A mapping that cannot be inverted is a build error, as are a tol that
 is not a finite number > 0 and a non-finite entry (hilbert.validated).
+Dense and banded are singular when the 1-norm reciprocal condition (exact
+from the one dense inverse, LAPACK's estimate for banded) is at most tol.
 apply and apply_inverse take an (n, d) sequence and raise
 DimensionMismatchError naming `seq` for any other shape. The dense forms
 `entries` and `inverse` are computed on first read and cached, for
@@ -151,13 +153,13 @@ class _Dense(MatrixMapping):
 
 
 def build_dense(entries, tol: float = DEFAULT_TOL) -> MatrixMapping:
-    """Validate a square grid, invert it, and keep both.
-
-    Raises SingularOperatorError when sigma_min <= tol * sigma_max.
+    """Validate a square grid, invert it once, and keep both. Raises
+    SingularOperatorError on an exact zero pivot or when the 1-norm reciprocal
+    condition 1 / (||E||_1 ||E^{-1}||_1) is at most tol (hilbert.invert_operator).
     """
     arr = hilbert.validated(entries, "entries", square=True)
-    hilbert.require_nonsingular(arr, hilbert.require_positive(tol, "tol"))
-    return _Dense(hilbert.readonly(arr), hilbert.readonly(np.linalg.inv(arr)))
+    inverse = hilbert.invert_operator(arr, tol)
+    return _Dense(hilbert.readonly(arr), hilbert.frozen(inverse))
 
 
 def build_bidiagonal(n: int) -> MatrixMapping:

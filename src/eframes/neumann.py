@@ -40,9 +40,9 @@ class NeumannReport:
 class ApproximateDual:
     """A candidate dual phi of a prepared controlled frame.
 
-    Construction applies the mapping to phi once; the one-step
-    reconstruction T_u D* and the contraction ratio are computed on
-    first use.
+    Construction applies the mapping to phi once; the deviation
+    id - T_u D* is formed once, on first use, and the contraction ratio,
+    the dual correction and the iterative reconstruction all read it.
     """
 
     frame: ControlledEFrame
@@ -55,15 +55,15 @@ class ApproximateDual:
         object.__setattr__(self, "images", hilbert.frozen(images))
 
     @cached_property
-    def one_step(self) -> np.ndarray:
-        """T_u D*, the one-step reconstruction operator."""
-        return hilbert.frozen(self.frame.t_u @ self.images.conj())
+    def deviation(self) -> np.ndarray:
+        """id - T_u D*: how far the one-step reconstruction is from the identity."""
+        d = self.images.shape[1]
+        return hilbert.frozen(np.eye(d) - self.frame.t_u @ self.images.conj())
 
     @cached_property
     def ratio(self) -> float:
-        """Spectral norm of id - T_u D*, the deviation of the one-step
-        reconstruction from the identity."""
-        return hilbert.operator_norm(np.eye(self.one_step.shape[0]) - self.one_step)
+        """Spectral norm of the deviation id - T_u D*."""
+        return hilbert.operator_norm(self.deviation)
 
     def _require_contraction(self) -> None:
         if self.ratio >= 1.0:
@@ -86,24 +86,18 @@ class ApproximateDual:
         eps = hilbert.require_positive(eps, "eps")
         max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
         self._require_contraction()
-        frame = self.frame
-        d = frame.images.shape[1]
-        deviation = np.eye(d) - self.images.T @ (frame.images.conj() @ frame.u.conj().T)
-        term = self.phi.copy()
-        acc = self.phi.copy()
+        step = self.deviation.conj()  # term @ step applies id - D T_u* to each member
+        term = acc = self.phi
         history = [float(np.linalg.norm(term))]
         converged = False
-        terms_used = max_terms
         for n in range(1, max_terms + 1):
-            term = term @ deviation.T
+            term = term @ step
             acc = acc + term
-            term_norm = float(np.linalg.norm(term))
-            history.append(term_norm)
-            if term_norm <= eps * np.linalg.norm(acc):
-                terms_used = n
+            history.append(float(np.linalg.norm(term)))
+            if history[-1] <= eps * np.linalg.norm(acc):
                 converged = True
                 break
-        return acc, NeumannReport(self.ratio, terms_used, tuple(history), converged)
+        return acc, NeumannReport(self.ratio, n, tuple(history), converged)
 
     def iterative_reconstruct(
         self, f, eps: float = 1e-10, max_terms: int = 10_000
@@ -120,22 +114,15 @@ class ApproximateDual:
         eps = hilbert.require_positive(eps, "eps")
         max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
         self._require_contraction()
-        one_step = self.one_step
-        f_norm = float(np.linalg.norm(f))
-        term = one_step @ f
-        approx = term.copy()
-        residual = float(np.linalg.norm(f - approx))
-        history = [residual]
-        terms_used = 1
-        converged = residual <= eps * f_norm
-        while not converged and terms_used < max_terms:
-            term = term - one_step @ term
+        goal = eps * float(np.linalg.norm(f))
+        term = approx = f - self.deviation @ f  # one-step reconstruction T_u D* f
+        history = [float(np.linalg.norm(f - approx))]
+        while not history[-1] <= goal and len(history) < max_terms:
+            term = self.deviation @ term
             approx = approx + term
-            residual = float(np.linalg.norm(f - approx))
-            history.append(residual)
-            terms_used += 1
-            converged = residual <= eps * f_norm
-        return approx, NeumannReport(self.ratio, terms_used, tuple(history), converged)
+            history.append(float(np.linalg.norm(f - approx)))
+        converged = history[-1] <= goal
+        return approx, NeumannReport(self.ratio, len(history), tuple(history), converged)
 
 
 def contraction_ratio(e: MatrixMapping, psi, phi, u) -> float:

@@ -5,7 +5,7 @@ once, and S is factorized at most once. The counts below are exact for
 the d = 3 worked example over the bidiagonal mapping. The dual checks
 and certificates take Frobenius norms only (hilbert.backward_ok), so a
 command that succeeds runs no norm(ord=2) outside the Neumann ratio,
-and S^{-1} is one inv with no SVD singularity test.
+and S^{-1} is one inv with no SVD singularity test and no solve.
 """
 
 import sys
@@ -14,11 +14,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from eframes import gallery, mapping, neumann
+from eframes import controlled, gallery, mapping, neumann
 from eframes.cli import main
 from test_cli import pairs, write_config
 
-LINALG = ("eigvalsh", "svd", "inv", "pinv")
+LINALG = ("eigvalsh", "svd", "inv", "pinv", "solve")
 APPLIES = ("apply_mapping", "apply_inverse_mapping")
 
 
@@ -55,7 +55,7 @@ def counts(monkeypatch):
 
 def expected(apply, eigvalsh=0, svd=0, inv=0, pinv=0, norm2=0):
     return {"apply": apply, "eigvalsh": eigvalsh, "svd": svd, "inv": inv,
-            "pinv": pinv, "norm2": norm2}
+            "pinv": pinv, "norm2": norm2, "solve": 0}
 
 
 CASES = {
@@ -85,3 +85,18 @@ def test_neumann_calls_read_no_spectrum(worked, counts):
         worked.mapping, worked.psi, phi, worked.u, np.ones(3, dtype=complex)
     )
     assert counts["eigvalsh"] == 0
+
+
+def test_dense_build_is_one_inverse(counts):
+    """The inverse the dense kind keeps is also its singularity test."""
+    mapping.build_dense(np.eye(5) + np.eye(5, k=-1))
+    want = {**dict.fromkeys(LINALG, 0), "inv": 1}
+    assert {key: counts[key] for key in LINALG} == want
+
+
+def test_canonical_reconstruct_reuses_the_inverse_of_s(worked, counts):
+    record = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u)
+    record.canonical_dual()
+    before = {key: counts[key] for key in LINALG}
+    record.canonical_reconstruct(np.ones(3, dtype=complex))
+    assert {key: counts[key] for key in LINALG} == before

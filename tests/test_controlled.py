@@ -679,3 +679,17 @@ def test_generated_duals_pass_their_own_certificate(seed, d, n, u_kind, log_cond
     )
     for phi in families:
         assert all(cert.verdict for cert in record.certify(record.images_of(phi)))
+
+
+def test_canonical_dual_is_exact_when_s_is_hermitian_only_to_tol(worked):
+    """The canonical dual is {S^{-*} psi_k}: with S Hermitian only to about
+    1e-6, T_u D* = S S^{-1} still holds, so the definitional residual and
+    the null map extracted from that dual vanish (with {S^{-1} psi_k} they
+    were 2.0e-6 and 3.5e-6)."""
+    u = worked.u.copy()
+    u[0, 1] = 1e-6
+    record = controlled.ControlledEFrame(worked.mapping, worked.psi, u, tol=1e-3)
+    images = record.images_of(record.canonical_dual())
+    cert, _ = record.certify(images)
+    assert cert.max_residual <= 1e-12
+    assert np.linalg.norm(record.null_map(images, cert)) <= 1e-12

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,53 @@ def test_banded_condition_test_is_scale_invariant():
         scaled = {off: scale * np.asarray(vals) for off, vals in diagonals.items()}
         e = mapping.build_banded(3, scaled)
         assert_allclose(e.entries / scale, np.eye(3) + 0.5 * np.eye(3, k=1), rtol=1e-15)
+
+
+def test_dense_condition_test_is_scale_invariant():
+    grid = np.eye(3) + 0.5 * np.eye(3, k=1)
+    for scale in (1e-150, 1.0, 1e150):
+        e = mapping.build_dense(scale * grid)
+        assert_allclose(e.inverse * scale, np.linalg.inv(grid), rtol=1e-15)
+
+
+@pytest.mark.parametrize("row", [0, 3, 7])
+def test_dense_near_singular_row_is_rejected(row):
+    grid = random_conditioned_matrix(np.random.default_rng(row), 8)
+    mapping.build_dense(grid)
+    grid[row] *= 1e-14
+    with pytest.raises(SingularOperatorError, match="1-norm reciprocal condition"):
+        mapping.build_dense(grid)
+
+
+@pytest.mark.parametrize("grid", [[[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))])
+def test_dense_exact_zero_pivot_is_rejected(grid):
+    with pytest.raises(SingularOperatorError, match=r"= 0\.000e\+00\)$"):
+        mapping.build_dense(grid)
+
+
+def test_dense_extreme_condition_is_rejected_without_a_warning():
+    """||E||_1 ||E^{-1}||_1 = 1e600 overflows; its reciprocal must not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularOperatorError):
+            mapping.build_dense(np.diag([1e300, 1e-300]))
+
+
+@pytest.mark.parametrize("n", [5, 30, 120])
+def test_dense_and_banded_agree_on_a_tridiagonal(n):
+    """The 1-norm reciprocal condition of tridiag(-1, 2, -1) is about 2 / n^2:
+    both kinds accept at a tol far below it and reject at one far above."""
+    diagonals = {-1: -np.ones(n - 1), 0: 2.0 * np.ones(n), 1: -np.ones(n - 1)}
+    grid = mapping.build_banded(n, diagonals).entries
+    rcond = 1.0 / (np.linalg.norm(grid, 1) * np.linalg.norm(np.linalg.inv(grid), 1))
+    for tol, accepted in ((rcond / 100, True), (min(100 * rcond, 0.5), False)):
+        for build in (lambda: mapping.build_dense(grid, tol),
+                      lambda: mapping.build_banded(n, diagonals, tol)):
+            if accepted:
+                build()
+            else:
+                with pytest.raises(SingularOperatorError):
+                    build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

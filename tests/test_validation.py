@@ -5,7 +5,8 @@ mis-shaped one raises DimensionMismatchError whose message starts with
 the argument's name, and a non-finite entry raises ValueError("entries
 must be finite"). Every tol, eps and max_terms goes through
 hilbert.require_positive: NaN, an infinity, 0 or a negative value
-raises ValueError naming it, before any verdict is reached.
+raises ValueError naming it, before any verdict is reached. So does every
+trials count, which must also be an integer.
 """
 
 import numpy as np
@@ -228,6 +229,24 @@ def test_bad_eps_and_max_terms_are_input_errors(label, value):
         STOP_CALLS[label](eps=value)
     with pytest.raises(ValueError, match=r"^max_terms must be a finite positive integer"):
         STOP_CALLS[label](max_terms=value)
+
+
+#: entry point -> call with the given trials
+TRIALS_CALLS = {
+    "ControlledEFrame.certify": lambda trials: RECORD.certify(RECORD.images, trials),
+    "ControlledEFrame.identity_errors": lambda trials: RECORD.identity_errors(trials),
+    "identity_errors": lambda trials: ef.identity_errors(E, PSI, U, trials),
+    "verify_dual": lambda trials: ef.verify_dual(E, PSI, PHI, U, trials),
+    "extract_null_map": lambda trials: ef.extract_null_map(E, PSI, PHI, U, trials),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 0, 2.5, True, float("nan")])
+@pytest.mark.parametrize("label", sorted(TRIALS_CALLS))
+def test_bad_trials_is_an_input_error(label, value):
+    TRIALS_CALLS[label](np.int64(3))
+    with pytest.raises(ValueError, match=r"^trials must be a finite positive integer, got "):
+        TRIALS_CALLS[label](value)
 
 
 def test_numpy_scalars_are_numbers():
