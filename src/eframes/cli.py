@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_VERDICT
 
 
-def cmd_paper_example(dim: int, tol: float, trials: int, seed: int) -> tuple[dict, int]:
+def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     mapping = gallery.example_mapping(dim)
     u = gallery.example_u(dim)
     images_psi = apply_mapping(mapping, gallery.example_psi(dim))
@@ -250,6 +250,8 @@ def _overrides(args) -> dict:
     if args.trials is not None:
         overrides["trials"] = require_positive(args.trials, "--trials", integer=True)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         overrides["seed"] = args.seed
     return overrides
 
@@ -264,11 +266,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.command == "paper-example":
-            settings = dict(tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED)
-            settings.update(_overrides(args))
-            report, code = cmd_paper_example(args.dim, **settings)
+            report, code = cmd_paper_example(args.dim, **_overrides(args))
         else:
-            cfg = replace(parse_config(args.config), **_overrides(args))
+            cfg = parse_config(args.config, _overrides(args))
             if args.command == "analyze":
                 report, code = cmd_analyze(cfg, args.strict)
             elif args.command == "dual":

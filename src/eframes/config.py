@@ -86,13 +86,13 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
             parsed = {}
             for off, vals in diagonals.items():
                 try:
-                    off_int = int(off)
-                except (TypeError, ValueError):
+                    int(off)
+                except ValueError:
                     raise ConfigError(f"bad diagonal offset {off!r}") from None
                 if not isinstance(vals, list):
                     raise ConfigError(f"diagonal {off} must be a list of pairs")
                 where = f"mapping.diagonals[{off}]"
-                parsed[off_int] = _complex_array(vals, (len(vals),), where)
+                parsed[off] = _complex_array(vals, (len(vals),), where)
             return build_banded(count, parsed, tol)
     except DimensionMismatchError as exc:
         raise ConfigError(str(exc)) from exc
@@ -108,18 +108,18 @@ def _build_u(spec, dim: int) -> np.ndarray:
     if kind == "scalar":
         value = spec.get("value")
         pair = [value, 0] if type(value) in (int, float) else value
-        with np.errstate(invalid="ignore"):  # inf * 0; validation rejects U
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0; spurious overflow
             return _complex_array(pair, (), "u.value") * np.eye(dim, dtype=np.complex128)
     if kind == "dense":
         return _complex_array(spec.get("entries"), (dim, dim), "u.entries")
     raise ConfigError(f"unknown control operator kind {kind!r}")
 
 
-def parse_config(path) -> ProblemConfig:
-    """Load and validate a problem configuration file.
-
-    Raises ConfigError on malformed input and SingularOperatorError
-    when the declared mapping cannot be inverted.
+def parse_config(path, overrides=None) -> ProblemConfig:
+    """Load and validate a problem configuration file. overrides, the checked
+    --tol, --trials and --seed flags, replace the file's values before anything
+    is parsed or built. Raises ConfigError on malformed input and
+    SingularOperatorError when the declared mapping cannot be inverted.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -136,6 +136,7 @@ def parse_config(path) -> ProblemConfig:
     for key in ("dimension", "count", "psi", "mapping", "u"):
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
+    raw.update(overrides or {})
 
     try:
         dimension = require_positive(raw["dimension"], "'dimension'", integer=True)
@@ -145,10 +146,10 @@ def parse_config(path) -> ProblemConfig:
         trials = require_positive(trials, "'trials'", integer=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    psi = _complex_array(raw["psi"], (count, dimension), "psi")
     seed = raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
+    psi = _complex_array(raw["psi"], (count, dimension), "psi")
 
     mapping = _build_mapping(raw["mapping"], count, tol)
     u = _build_u(raw["u"], dimension)

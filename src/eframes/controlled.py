@@ -50,7 +50,7 @@ INVALID = "invalid"
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Relative deviations of the three structural operator identities."""
+    """Deviations of the three structural operator identities (identity_errors)."""
 
     err_sue_use: float
     err_commute: float
@@ -165,10 +165,10 @@ class ControlledEFrame:
         """Measure the structural identities behind a valid controlled frame.
 
         err_sue_use compares the summation route for the controlled frame
-        operator against the product U S; err_commute measures
-        ||U S - S U*||; err_switched_sum is the worst residual, over unit
-        trial vectors, between the sum and its switched counterpart with
-        U moved to the coefficient side. All three are relative.
+        operator against the product U S and err_commute measures
+        ||U S - S U*||, both relative to ||S||_F; err_switched_sum is absolute:
+        the worst residual, over unit trial vectors, between the sum and its
+        switched counterpart with U moved to the coefficient side.
         """
         trials = hilbert.require_positive(trials, "trials", integer=True)
         self.require_valid()

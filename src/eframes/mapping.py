@@ -14,8 +14,8 @@ N x N arrays:
                  banded LU factors made at build      O(N d (kl + ku + 1))
     dense        E @ seq and E^{-1} @ seq             O(N^2 d)
 
-A mapping that cannot be inverted is a build error, as are a tol that
-is not a finite number > 0 and a non-finite entry (hilbert.validated).
+A mapping that cannot be inverted is a build error, as are a bad size or tol
+(hilbert.require_positive), a non-finite entry and a repeated banded offset.
 Dense and banded are singular when the 1-norm reciprocal condition (exact
 from the one dense inverse, LAPACK's estimate for banded) is at most tol.
 apply and apply_inverse take an (n, d) sequence and raise
@@ -43,9 +43,7 @@ class MatrixMapping:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("mapping size must be at least 1")
-        self.n = n
+        self.n = hilbert.require_positive(n, "mapping size", integer=True)
 
     def apply(self, seq) -> np.ndarray:
         """(E seq)_n = sum_k E[n, k] seq_k for every n."""
@@ -93,20 +91,21 @@ class _Banded(MatrixMapping):
 
     def __init__(self, n, diagonals, tol):
         super().__init__(n)
-        merged: dict[int, np.ndarray] = {}
+        diags: dict[int, np.ndarray] = {}
         for off, vals in diagonals.items():
             off = int(off)
+            if off in diags:
+                raise DimensionMismatchError(f"diagonal offset {off} is given twice")
             if abs(off) >= n:
                 raise DimensionMismatchError(
                     f"diagonal offset {off} must lie between {1 - n} and {n - 1}"
                 )
-            vals = hilbert.validated(vals, f"diagonals[{off}]", (n - abs(off),))
-            merged[off] = merged[off] + vals if off in merged else vals
-        kl = max([-off for off in merged] + [0])
-        ku = max([off for off in merged] + [0])
+            diags[off] = hilbert.validated(vals, f"diagonals[{off}]", (n - abs(off),))
+        kl = max([-off for off in diags] + [0])
+        ku = max([off for off in diags] + [0])
         # A[i, j] sits at band[kl + ku + i - j, j]; the top kl rows take the fill-in
         band = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128)
-        for off, vals in merged.items():
+        for off, vals in diags.items():
             start = max(off, 0)
             band[kl + ku - off, start : start + vals.shape[0]] = vals
         anorm = float(np.abs(band[kl:]).sum(axis=0).max())
@@ -121,7 +120,7 @@ class _Banded(MatrixMapping):
                 f"matrix is singular to tolerance (1-norm reciprocal condition "
                 f"estimate = {rcond:.3e})"
             )
-        self._diagonals = {off: hilbert.readonly(merged[off]) for off in sorted(merged)}
+        self._diagonals = {off: hilbert.readonly(diags[off]) for off in sorted(diags)}
         self._kl, self._ku, self._lu, self._piv = kl, ku, hilbert.frozen(lu), piv
 
     def _apply(self, seq):

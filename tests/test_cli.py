@@ -7,6 +7,7 @@ import pytest
 from eframes import gallery
 from eframes.cli import cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
+from eframes.errors import SingularOperatorError
 
 
 def pairs(seq):
@@ -279,6 +280,17 @@ def test_flag_overrides_take_precedence(tmp_path, capsys):
     )
     assert code == 0
     assert report["certificates"][0]["trials"] == 5 + 3  # trials plus basis vectors
+    # --tol reaches the mapping: 1-norm reciprocal condition 1e-6, singular at 1e-3 only
+    entries = pairs(np.diag([1.0, 1.0, 1.0, 1e-6]))
+    dense = {"kind": "dense", "entries": entries}
+    loose = write_config(tmp_path, name="loose.json", mapping=dense, tol=1e-3)
+    tight = write_config(tmp_path, name="tight.json", mapping=dense, tol=1e-10)
+    with pytest.raises(SingularOperatorError):
+        parse_config(tight, {"tol": 1e-3})
+    assert parse_config(loose, {"tol": 1e-10}).tol == 1e-10
+    assert main(["analyze", tight, "--tol", "1e-3"]) == 1
+    assert "singular" in capsys.readouterr().err
+    assert main(["analyze", loose, "--tol", "1e-10"]) == 0
 
 
 @pytest.mark.parametrize(

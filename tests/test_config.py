@@ -8,7 +8,7 @@ and every accepted value equals complex(re, im) bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eframes import gallery
@@ -133,6 +133,7 @@ def complex_grid(rows) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.lists(NUMBERS, min_size=68, max_size=68), scalar=NUMBERS)
+@example(data=[0] * 66 + [9.9792015476736e291, 1.7976931348623157e308], scalar=0)
 def test_accepted_numbers_are_exact(tmp_path_factory, data, scalar):
     """psi (12 pairs), phi (12), u.entries (9) and u.value (1 pair, 1 number)."""
     grid = [list(p) for p in zip(data[::2], data[1::2])]
@@ -145,7 +146,9 @@ def test_accepted_numbers_are_exact(tmp_path_factory, data, scalar):
         assert np.array_equal(bits(got), bits(complex_grid(raw)))
     for value, scale in ((grid[33], complex(*grid[33])), (scalar, complex(scalar))):
         got = parse_config(write_config(directory, u={"kind": "scalar", "value": value})).u
-        assert np.array_equal(bits(got), bits(scale * np.eye(3, dtype=np.complex128)))
+        with np.errstate(over="ignore"):  # numpy warns on some exact products near 1e308
+            want = scale * np.eye(3, dtype=np.complex128)
+        assert np.array_equal(bits(got), bits(want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -270,5 +270,59 @@ def test_config_and_cli_keep_their_messages(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_banded_size_is_checked_before_its_diagonals(n):
-    with pytest.raises(ValueError, match=r"^mapping size must be at least 1$"):
+    message = rf"^mapping size must be a finite positive integer, got {n}$"
+    with pytest.raises(ValueError, match=message):
         ef.build_banded(n, {0: []})
+
+
+SIZE_BUILDERS = {
+    "identity": ef.identity_mapping,
+    "bidiagonal": ef.build_bidiagonal,
+    "banded": lambda n: ef.build_banded(n, {0: np.ones(4)}),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, float("nan"), True, "3", 3.0])
+@pytest.mark.parametrize("kind", sorted(SIZE_BUILDERS))
+def test_mapping_size_must_be_a_positive_integer(kind, n):
+    with pytest.raises(ValueError, match=r"^mapping size must be a finite positive integer"):
+        SIZE_BUILDERS[kind](n)
+
+
+@pytest.mark.parametrize("kind", sorted(SIZE_BUILDERS))
+def test_numpy_integer_mapping_size_is_accepted(kind):
+    e = SIZE_BUILDERS[kind](np.int64(4))
+    assert e.n == 4 and type(e.n) is int
+    assert e.apply(np.ones((4, 2))).shape == (4, 2)
+
+
+@pytest.mark.parametrize("keys", [("0", "00"), (0, "0"), (-1, "-01")])
+def test_banded_offset_given_twice_is_an_input_error(keys):
+    off = int(keys[0])
+    diagonals = {key: np.full(4 - abs(off), 2.0) for key in keys}
+    with pytest.raises(DimensionMismatchError, match=rf"^diagonal offset {off} is given twice$"):
+        ef.build_banded(4, diagonals)
+
+
+def test_config_offset_given_twice_exits_1(tmp_path, capsys):
+    diagonals = {"0": [[1, 0]] * 4, "00": [[1, 0]] * 4}
+    path = write_config(tmp_path, mapping={"kind": "banded", "diagonals": diagonals})
+    with pytest.raises(ConfigError, match=r"^diagonal offset 0 is given twice$"):
+        parse_config(path)
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == "error: diagonal offset 0 is given twice\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual", "verify", "neumann", "paper-example"])
+def test_negative_seed_flag_names_the_flag(tmp_path, capsys, command):
+    target = ["--dim", "3"] if command == "paper-example" else [write_config(tmp_path)]
+    assert main([command, *target, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_negative_config_seed_names_the_key(tmp_path, capsys):
+    path = write_config(tmp_path, seed=-3)
+    with pytest.raises(ConfigError, match=r"^'seed' must be a non-negative integer, got -3$"):
+        parse_config(path)
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == "error: 'seed' must be a non-negative integer, got -3\n"
