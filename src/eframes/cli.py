@@ -28,6 +28,7 @@ from .hilbert import (
     DEFAULT_TOL,
     DEFAULT_TRIALS,
     require_positive,
+    require_seed,
     trial_sums,
     trial_vectors,
     worst_residual,
@@ -155,15 +156,14 @@ def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
 
 def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     mapping = gallery.example_mapping(dim)
-    u = gallery.example_u(dim)
     images_psi = apply_mapping(mapping, gallery.example_psi(dim))
     images_tilde = apply_mapping(mapping, gallery.example_psi_tilde(dim))
     images_phi = apply_mapping(mapping, gallery.example_phi(dim))
     f = trial_vectors(dim, trials, seed)
 
     def both_residuals(analysis, synthesis, plain_target, controlled_target):
-        plain = trial_sums(synthesis.T, analysis, f)  # U @ plain: the controlled sums
-        controlled = worst_residual(u @ plain, f, controlled_target)
+        plain = trial_sums(synthesis.T, analysis, f)  # U plain: the controlled sums
+        controlled = worst_residual(gallery.CONTROL_SCALE * plain, f, controlled_target)
         return worst_residual(plain, f, plain_target), controlled
 
     residuals = dict(zip(
@@ -250,9 +250,7 @@ def _overrides(args) -> dict:
     if args.trials is not None:
         overrides["trials"] = require_positive(args.trials, "--trials", integer=True)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        overrides["seed"] = args.seed
+        overrides["seed"] = require_seed(args.seed, "--seed")
     return overrides
 
 

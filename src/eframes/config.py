@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, require_positive
+from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
+from .hilbert import require_positive, require_seed
 from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
 
 _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials", "seed"}
@@ -85,10 +86,6 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
                 raise ConfigError("mapping.diagonals must be an object")
             parsed = {}
             for off, vals in diagonals.items():
-                try:
-                    int(off)
-                except ValueError:
-                    raise ConfigError(f"bad diagonal offset {off!r}") from None
                 if not isinstance(vals, list):
                     raise ConfigError(f"diagonal {off} must be a list of pairs")
                 where = f"mapping.diagonals[{off}]"
@@ -144,11 +141,9 @@ def parse_config(path, overrides=None) -> ProblemConfig:
         tol = require_positive(raw.get("tol", DEFAULT_TOL), "'tol'")
         trials = raw.get("trials", DEFAULT_TRIALS)
         trials = require_positive(trials, "'trials'", integer=True)
+        seed = require_seed(raw.get("seed", DEFAULT_SEED), "'seed'")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    seed = raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
     psi = _complex_array(raw["psi"], (count, dimension), "psi")
 
     mapping = _build_mapping(raw["mapping"], count, tol)

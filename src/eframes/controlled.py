@@ -171,9 +171,9 @@ class ControlledEFrame:
         switched counterpart with U moved to the coefficient side.
         """
         trials = hilbert.require_positive(trials, "trials", integer=True)
+        f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
         self.require_valid()
         images, t_u = self.images, self.t_u
-        f = hilbert.trial_vectors(images.shape[1], trials, seed)
         lhs = hilbert.trial_sums(t_u, images, f)  # last d columns: summed S
         rhs = hilbert.trial_sums(images.T, t_u.T, f)
         scale = np.linalg.norm(self.s_ue)
@@ -279,9 +279,9 @@ class ControlledEFrame:
     def random_null_map(self, seed: int = 0) -> np.ndarray:
         """Seeded member of the null-map family: G - pinv(T_u) (T_u G), the
         projection of a random (N, d) map G onto the kernel of T_u."""
+        rng = np.random.default_rng(hilbert.require_seed(seed, "seed"))
         self.require_valid()
         n, d = self.images.shape
-        rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         return g - self.t_u_pinv @ (self.t_u @ g)
 

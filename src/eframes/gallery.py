@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .hilbert import require_positive
 from .mapping import MatrixMapping, apply_inverse_mapping, build_bidiagonal
+
+#: the halving control operator is U = CONTROL_SCALE * id
+CONTROL_SCALE = 0.5
 
 
 def _check_dim(dim: int) -> None:
-    if dim < 2:
+    if require_positive(dim, "dim", integer=True) < 2:
         raise ValueError("worked example needs dimension >= 2 (at least e1 and e2)")
 
 
@@ -58,7 +62,7 @@ def example_phi(dim: int) -> np.ndarray:
 def example_u(dim: int) -> np.ndarray:
     """The halving control operator."""
     _check_dim(dim)
-    return 0.5 * np.eye(dim, dtype=np.complex128)
+    return CONTROL_SCALE * np.eye(dim, dtype=np.complex128)
 
 
 def example_parseval_psi(dim: int) -> np.ndarray:

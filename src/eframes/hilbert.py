@@ -9,9 +9,9 @@ worst_residual are pure and never mutate their arguments, so values
 can be shared freely between threads.
 
 Input is checked here, once: validated (with require_shape, its shape
-half) for every array, and require_positive for every tol, eps and count
-that configuration, CLI or library takes; invert_operator is the one
-checked inverse.
+half) for every array, require_positive for every tol, eps and count and
+require_seed for every seed that configuration, CLI or library takes;
+invert_operator is the one checked inverse.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ def require_positive(raw, name: str, integer: bool = False):
         kind = "integer" if integer else "number"
         raise ValueError(f"{name} must be a finite positive {kind}, got {raw!r}")
     return int(raw) if integer else float(raw)
+
+
+def require_seed(raw, name: str) -> int:
+    """raw as an int if it is a non-negative integer, not a bool; else ValueError."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Integral) or raw < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
@@ -175,7 +182,7 @@ def is_positive_definite(a, tol: float = DEFAULT_TOL) -> bool:
 
 def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
     """Seeded random unit vectors of C^dim, as the columns of a (dim, trials) array."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed, "seed"))
     f = rng.standard_normal((dim, trials)) + 1j * rng.standard_normal((dim, trials))
     return f / np.linalg.norm(f, axis=0)
 

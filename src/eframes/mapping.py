@@ -15,7 +15,8 @@ N x N arrays:
     dense        E @ seq and E^{-1} @ seq             O(N^2 d)
 
 A mapping that cannot be inverted is a build error, as are a bad size or tol
-(hilbert.require_positive), a non-finite entry and a repeated banded offset.
+(hilbert.require_positive), a non-finite entry, and a banded offset that is
+not an integer (a bool, a float, or a string int() cannot read) or repeated.
 Dense and banded are singular when the 1-norm reciprocal condition (exact
 from the one dense inverse, LAPACK's estimate for banded) is at most tol.
 apply and apply_inverse take an (n, d) sequence and raise
@@ -26,6 +27,7 @@ tests and callers that want the matrices; the library never reads them.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -92,8 +94,13 @@ class _Banded(MatrixMapping):
     def __init__(self, n, diagonals, tol):
         super().__init__(n)
         diags: dict[int, np.ndarray] = {}
-        for off, vals in diagonals.items():
-            off = int(off)
+        for key, vals in diagonals.items():
+            try:  # an integer that is not a bool, or a string int() reads
+                if isinstance(key, bool) or not isinstance(key, (str, numbers.Integral)):
+                    raise ValueError
+                off = int(key)
+            except ValueError:
+                raise DimensionMismatchError(f"bad diagonal offset {key!r}") from None
             if off in diags:
                 raise DimensionMismatchError(f"diagonal offset {off} is given twice")
             if abs(off) >= n:

@@ -8,6 +8,8 @@ from eframes import gallery
 from eframes.cli import cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
 from eframes.errors import SingularOperatorError
+from eframes.hilbert import trial_sums, trial_vectors, worst_residual
+from eframes.mapping import apply_mapping
 
 
 def pairs(seq):
@@ -200,9 +202,10 @@ def test_paper_example_dims(capsys):
 
 
 def test_paper_example_peak_memory():
-    """The basis sums come from the d x d mixed operators: about 33 MB at
-    d = 512, where a chain through N x (trials + d) coefficient blocks
-    peaks at about 47 MB."""
+    """The basis sums come from the d x d mixed operators and U = I/2 is
+    applied as a scalar: about 29 MB at d = 512, where a dense U and its
+    product peak at about 33 MB and a chain through N x (trials + d)
+    coefficient blocks at about 47 MB."""
     tracemalloc.start()
     try:
         report, code = cmd_paper_example(512, 1e-10, 100, 7)
@@ -210,7 +213,30 @@ def test_paper_example_peak_memory():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 42e6
+    assert peak <= 31e6
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100])
+@pytest.mark.parametrize("dim", [2, 3, 17, 64])
+def test_paper_example_residuals_equal_the_dense_u_reference(dim, trials):
+    """The scalar CONTROL_SCALE gives the same bits as the public dense U."""
+    e, u = gallery.example_mapping(dim), gallery.example_u(dim)
+    psi, tilde, phi = (
+        apply_mapping(e, family(dim))
+        for family in (gallery.example_psi, gallery.example_psi_tilde, gallery.example_phi)
+    )
+    f = trial_vectors(dim, trials, 5)
+    want = []
+    for analysis, synthesis, plain_target, controlled_target in (
+        (psi, tilde, 2.0, 1.0), (phi, psi, 1.0, 0.5)
+    ):
+        plain = trial_sums(synthesis.T, analysis, f)
+        controlled = u @ plain
+        want += [worst_residual(plain, f, plain_target),
+                 worst_residual(controlled, f, controlled_target)]
+    report, code = cmd_paper_example(dim, 1e-10, trials, 5)
+    assert list(report["residuals"].values()) == want
+    assert code == 0
 
 
 def test_paper_example_dim_1_is_input_error(capsys):

@@ -56,3 +56,24 @@ def test_parseval_family_images(dim):
 def test_families_reject_dim_below_2(family):
     with pytest.raises(ValueError):
         family(1)
+
+
+PUBLIC = [
+    gallery.example_mapping, gallery.example_psi, gallery.example_psi_tilde,
+    gallery.example_phi, gallery.example_u, gallery.example_parseval_psi,
+]
+
+
+@pytest.mark.parametrize("dim", [2.5, float("nan"), True, "3"])
+@pytest.mark.parametrize("function", PUBLIC, ids=lambda f: f.__name__)
+def test_dim_must_be_a_positive_integer(function, dim):
+    with pytest.raises(ValueError, match=r"^dim must be a finite positive integer, got "):
+        function(dim)
+
+
+@pytest.mark.parametrize("function", PUBLIC, ids=lambda f: f.__name__)
+def test_numpy_integer_dim_is_accepted(function):
+    got, want = function(np.int64(4)), function(4)
+    if isinstance(want, mapping.MatrixMapping):
+        got, want = got.entries, want.entries
+    assert np.array_equal(got, want)

@@ -9,6 +9,8 @@ raises ValueError naming it, before any verdict is reached. So does every
 trials count, which must also be an integer.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -326,3 +328,63 @@ def test_negative_config_seed_names_the_key(tmp_path, capsys):
         parse_config(path)
     assert main(["analyze", path]) == 1
     assert capsys.readouterr().err == "error: 'seed' must be a non-negative integer, got -3\n"
+
+
+@pytest.mark.parametrize("key", [1.9, True, None, "x", "1.0"])
+def test_banded_offset_must_be_an_integer(key):
+    diagonals = {0: np.ones(3), key: np.ones(2)}
+    with pytest.raises(DimensionMismatchError, match=rf"^bad diagonal offset {re.escape(repr(key))}$"):
+        ef.build_banded(3, diagonals)
+
+
+def test_banded_offsets_are_integers_or_integer_strings():
+    diagonals = {0: np.ones(3), np.int64(1): np.full(2, 2.0), "-1": np.full(2, 3.0)}
+    want = np.eye(3) + np.diag([2.0, 2.0], 1) + np.diag([3.0, 3.0], -1)
+    assert np.array_equal(ef.build_banded(3, diagonals).entries, want)
+
+
+def test_config_offset_that_is_not_an_integer_exits_1(tmp_path, capsys):
+    diagonals = {"0": [[1, 0]] * 4, "x": [[1, 0]] * 3}
+    path = write_config(tmp_path, mapping={"kind": "banded", "diagonals": diagonals})
+    with pytest.raises(ConfigError, match=r"^bad diagonal offset 'x'$"):
+        parse_config(path)
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == "error: bad diagonal offset 'x'\n"
+
+
+def test_paper_example_dim_below_2_keeps_its_message(capsys):
+    assert main(["paper-example", "--dim", "1"]) == 1
+    want = "error: worked example needs dimension >= 2 (at least e1 and e2)\n"
+    assert capsys.readouterr().err == want
+
+
+#: library call -> the call with a given seed
+SEEDED = {
+    "hilbert.trial_vectors": lambda seed: hilbert.trial_vectors(3, 5, seed),
+    "random_null_map": lambda seed: ef.random_null_map(E, PSI, U, seed=seed),
+    "random_right_inverse": lambda seed: ef.random_right_inverse(E, PSI, U, seed=seed),
+    "ControlledEFrame.certify": lambda seed: RECORD.certify(RECORD.images_of(PHI), seed=seed),
+    "identity_errors": lambda seed: ef.identity_errors(E, PSI, U, seed=seed),
+    "verify_dual": lambda seed: ef.verify_dual(E, PSI, PHI, U, seed=seed),
+    "extract_null_map": lambda seed: ef.extract_null_map(E, PSI, PHI, U, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_library_seed_must_be_a_non_negative_integer(name, seed):
+    message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        SEEDED[name](seed)
+
+
+def test_library_seed_is_checked_before_the_frame_verdict():
+    record = ef.ControlledEFrame(E, np.zeros_like(PSI), U)
+    for call in (record.random_null_map, lambda seed: record.identity_errors(seed=seed)):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer"):
+            call(-1)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_numpy_integer_library_seed_is_accepted(name):
+    np.testing.assert_equal(SEEDED[name](np.int64(7)), SEEDED[name](7))
