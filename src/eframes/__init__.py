@@ -19,8 +19,6 @@ from .controlled import (
     canonical_reconstruct,
     commutation_criterion,
     controlled_bounds,
-    controlled_frame_operator,
-    controlled_synthesis,
     dual_from_right_inverse,
     dual_with_offset,
     extract_null_map,
@@ -35,13 +33,9 @@ from .eframe import (
     BESSEL_ONLY,
     FRAME,
     EFrameRecord,
-    e_analysis,
     e_canonical_dual,
     e_frame_bounds,
-    e_frame_operator,
-    e_reconstruct,
     e_riesz_family,
-    e_synthesis,
 )
 from .errors import (
     ConvergenceError,
@@ -54,11 +48,8 @@ from .errors import (
 from .hilbert import (
     DEFAULT_TOL,
     SpectralBounds,
-    adjoint,
     hermitian_bounds,
-    inner,
     invert_operator,
-    is_positive_definite,
     operator_norm,
     pseudoinverse,
 )

@@ -310,17 +310,6 @@ class ControlledEFrame:
         return images_phi.conj() - self.images.conj() @ self.s_inv
 
 
-def controlled_synthesis(e: MatrixMapping, psi, u) -> np.ndarray:
-    """Synthesis map whose column n is U applied to the image (E psi)_n."""
-    return ControlledEFrame(e, psi, u).t_u.copy()
-
-
-def controlled_frame_operator(e: MatrixMapping, psi, u) -> np.ndarray:
-    """f -> sum_n <f, (E psi)_n> U (E psi)_n, equal to U composed with
-    the plain frame operator."""
-    return ControlledEFrame(e, psi, u).s_ue.copy()
-
-
 def controlled_bounds(
     e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL
 ) -> ControlledEFrame:

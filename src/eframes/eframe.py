@@ -1,10 +1,9 @@
-"""E-frame analysis: synthesis and analysis maps, frame operator,
-bounds, canonical dual, reconstruction, and Riesz-type families.
+"""E-frame analysis: frame operator, bounds, canonical dual and
+Riesz-type families.
 
 Everything is driven by the images (E psi)_n of a sequence under the
-mapping: the synthesis map has image n as its n-th column, the
-analysis map is its conjugate transpose, and the frame operator is
-their composition.
+mapping, which e_frame_bounds computes once and returns with the frame
+operator T T*, where the synthesis map T has image n as its n-th column.
 """
 
 from __future__ import annotations
@@ -47,49 +46,22 @@ def frame_record(e: MatrixMapping, psi, images, frame_op, tol: float) -> EFrameR
     return EFrameRecord(psi, e, images, frame_op, bounds, verdict)
 
 
-def _images(e: MatrixMapping, psi) -> np.ndarray:
-    """Images (E psi)_n of an (e.n, d) family; a wrong shape names psi."""
-    return apply_mapping(e, hilbert.require_shape(psi, "psi", (e.n, None)))
-
-
-def e_synthesis(e: MatrixMapping, psi) -> np.ndarray:
-    """Synthesis map C^N -> H whose column n is the image (E psi)_n."""
-    return _images(e, psi).T
-
-
-def e_analysis(e: MatrixMapping, psi, f) -> np.ndarray:
-    """Coefficient vector {<f, (E psi)_n>}_n."""
-    images = _images(e, psi)
-    return images.conj() @ hilbert.validated(f, "f", images.shape[1:])
-
-
-def e_frame_operator(e: MatrixMapping, psi) -> np.ndarray:
-    """S = T T*, the sum of outer products of the images."""
-    images = _images(e, psi)
-    return images.T @ images.conj()
-
-
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
     """Frame bounds and verdict from the spectrum of the frame operator."""
-    images = hilbert.frozen(_images(e, psi))
+    psi = hilbert.require_shape(psi, "psi", (e.n, None))
+    images = hilbert.frozen(apply_mapping(e, psi))
     frame_op = hilbert.frozen(images.T @ images.conj())
     return frame_record(e, hilbert.readonly(psi), images, frame_op, tol)
 
 
 def e_canonical_dual(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Canonical dual {S^{-1} psi_k}; the frame verdict bounds S from singular."""
+    """Canonical dual {S^{-*} psi_k}, which is {S^{-1} psi_k} for a Hermitian S.
+    Its synthesis map D has T D* = S S^{-1} = id even when S is Hermitian only
+    to tol; the frame verdict bounds S from singular."""
     record = e_frame_bounds(e, psi, tol)
     if record.verdict != FRAME:
         raise NotAFrameError("family is not a frame: lower bound vanishes")
-    return record.psi @ np.linalg.inv(record.frame_op).T
-
-
-def e_reconstruct(e: MatrixMapping, psi, phi, f) -> np.ndarray:
-    """sum_n <f, (E phi)_n> (E psi)_n: coefficients from phi, synthesis from psi."""
-    images_psi = _images(e, psi)
-    images_phi = apply_mapping(e, hilbert.require_shape(phi, "phi", images_psi.shape))
-    f = hilbert.validated(f, "f", images_psi.shape[1:])
-    return images_psi.T @ (images_phi.conj() @ f)
+    return record.psi @ np.linalg.inv(record.frame_op).conj()
 
 
 def e_riesz_family(

@@ -11,7 +11,9 @@ can be shared freely between threads.
 Input is checked here, once: validated (with require_shape, its shape
 half) for every array, require_positive for every tol, eps and count and
 require_seed for every seed that configuration, CLI or library takes;
-invert_operator is the one checked inverse.
+invert_operator is the one checked inverse. ControlledEFrame.s_inv and
+e_canonical_dual call the plain inv, since the frame verdict they require
+has already bounded S away from singular.
 """
 
 from __future__ import annotations
@@ -97,17 +99,6 @@ class SpectralBounds:
         return bool(self.lo > tol * max(abs(self.lo), abs(self.hi)))
 
 
-def inner(u, v) -> complex:
-    """<u, v>: linear in u, conjugate-linear in v."""
-    u = validated(u, "u", (None,))
-    return complex(np.vdot(validated(v, "v", u.shape), u))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose of a (possibly rectangular) linear map."""
-    return validated(a, "a").conj().T
-
-
 def hermitian_spectrum(a: np.ndarray, tol: float) -> tuple[bool, SpectralBounds]:
     """Whether a is Hermitian to tol, and the spectrum of its Hermitian part.
 
@@ -171,13 +162,6 @@ def backward_ok(residual: float, a, b, tol: float) -> bool:
 def operator_norm(m) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(validated(m, "m"), 2))
-
-
-def is_positive_definite(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff Hermitian to tol with spectrum bounded away from zero."""
-    tol = require_positive(tol, "tol")
-    hermitian, bounds = hermitian_spectrum(validated(a, "a", square=True), tol)
-    return hermitian and bounds.positive(tol)
 
 
 def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:

@@ -22,6 +22,11 @@ def worked():
     return WorkedExample()
 
 
+def inner(u, v) -> complex:
+    """Oracle <u, v>: linear in u and conjugate-linear in v, as the library's sums."""
+    return complex(np.vdot(v, u))
+
+
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_complex, random_conditioned_matrix, random_unit_vector
+from conftest import inner, random_complex, random_conditioned_matrix, random_unit_vector
 from eframes import controlled, eframe, hilbert, mapping
 from eframes.errors import (
     DualConditionError,
@@ -21,7 +21,7 @@ def random_commuting_instance(rng, d, n):
     """Frame plus a Hermitian positive U commuting with its frame operator."""
     e = mapping.build_dense(random_conditioned_matrix(rng, n))
     psi = random_complex(rng, (n, d))
-    s_e = eframe.e_frame_operator(e, psi)
+    s_e = eframe.e_frame_bounds(e, psi).frame_op
     _, q = np.linalg.eigh(s_e)
     u = q @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ q.conj().T
     return e, psi, u
@@ -31,31 +31,29 @@ def explicit_controlled_sum(images, u, f):
     """Oracle: sum_n <f, img_n> U img_n accumulated term by term."""
     out = np.zeros_like(f)
     for img in images:
-        out = out + hilbert.inner(f, img) * (u @ img)
+        out = out + inner(f, img) * (u @ img)
     return out
 
 
 def test_frame_operator_worked(worked):
-    s = controlled.controlled_frame_operator(worked.mapping, worked.psi, worked.u)
+    s = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u).s_ue
     assert_allclose(s, np.diag([1.0, 0.5, 0.5]), atol=1e-14)
 
 
 def test_frame_operator_identity_control_reduces(worked):
-    s = controlled.controlled_frame_operator(
-        worked.mapping, worked.psi, np.eye(3, dtype=complex)
-    )
-    assert_allclose(s, eframe.e_frame_operator(worked.mapping, worked.psi), atol=0)
+    s = controlled.ControlledEFrame(worked.mapping, worked.psi, np.eye(3)).s_ue
+    assert_allclose(s, eframe.e_frame_bounds(worked.mapping, worked.psi).frame_op, atol=0)
 
 
 def test_frame_operator_diagonal_product(worked):
     u = np.diag([1.0, 2.0, 2.0]).astype(complex)
-    s = controlled.controlled_frame_operator(worked.mapping, worked.psi, u)
+    s = controlled.ControlledEFrame(worked.mapping, worked.psi, u).s_ue
     assert_allclose(s, np.diag([2.0, 2.0, 2.0]), atol=1e-14)
 
 
 def test_frame_operator_matches_explicit_sum(worked):
     rng = np.random.default_rng(31)
-    s = controlled.controlled_frame_operator(worked.mapping, worked.psi, worked.u)
+    s = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u).s_ue
     images = mapping.apply_mapping(worked.mapping, worked.psi)
     for _ in range(10):
         f = random_unit_vector(3, rng)
@@ -63,23 +61,22 @@ def test_frame_operator_matches_explicit_sum(worked):
 
 
 def test_synthesis_worked(worked):
-    t = controlled.controlled_synthesis(worked.mapping, worked.psi, worked.u)
+    t = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u).t_u
     expected = 0.5 * np.array(
         [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
     )
     assert_allclose(t, expected, atol=0)
     assert_allclose(
-        controlled.controlled_synthesis(worked.mapping, worked.psi, np.eye(3)),
-        eframe.e_synthesis(worked.mapping, worked.psi),
+        controlled.ControlledEFrame(worked.mapping, worked.psi, np.eye(3)).t_u,
+        eframe.e_frame_bounds(worked.mapping, worked.psi).images.T,
         atol=0,
     )
 
 
 def test_synthesis_factorization(worked):
-    t_u = controlled.controlled_synthesis(worked.mapping, worked.psi, worked.u)
-    t = eframe.e_synthesis(worked.mapping, worked.psi)
-    s = controlled.controlled_frame_operator(worked.mapping, worked.psi, worked.u)
-    assert_allclose(t_u @ hilbert.adjoint(t), s, atol=1e-14)
+    record = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u)
+    t = eframe.e_frame_bounds(worked.mapping, worked.psi).images.T
+    assert_allclose(record.t_u @ t.conj().T, record.s_ue, atol=1e-14)
 
 
 def test_bounds_worked(worked):
@@ -146,7 +143,7 @@ def test_commutation_criterion_noncommuting():
     e = mapping.build_dense(random_conditioned_matrix(rng, 5))
     psi = random_complex(rng, (5, 3))
     u = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-    s_e = eframe.e_frame_operator(e, psi)
+    s_e = eframe.e_frame_bounds(e, psi).frame_op
     commutator = np.linalg.norm(u @ s_e - s_e @ u)
     assert commutator > 1e-6  # sanity: the instance really does not commute
     assert not controlled.commutation_criterion(e, psi, u)
@@ -247,21 +244,21 @@ def test_verify_dual_canonical_passes_both(worked):
 
 
 def test_dual_from_right_inverse_synthesis_of_tilde(worked):
-    v = eframe.e_synthesis(worked.mapping, worked.psi_tilde)
+    v = eframe.e_frame_bounds(worked.mapping, worked.psi_tilde).images.T
     dual = controlled.dual_from_right_inverse(worked.mapping, worked.psi, worked.u, v)
     assert_allclose(dual, worked.psi_tilde, atol=1e-13)
 
 
 def test_dual_from_right_inverse_pinv_gives_canonical(worked):
-    t_u = controlled.controlled_synthesis(worked.mapping, worked.psi, worked.u)
-    v = hilbert.adjoint(hilbert.pseudoinverse(t_u))
+    t_u = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u).t_u
+    v = hilbert.pseudoinverse(t_u).conj().T
     dual = controlled.dual_from_right_inverse(worked.mapping, worked.psi, worked.u, v)
     canonical = controlled.canonical_dual(worked.mapping, worked.psi, worked.u)
     assert_allclose(dual, canonical, atol=1e-12)
 
 
 def test_dual_from_right_inverse_reports_deviation(worked):
-    v = 0.9 * eframe.e_synthesis(worked.mapping, worked.psi_tilde)
+    v = 0.9 * eframe.e_frame_bounds(worked.mapping, worked.psi_tilde).images.T
     with pytest.raises(DualConditionError) as excinfo:
         controlled.dual_from_right_inverse(worked.mapping, worked.psi, worked.u, v)
     assert excinfo.value.deviation == pytest.approx(0.1, abs=1e-12)
@@ -301,7 +298,7 @@ def test_random_null_map_kernel_structure(worked):
     # kernel of the worked synthesis map is spanned by delta_1 - delta_2
     for seed in (1, 2):
         v = controlled.random_null_map(worked.mapping, worked.psi, worked.u, seed)
-        t_u = controlled.controlled_synthesis(worked.mapping, worked.psi, worked.u)
+        t_u = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u).t_u
         assert np.linalg.norm(t_u @ v) <= 1e-10
         for col in v.T:
             assert abs(col[0] + col[1]) <= 1e-10
@@ -407,13 +404,13 @@ def test_algebraic_product_identity_random():
         e = mapping.build_dense(random_conditioned_matrix(rng, n))
         psi = random_complex(rng, (n, d))
         u = random_complex(rng, (d, d))
-        s_ue = controlled.controlled_frame_operator(e, psi, u)
-        s_e = eframe.e_frame_operator(e, psi)
-        t_u = controlled.controlled_synthesis(e, psi, u)
-        t = eframe.e_synthesis(e, psi)
+        record = controlled.ControlledEFrame(e, psi, u)
+        s_ue, t_u = record.s_ue, record.t_u
+        plain = eframe.e_frame_bounds(e, psi)
+        s_e, t = plain.frame_op, plain.images.T
         scale = max(np.linalg.norm(s_ue), 1e-30)
         assert np.linalg.norm(s_ue - u @ s_e) <= 1e-12 * scale
-        assert np.linalg.norm(s_ue - t_u @ hilbert.adjoint(t)) <= 1e-12 * scale
+        assert np.linalg.norm(s_ue - t_u @ t.conj().T) <= 1e-12 * scale
 
 
 def test_structural_identities_random_commuting():
@@ -583,7 +580,7 @@ def make_problem(seed, n, d, cond, u_kind, bidiagonal=False):
     psi = random_complex(rng, (n, d))
     if u_kind == "half":
         return e, psi, 0.5 * np.eye(d, dtype=complex)
-    s_e = eframe.e_frame_operator(e, psi)
+    s_e = eframe.e_frame_bounds(e, psi).frame_op
     s_e = (s_e + s_e.conj().T) / 2.0
     a, b = rng.uniform(0.25, 1.0, size=2)
     return e, psi, a * np.eye(d) + b * s_e / np.linalg.norm(s_e, 2)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_complex, random_conditioned_matrix, random_unit_vector
-from eframes import eframe, hilbert, mapping
+from conftest import inner, random_complex, random_conditioned_matrix, random_unit_vector
+from eframes import controlled, eframe, hilbert, mapping
 from eframes.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -25,12 +25,18 @@ def explicit_reconstruct(images_psi, images_phi, f):
     """Oracle: direct summation using the scalar inner product."""
     out = np.zeros_like(f)
     for img_psi, img_phi in zip(images_psi, images_phi):
-        out = out + hilbert.inner(f, img_phi) * img_psi
+        out = out + inner(f, img_phi) * img_psi
     return out
 
 
+def reconstruct(e, psi, phi, f):
+    """sum_n <f, (E phi)_n> (E psi)_n from the images e_frame_bounds returns."""
+    images_phi = eframe.e_frame_bounds(e, phi).images
+    return eframe.e_frame_bounds(e, psi).images.T @ (images_phi.conj() @ f)
+
+
 def test_e_synthesis_worked_matrix(worked):
-    t = eframe.e_synthesis(worked.mapping, worked.psi)
+    t = eframe.e_frame_bounds(worked.mapping, worked.psi).images.T
     expected = np.array(
         [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
     )
@@ -40,40 +46,35 @@ def test_e_synthesis_worked_matrix(worked):
 def test_e_synthesis_identity_and_zero():
     e = mapping.identity_mapping(3)
     basis = np.eye(3, dtype=complex)
-    assert_allclose(eframe.e_synthesis(e, basis), np.eye(3), atol=0)
+    assert_allclose(eframe.e_frame_bounds(e, basis).images.T, np.eye(3), atol=0)
     zero = np.zeros((3, 3), dtype=complex)
-    assert_allclose(eframe.e_synthesis(e, zero), zero, atol=0)
+    assert_allclose(eframe.e_frame_bounds(e, zero).images.T, zero, atol=0)
 
 
 def test_e_analysis_worked(worked):
     f = np.array([1.5 - 1.0j, 2.0j, -3.0], dtype=complex)
-    coeffs = eframe.e_analysis(worked.mapping, worked.psi, f)
+    analysis = eframe.e_frame_bounds(worked.mapping, worked.psi).images.conj()
+    coeffs = analysis @ f  # {<f, (E psi)_n>}_n
     assert_allclose(coeffs, np.array([f[0], f[0], f[1], f[2]]), atol=1e-14)
-    assert_allclose(
-        eframe.e_analysis(worked.mapping, worked.psi, np.zeros(3)), np.zeros(4), atol=0
-    )
+    assert_allclose(analysis @ np.zeros(3), np.zeros(4), atol=0)
     e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    assert_allclose(
-        eframe.e_analysis(worked.mapping, worked.psi, e2),
-        np.array([0, 0, 1, 0]),
-        atol=0,
-    )
+    assert_allclose(analysis @ e2, np.array([0, 0, 1, 0]), atol=0)
 
 
 def test_e_frame_operator_explicit_sum_oracle(worked):
-    s = eframe.e_frame_operator(worked.mapping, worked.psi)
+    s = eframe.e_frame_bounds(worked.mapping, worked.psi).frame_op
     images = mapping.apply_mapping(worked.mapping, worked.psi)
     assert_allclose(s, explicit_frame_operator(images), atol=1e-14)
     assert_allclose(s, np.diag([2.0, 1.0, 1.0]), atol=1e-14)
 
-    s_tilde = eframe.e_frame_operator(worked.mapping, worked.psi_tilde)
+    s_tilde = eframe.e_frame_bounds(worked.mapping, worked.psi_tilde).frame_op
     assert_allclose(s_tilde, np.diag([2.0, 4.0, 4.0]), atol=1e-14)
 
 
 def test_e_frame_operator_orthonormal_identity():
     e = mapping.identity_mapping(4)
     assert_allclose(
-        eframe.e_frame_operator(e, np.eye(4, dtype=complex)), np.eye(4), atol=0
+        eframe.e_frame_bounds(e, np.eye(4, dtype=complex)).frame_op, np.eye(4), atol=0
     )
 
 
@@ -151,13 +152,26 @@ def test_e_canonical_dual_requires_frame():
         eframe.e_canonical_dual(e, psi)
 
 
+@pytest.mark.parametrize("kind", ["identity", "bidiagonal"])
+def test_e_canonical_dual_is_the_controlled_one_with_identity_control(kind):
+    # I @ S_E is exact, so both duals invert the same S: S^{-*}, not inv(S).T
+    n, d = 40, 8
+    e = mapping.identity_mapping(n) if kind == "identity" else mapping.build_bidiagonal(n)
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        psi = random_complex(rng, (n, d))
+        psi[:, 0] *= 1e-3
+        plain = eframe.e_canonical_dual(e, psi)
+        assert np.array_equal(plain, controlled.canonical_dual(e, psi, np.eye(d)))
+
+
 def test_e_reconstruct_worked_sums(worked):
     rng = np.random.default_rng(21)
     for _ in range(20):
         f = random_unit_vector(3, rng)
-        doubled = eframe.e_reconstruct(worked.mapping, worked.psi, worked.psi_tilde, f)
+        doubled = reconstruct(worked.mapping, worked.psi, worked.psi_tilde, f)
         assert np.linalg.norm(doubled - 2 * f) <= 1e-12
-        plain = eframe.e_reconstruct(worked.mapping, worked.psi, worked.phi, f)
+        plain = reconstruct(worked.mapping, worked.psi, worked.phi, f)
         assert np.linalg.norm(plain - f) <= 1e-12
 
 
@@ -168,7 +182,7 @@ def test_e_reconstruct_canonical_dual_oracle(worked):
     images_dual = mapping.apply_mapping(worked.mapping, dual)
     for _ in range(10):
         f = random_unit_vector(3, rng)
-        got = eframe.e_reconstruct(worked.mapping, worked.psi, dual, f)
+        got = reconstruct(worked.mapping, worked.psi, dual, f)
         assert np.linalg.norm(got - f) <= 1e-12
         assert np.linalg.norm(got - explicit_reconstruct(images_psi, images_dual, f)) <= 1e-13
 
@@ -207,7 +221,7 @@ def test_factorization_against_explicit_sum_random():
         d = int(rng.integers(1, min(n, 5) + 1))
         e = mapping.build_dense(random_conditioned_matrix(rng, n))
         psi = random_complex(rng, (n, d))
-        s = eframe.e_frame_operator(e, psi)
+        s = eframe.e_frame_bounds(e, psi).frame_op
         images = mapping.apply_mapping(e, psi)
         oracle = explicit_frame_operator(images)
         assert np.linalg.norm(s - oracle) <= 1e-12 * max(np.linalg.norm(s), 1.0)
@@ -237,9 +251,9 @@ def test_canonical_dual_reconstructs_both_orientations():
         psi = random_complex(rng, (n, d))
         dual = eframe.e_canonical_dual(e, psi)
         f = random_unit_vector(d, rng)
-        got = eframe.e_reconstruct(e, psi, dual, f)
+        got = reconstruct(e, psi, dual, f)
         assert np.linalg.norm(got - f) <= 1e-10
-        twin = eframe.e_reconstruct(e, dual, psi, f)
+        twin = reconstruct(e, dual, psi, f)
         assert np.linalg.norm(twin - f) <= 1e-10
 
 

@@ -54,9 +54,30 @@ GOOD = {
 #: keys whose shape is free as long as the number of axes is right
 FREE = {"u:vector", "a:free", "m"}
 
-#: public function or record method -> (call on the arguments x, keys it takes)
+
+def images(psi):
+    return ef.e_frame_bounds(E, psi).images
+
+
+def f_vector(f):
+    return hilbert.validated(f, "f", (3,))
+
+
+def inner(u, v):
+    u = hilbert.validated(u, "u", (None,))
+    return np.vdot(hilbert.validated(v, "v", u.shape), u)
+
+
+def reconstruct(psi, phi, f):
+    record = ef.ControlledEFrame(E, psi, np.eye(3))
+    return record.t_u @ (record.images_of(phi).conj() @ f_vector(f))
+
+
+#: public function or record method -> (call on the arguments x, keys it takes).
+#: A row named after a function the library no longer has calls its
+#: replacement from CHANGES.md, with raw arrays through hilbert.validated.
 CALLS = {
-    "hilbert.adjoint": (lambda x: hilbert.adjoint(x["a:free"]), ["a:free"]),
+    "hilbert.adjoint": (lambda x: hilbert.validated(x["a:free"], "a").conj().T, ["a:free"]),
     "hilbert.operator_norm": (lambda x: hilbert.operator_norm(x["m"]), ["m"]),
     "hilbert.pseudoinverse": (lambda x: hilbert.pseudoinverse(x["m"]), ["m"]),
     "hilbert.hermitian_bounds": (
@@ -64,29 +85,30 @@ CALLS = {
     "hilbert.invert_operator": (
         lambda x: hilbert.invert_operator(x["a:square"]), ["a:square"]),
     "hilbert.is_positive_definite": (
-        lambda x: hilbert.is_positive_definite(x["a:square"]), ["a:square"]),
+        lambda x: hilbert.hermitian_bounds(x["a:square"]).positive(hilbert.DEFAULT_TOL),
+        ["a:square"]),
     "hilbert.inner": (
-        lambda x: hilbert.inner(x["u:vector"], x["v:vector"]), ["u:vector", "v:vector"]),
+        lambda x: inner(x["u:vector"], x["v:vector"]), ["u:vector", "v:vector"]),
     "apply_mapping": (lambda x: ef.apply_mapping(E, x["seq"]), ["seq"]),
     "apply_inverse_mapping": (lambda x: ef.apply_inverse_mapping(E, x["seq"]), ["seq"]),
     "MatrixMapping.apply": (lambda x: E.apply(x["seq"]), ["seq"]),
     "MatrixMapping.apply_inverse": (lambda x: E.apply_inverse(x["seq"]), ["seq"]),
     "build_dense": (lambda x: ef.build_dense(x["entries"]), ["entries"]),
     "build_banded": (lambda x: ef.build_banded(3, {0: x["diagonals"]}), ["diagonals"]),
-    "e_synthesis": (lambda x: ef.e_synthesis(E, x["psi"]), ["psi"]),
-    "e_analysis": (lambda x: ef.e_analysis(E, x["psi"], x["f"]), ["psi", "f"]),
-    "e_frame_operator": (lambda x: ef.e_frame_operator(E, x["psi"]), ["psi"]),
+    "e_synthesis": (lambda x: images(x["psi"]).T, ["psi"]),
+    "e_analysis": (lambda x: images(x["psi"]).conj() @ f_vector(x["f"]), ["psi", "f"]),
+    "e_frame_operator": (lambda x: ef.e_frame_bounds(E, x["psi"]).frame_op, ["psi"]),
     "e_frame_bounds": (lambda x: ef.e_frame_bounds(E, x["psi"]), ["psi"]),
     "e_canonical_dual": (lambda x: ef.e_canonical_dual(E, x["psi"]), ["psi"]),
     "e_reconstruct": (
-        lambda x: ef.e_reconstruct(E, x["psi"], x["phi"], x["f"]), ["psi", "phi", "f"]),
+        lambda x: reconstruct(x["psi"], x["phi"], x["f"]), ["psi", "phi", "f"]),
     "e_riesz_family": (
         lambda x: ef.e_riesz_family(x["v:riesz"], E3, x["basis"]), ["v:riesz", "basis"]),
     "ControlledEFrame": (lambda x: ef.ControlledEFrame(E, x["psi"], x["u"]), ["psi", "u"]),
     "controlled_synthesis": (
-        lambda x: ef.controlled_synthesis(E, x["psi"], x["u"]), ["psi", "u"]),
+        lambda x: ef.ControlledEFrame(E, x["psi"], x["u"]).t_u, ["psi", "u"]),
     "controlled_frame_operator": (
-        lambda x: ef.controlled_frame_operator(E, x["psi"], x["u"]), ["psi", "u"]),
+        lambda x: ef.ControlledEFrame(E, x["psi"], x["u"]).s_ue, ["psi", "u"]),
     "controlled_bounds": (lambda x: ef.controlled_bounds(E, x["psi"], x["u"]), ["psi", "u"]),
     "identity_errors": (lambda x: ef.identity_errors(E, x["psi"], x["u"]), ["psi", "u"]),
     "commutation_criterion": (
@@ -172,7 +194,8 @@ TOL_CALLS = {
     "hilbert.hermitian_bounds": lambda tol: hilbert.hermitian_bounds(np.eye(3), tol),
     "hilbert.invert_operator": lambda tol: hilbert.invert_operator(np.eye(3), tol),
     "hilbert.pseudoinverse": lambda tol: hilbert.pseudoinverse(np.eye(3), tol),
-    "hilbert.is_positive_definite": lambda tol: hilbert.is_positive_definite(np.eye(3), tol),
+    "hilbert.is_positive_definite": (
+        lambda tol: hilbert.hermitian_bounds(np.eye(3), tol).positive(tol)),
     "build_dense": lambda tol: ef.build_dense(np.eye(3), tol),
     "build_banded": lambda tol: ef.build_banded(3, {0: np.ones(3)}, tol),
     "frame_record": lambda tol: eframe.frame_record(E, PSI, RECORD.images, RECORD.s_e, tol),
