@@ -125,6 +125,8 @@ def parse_config(path, overrides=None) -> ProblemConfig:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("configuration is nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     unknown = set(raw) - _TOP_KEYS

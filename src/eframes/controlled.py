@@ -176,10 +176,9 @@ class ControlledEFrame:
         images, t_u = self.images, self.t_u
         lhs = hilbert.trial_sums(t_u, images, f)  # last d columns: summed S
         rhs = hilbert.trial_sums(images.T, t_u.T, f)
-        scale = np.linalg.norm(self.s_ue)
-        err_sue_use = float(np.linalg.norm(lhs[:, trials:] - self.s_ue) / scale)
-        err_commute = np.linalg.norm(self.s_ue - self.s_e @ self.u.conj().T) / scale
-        err_commute = float(err_commute)
+        scale = hilbert.frobenius(self.s_ue)
+        err_sue_use = hilbert.frobenius(lhs[:, trials:] - self.s_ue) / scale
+        err_commute = hilbert.frobenius(self.s_ue - self.s_e @ self.u.conj().T) / scale
         err_switched = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
         return IdentityReport(err_sue_use, err_commute, err_switched)
 
@@ -191,8 +190,8 @@ class ControlledEFrame:
             raise NotHermitianError("control operator must be Hermitian to tolerance")
         if self.plain.verdict != FRAME:
             return False
-        commutator = np.linalg.norm(self.s_ue - self.s_e @ self.u)
-        if commutator > self.tol * np.linalg.norm(self.s_ue):
+        commutator = hilbert.frobenius(self.s_ue - self.s_e @ self.u)
+        if commutator > self.tol * hilbert.frobenius(self.s_ue):
             return False
         return u_bounds.positive(self.tol)
 
@@ -251,7 +250,7 @@ class ControlledEFrame:
         """
         v = hilbert.validated(v, "v", self.t_u.shape)
         gap = self.t_u @ v.conj().T - np.eye(self.t_u.shape[0])
-        if not hilbert.backward_ok(np.linalg.norm(gap), self.t_u, v, self.tol):
+        if not hilbert.backward_ok(hilbert.frobenius(gap), self.t_u, v, self.tol):
             dev = hilbert.operator_norm(gap)
             raise DualConditionError(
                 f"right-inverse condition violated: ||T V* - id|| = {dev:.3e}",
@@ -269,7 +268,7 @@ class ControlledEFrame:
         """
         v = hilbert.validated(v, "v", self.images.shape)
         product = self.t_u @ v
-        if not hilbert.backward_ok(np.linalg.norm(product), self.t_u, v, self.tol):
+        if not hilbert.backward_ok(hilbert.frobenius(product), self.t_u, v, self.tol):
             dev = hilbert.operator_norm(product)
             raise DualConditionError(
                 f"null condition violated: ||T V|| = {dev:.3e}", deviation=dev

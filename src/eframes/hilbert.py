@@ -13,7 +13,8 @@ half) for every array, require_positive for every tol, eps and count and
 require_seed for every seed that configuration, CLI or library takes;
 invert_operator is the one checked inverse. ControlledEFrame.s_inv and
 e_canonical_dual call the plain inv, since the frame verdict they require
-has already bounded S away from singular.
+has already bounded S away from singular. The tolerance rules take their
+norms from frobenius, which neither overflows nor underflows.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def hermitian_spectrum(a: np.ndarray, tol: float) -> tuple[bool, SpectralBounds]
     times that of a. The bounds are the extreme eigenvalues of
     (a + a*) / 2 either way.
     """
-    hermitian = bool(np.linalg.norm(a - a.conj().T) <= tol * np.linalg.norm(a))
+    hermitian = bool(frobenius(a - a.conj().T) <= tol * frobenius(a))
     w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return hermitian, SpectralBounds(float(w[0]), float(w[-1]))
 
@@ -156,7 +157,20 @@ def backward_ok(residual: float, a, b, tol: float) -> bool:
     backward error (Rigal and Gaches 1967; Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 7). Scaling a by c and b by 1/c, or a
     unitary change of basis, leaves the verdict as it is."""
-    return bool(residual <= tol * np.linalg.norm(a) * np.linalg.norm(b))
+    return bool(residual <= tol * frobenius(a) * frobenius(b))
+
+
+def frobenius(a) -> float:
+    """Frobenius norm of a without overflow or underflow: np.linalg.norm(a)
+    when that is in (1e-100, inf), where no square overflowed and each lost
+    to underflow is under 1e-107 of their sum; else the norm of a over the
+    power of two at its largest entry (an exact scaling), times that power."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if 1e-100 < norm < math.inf:
+        return norm
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1] - 1)
+    return float(np.linalg.norm(a / scale)) * scale
 
 
 def operator_norm(m) -> float:

@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import random_complex, random_conditioned_matrix
 import eframes

@@ -345,3 +345,13 @@ def test_config_non_finite_tol_exits_1(tmp_path, capsys, tol):
     with pytest.raises(ConfigError):
         parse_config(path)
     assert main(["analyze", path, "--strict"]) == 1
+
+
+def test_deeply_nested_config_exits_1(tmp_path, capsys):
+    """json.load raises RecursionError this deep; a nesting of 500-900 is
+    parsed and then fails the shape check."""
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"dimension": ' + "[" * depth + "]" * depth + "}")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: configuration is nested too deeply to parse\n"

@@ -690,3 +690,41 @@ def test_canonical_dual_is_exact_when_s_is_hermitian_only_to_tol(worked):
     cert, _ = record.certify(images)
     assert cert.max_residual <= 1e-12
     assert np.linalg.norm(record.null_map(images, cert)) <= 1e-12
+
+
+# psi is scaled by c in the tests below. The norms in the tolerance rules
+# overflowed above about 1e154 and underflowed below 1e-154, which flipped
+# these verdicts.
+@pytest.mark.parametrize("c", [1.0, 1e60, 1e-80, 1e80, 1e150, 1e-100])
+def test_non_hermitian_operator_is_invalid_at_every_scale(worked, c):
+    u = worked.u.copy()
+    u[0, 1] = 0.3
+    record = controlled.ControlledEFrame(worked.mapping, c * worked.psi, u)
+    assert record.verdict == controlled.INVALID
+
+
+@pytest.mark.parametrize("c", [1.0, 1e80, 1e-100])
+def test_noncommuting_control_fails_the_criterion_at_every_scale(worked, c):
+    u = np.diag([0.5, 1.0, 2.0]).astype(complex)
+    u[0, 1] = u[1, 0] = 0.2
+    record = controlled.ControlledEFrame(worked.mapping, c * worked.psi, u)
+    assert record.commutation_criterion() is False
+
+
+@pytest.mark.parametrize("c", [1.0, 1e150, 1e160])
+def test_non_dual_fails_its_certificate_at_every_scale(worked, c):
+    """psi -> c psi, phi -> phi / c, with phi the canonical dual with one
+    member scaled by 1.5."""
+    phi = controlled.canonical_dual(worked.mapping, worked.psi, worked.u)
+    phi[1] *= 1.5
+    record = controlled.ControlledEFrame(worked.mapping, c * worked.psi, worked.u)
+    definitional, _ = record.certify(record.images_of(phi / c))
+    assert definitional.verdict is False
+
+
+@pytest.mark.parametrize("c", [1e80, 1e-100])
+def test_identity_errors_do_not_depend_on_scale(worked, c):
+    def errors(scale):
+        return controlled.identity_errors(worked.mapping, scale * worked.psi, worked.u)
+
+    assert errors(c) == errors(1.0)

@@ -99,6 +99,15 @@ def test_hermitian_bounds_rejects_skew():
         hilbert.hermitian_bounds(a)
 
 
+@pytest.mark.parametrize("k", [-900, -700, -340, 0, 340, 700, 1000])
+def test_frobenius_scales_exactly_by_powers_of_two(k):
+    """np.linalg.norm returns 0 at k = -700 and inf at k = 700."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((16, 33)) + 1j * rng.standard_normal((16, 33))
+    assert hilbert.frobenius(a * 2.0**k) == np.linalg.norm(a) * 2.0**k
+    assert hilbert.frobenius(np.zeros((3, 3))) == 0.0
+
+
 def test_hermitian_bounds_sandwich():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_complex, random_unit_vector
-from eframes import controlled, eframe, hilbert, mapping, neumann
+from eframes import controlled, hilbert, mapping, neumann
 from eframes.errors import ConvergenceError
 
 

@@ -14,18 +14,17 @@ import re
 import numpy as np
 import pytest
 
-import eframes as ef
-from eframes import eframe, gallery, hilbert
+from eframes import controlled, eframe, gallery, hilbert, mapping, neumann
 from eframes.cli import main
 from eframes.config import ConfigError, parse_config
 from eframes.errors import DimensionMismatchError
 from test_cli import write_config
 
 E = gallery.example_mapping(3)
-E3 = ef.identity_mapping(3)
+E3 = mapping.identity_mapping(3)
 PSI = gallery.example_psi(3)
 U = gallery.example_u(3)
-RECORD = ef.ControlledEFrame(E, PSI, U)
+RECORD = controlled.ControlledEFrame(E, PSI, U)
 PHI = RECORD.canonical_dual()
 F = np.ones(3, dtype=complex)
 CERT = RECORD.certify(RECORD.images_of(PHI))[0]
@@ -56,7 +55,7 @@ FREE = {"u:vector", "a:free", "m"}
 
 
 def images(psi):
-    return ef.e_frame_bounds(E, psi).images
+    return eframe.e_frame_bounds(E, psi).images
 
 
 def f_vector(f):
@@ -69,7 +68,7 @@ def inner(u, v):
 
 
 def reconstruct(psi, phi, f):
-    record = ef.ControlledEFrame(E, psi, np.eye(3))
+    record = controlled.ControlledEFrame(E, psi, np.eye(3))
     return record.t_u @ (record.images_of(phi).conj() @ f_vector(f))
 
 
@@ -89,49 +88,51 @@ CALLS = {
         ["a:square"]),
     "hilbert.inner": (
         lambda x: inner(x["u:vector"], x["v:vector"]), ["u:vector", "v:vector"]),
-    "apply_mapping": (lambda x: ef.apply_mapping(E, x["seq"]), ["seq"]),
-    "apply_inverse_mapping": (lambda x: ef.apply_inverse_mapping(E, x["seq"]), ["seq"]),
+    "apply_mapping": (lambda x: mapping.apply_mapping(E, x["seq"]), ["seq"]),
+    "apply_inverse_mapping": (lambda x: mapping.apply_inverse_mapping(E, x["seq"]), ["seq"]),
     "MatrixMapping.apply": (lambda x: E.apply(x["seq"]), ["seq"]),
     "MatrixMapping.apply_inverse": (lambda x: E.apply_inverse(x["seq"]), ["seq"]),
-    "build_dense": (lambda x: ef.build_dense(x["entries"]), ["entries"]),
-    "build_banded": (lambda x: ef.build_banded(3, {0: x["diagonals"]}), ["diagonals"]),
+    "build_dense": (lambda x: mapping.build_dense(x["entries"]), ["entries"]),
+    "build_banded": (lambda x: mapping.build_banded(3, {0: x["diagonals"]}), ["diagonals"]),
     "e_synthesis": (lambda x: images(x["psi"]).T, ["psi"]),
     "e_analysis": (lambda x: images(x["psi"]).conj() @ f_vector(x["f"]), ["psi", "f"]),
-    "e_frame_operator": (lambda x: ef.e_frame_bounds(E, x["psi"]).frame_op, ["psi"]),
-    "e_frame_bounds": (lambda x: ef.e_frame_bounds(E, x["psi"]), ["psi"]),
-    "e_canonical_dual": (lambda x: ef.e_canonical_dual(E, x["psi"]), ["psi"]),
+    "e_frame_operator": (lambda x: eframe.e_frame_bounds(E, x["psi"]).frame_op, ["psi"]),
+    "e_frame_bounds": (lambda x: eframe.e_frame_bounds(E, x["psi"]), ["psi"]),
+    "e_canonical_dual": (lambda x: eframe.e_canonical_dual(E, x["psi"]), ["psi"]),
     "e_reconstruct": (
         lambda x: reconstruct(x["psi"], x["phi"], x["f"]), ["psi", "phi", "f"]),
     "e_riesz_family": (
-        lambda x: ef.e_riesz_family(x["v:riesz"], E3, x["basis"]), ["v:riesz", "basis"]),
-    "ControlledEFrame": (lambda x: ef.ControlledEFrame(E, x["psi"], x["u"]), ["psi", "u"]),
+        lambda x: eframe.e_riesz_family(x["v:riesz"], E3, x["basis"]), ["v:riesz", "basis"]),
+    "ControlledEFrame": (lambda x: controlled.ControlledEFrame(E, x["psi"], x["u"]), ["psi", "u"]),
     "controlled_synthesis": (
-        lambda x: ef.ControlledEFrame(E, x["psi"], x["u"]).t_u, ["psi", "u"]),
+        lambda x: controlled.ControlledEFrame(E, x["psi"], x["u"]).t_u, ["psi", "u"]),
     "controlled_frame_operator": (
-        lambda x: ef.ControlledEFrame(E, x["psi"], x["u"]).s_ue, ["psi", "u"]),
-    "controlled_bounds": (lambda x: ef.controlled_bounds(E, x["psi"], x["u"]), ["psi", "u"]),
-    "identity_errors": (lambda x: ef.identity_errors(E, x["psi"], x["u"]), ["psi", "u"]),
+        lambda x: controlled.ControlledEFrame(E, x["psi"], x["u"]).s_ue, ["psi", "u"]),
+    "controlled_bounds": (
+        lambda x: controlled.controlled_bounds(E, x["psi"], x["u"]), ["psi", "u"]),
+    "identity_errors": (lambda x: controlled.identity_errors(E, x["psi"], x["u"]), ["psi", "u"]),
     "commutation_criterion": (
-        lambda x: ef.commutation_criterion(E, x["psi"], x["u"]), ["psi", "u"]),
-    "is_parseval": (lambda x: ef.is_parseval(E, x["psi"], x["u"]), ["psi", "u"]),
+        lambda x: controlled.commutation_criterion(E, x["psi"], x["u"]), ["psi", "u"]),
+    "is_parseval": (lambda x: controlled.is_parseval(E, x["psi"], x["u"]), ["psi", "u"]),
     "canonical_reconstruct": (
-        lambda x: ef.canonical_reconstruct(E, x["psi"], x["u"], x["f"]), ["psi", "u", "f"]),
-    "canonical_dual": (lambda x: ef.canonical_dual(E, x["psi"], x["u"]), ["psi", "u"]),
+        lambda x: controlled.canonical_reconstruct(E, x["psi"], x["u"], x["f"]),
+        ["psi", "u", "f"]),
+    "canonical_dual": (lambda x: controlled.canonical_dual(E, x["psi"], x["u"]), ["psi", "u"]),
     "verify_dual": (
-        lambda x: ef.verify_dual(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
+        lambda x: controlled.verify_dual(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
     "dual_from_right_inverse": (
-        lambda x: ef.dual_from_right_inverse(E, x["psi"], x["u"], x["v:right"]),
+        lambda x: controlled.dual_from_right_inverse(E, x["psi"], x["u"], x["v:right"]),
         ["psi", "u", "v:right"]),
     "dual_with_offset": (
-        lambda x: ef.dual_with_offset(E, x["psi"], x["u"], x["v:null"]),
+        lambda x: controlled.dual_with_offset(E, x["psi"], x["u"], x["v:null"]),
         ["psi", "u", "v:null"]),
-    "random_null_map": (lambda x: ef.random_null_map(E, x["psi"], x["u"]), ["psi", "u"]),
+    "random_null_map": (lambda x: controlled.random_null_map(E, x["psi"], x["u"]), ["psi", "u"]),
     "random_right_inverse": (
-        lambda x: ef.random_right_inverse(E, x["psi"], x["u"]), ["psi", "u"]),
+        lambda x: controlled.random_right_inverse(E, x["psi"], x["u"]), ["psi", "u"]),
     "extract_null_map": (
-        lambda x: ef.extract_null_map(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
+        lambda x: controlled.extract_null_map(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
     "riesz_equivalence": (
-        lambda x: ef.riesz_equivalence(x["v:riesz"], x["basis"], E3, x["u"]),
+        lambda x: controlled.riesz_equivalence(x["v:riesz"], x["basis"], E3, x["u"]),
         ["v:riesz", "basis", "u"]),
     "ControlledEFrame.canonical_reconstruct": (
         lambda x: RECORD.canonical_reconstruct(x["f"]), ["f"]),
@@ -143,15 +144,15 @@ CALLS = {
         lambda x: RECORD.dual_from_right_inverse(x["v:right"]), ["v:right"]),
     "ControlledEFrame.dual_with_offset": (
         lambda x: RECORD.dual_with_offset(x["v:null"]), ["v:null"]),
-    "ApproximateDual": (lambda x: ef.ApproximateDual(RECORD, x["phi"]), ["phi"]),
+    "ApproximateDual": (lambda x: neumann.ApproximateDual(RECORD, x["phi"]), ["phi"]),
     "ApproximateDual.iterative_reconstruct": (
-        lambda x: ef.ApproximateDual(RECORD, PHI).iterative_reconstruct(x["f"]), ["f"]),
+        lambda x: neumann.ApproximateDual(RECORD, PHI).iterative_reconstruct(x["f"]), ["f"]),
     "contraction_ratio": (
-        lambda x: ef.contraction_ratio(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
+        lambda x: neumann.contraction_ratio(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
     "corrected_dual": (
-        lambda x: ef.corrected_dual(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
+        lambda x: neumann.corrected_dual(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
     "iterative_reconstruct": (
-        lambda x: ef.iterative_reconstruct(E, x["psi"], x["phi"], x["u"], x["f"]),
+        lambda x: neumann.iterative_reconstruct(E, x["psi"], x["phi"], x["u"], x["f"]),
         ["psi", "phi", "u", "f"]),
 }
 
@@ -196,38 +197,39 @@ TOL_CALLS = {
     "hilbert.pseudoinverse": lambda tol: hilbert.pseudoinverse(np.eye(3), tol),
     "hilbert.is_positive_definite": (
         lambda tol: hilbert.hermitian_bounds(np.eye(3), tol).positive(tol)),
-    "build_dense": lambda tol: ef.build_dense(np.eye(3), tol),
-    "build_banded": lambda tol: ef.build_banded(3, {0: np.ones(3)}, tol),
+    "build_dense": lambda tol: mapping.build_dense(np.eye(3), tol),
+    "build_banded": lambda tol: mapping.build_banded(3, {0: np.ones(3)}, tol),
     "frame_record": lambda tol: eframe.frame_record(E, PSI, RECORD.images, RECORD.s_e, tol),
-    "e_frame_bounds": lambda tol: ef.e_frame_bounds(E, PSI, tol),
-    "e_canonical_dual": lambda tol: ef.e_canonical_dual(E, PSI, tol),
-    "e_riesz_family": lambda tol: ef.e_riesz_family(np.eye(3), E3, np.eye(3), tol),
-    "ControlledEFrame": lambda tol: ef.ControlledEFrame(E, PSI, U, tol),
+    "e_frame_bounds": lambda tol: eframe.e_frame_bounds(E, PSI, tol),
+    "e_canonical_dual": lambda tol: eframe.e_canonical_dual(E, PSI, tol),
+    "e_riesz_family": lambda tol: eframe.e_riesz_family(np.eye(3), E3, np.eye(3), tol),
+    "ControlledEFrame": lambda tol: controlled.ControlledEFrame(E, PSI, U, tol),
     "ControlledEFrame.certify": lambda tol: RECORD.certify(RECORD.images, tol=tol),
-    "controlled_bounds": lambda tol: ef.controlled_bounds(E, PSI, U, tol),
-    "identity_errors": lambda tol: ef.identity_errors(E, PSI, U, tol=tol),
-    "commutation_criterion": lambda tol: ef.commutation_criterion(E, PSI, U, tol),
-    "is_parseval": lambda tol: ef.is_parseval(E, PSI, U, tol),
-    "canonical_reconstruct": lambda tol: ef.canonical_reconstruct(E, PSI, U, F, tol),
-    "canonical_dual": lambda tol: ef.canonical_dual(E, PSI, U, tol),
-    "verify_dual": lambda tol: ef.verify_dual(E, PSI, PHI, U, tol=tol),
-    "dual_from_right_inverse": lambda tol: ef.dual_from_right_inverse(
+    "controlled_bounds": lambda tol: controlled.controlled_bounds(E, PSI, U, tol),
+    "identity_errors": lambda tol: controlled.identity_errors(E, PSI, U, tol=tol),
+    "commutation_criterion": lambda tol: controlled.commutation_criterion(E, PSI, U, tol),
+    "is_parseval": lambda tol: controlled.is_parseval(E, PSI, U, tol),
+    "canonical_reconstruct": lambda tol: controlled.canonical_reconstruct(E, PSI, U, F, tol),
+    "canonical_dual": lambda tol: controlled.canonical_dual(E, PSI, U, tol),
+    "verify_dual": lambda tol: controlled.verify_dual(E, PSI, PHI, U, tol=tol),
+    "dual_from_right_inverse": lambda tol: controlled.dual_from_right_inverse(
         E, PSI, U, GOOD["v:right"], tol),
-    "dual_with_offset": lambda tol: ef.dual_with_offset(E, PSI, U, GOOD["v:null"], tol),
-    "random_null_map": lambda tol: ef.random_null_map(E, PSI, U, tol=tol),
-    "random_right_inverse": lambda tol: ef.random_right_inverse(E, PSI, U, tol=tol),
-    "extract_null_map": lambda tol: ef.extract_null_map(E, PSI, PHI, U, tol=tol),
-    "riesz_equivalence": lambda tol: ef.riesz_equivalence(np.eye(3), np.eye(3), E3, U, tol),
+    "dual_with_offset": lambda tol: controlled.dual_with_offset(E, PSI, U, GOOD["v:null"], tol),
+    "random_null_map": lambda tol: controlled.random_null_map(E, PSI, U, tol=tol),
+    "random_right_inverse": lambda tol: controlled.random_right_inverse(E, PSI, U, tol=tol),
+    "extract_null_map": lambda tol: controlled.extract_null_map(E, PSI, PHI, U, tol=tol),
+    "riesz_equivalence": lambda tol: controlled.riesz_equivalence(
+        np.eye(3), np.eye(3), E3, U, tol),
 }
 
 #: entry point -> call with the given eps and max_terms
 STOP_CALLS = {
-    "corrected_dual": lambda **kw: ef.corrected_dual(E, PSI, 0.9 * PHI, U, **kw),
-    "iterative_reconstruct": lambda **kw: ef.iterative_reconstruct(
+    "corrected_dual": lambda **kw: neumann.corrected_dual(E, PSI, 0.9 * PHI, U, **kw),
+    "iterative_reconstruct": lambda **kw: neumann.iterative_reconstruct(
         E, PSI, 0.9 * PHI, U, F, **kw),
-    "ApproximateDual.corrected_dual": lambda **kw: ef.ApproximateDual(
+    "ApproximateDual.corrected_dual": lambda **kw: neumann.ApproximateDual(
         RECORD, 0.9 * PHI).corrected_dual(**kw),
-    "ApproximateDual.iterative_reconstruct": lambda **kw: ef.ApproximateDual(
+    "ApproximateDual.iterative_reconstruct": lambda **kw: neumann.ApproximateDual(
         RECORD, 0.9 * PHI).iterative_reconstruct(F, **kw),
 }
 
@@ -260,9 +262,9 @@ def test_bad_eps_and_max_terms_are_input_errors(label, value):
 TRIALS_CALLS = {
     "ControlledEFrame.certify": lambda trials: RECORD.certify(RECORD.images, trials),
     "ControlledEFrame.identity_errors": lambda trials: RECORD.identity_errors(trials),
-    "identity_errors": lambda trials: ef.identity_errors(E, PSI, U, trials),
-    "verify_dual": lambda trials: ef.verify_dual(E, PSI, PHI, U, trials),
-    "extract_null_map": lambda trials: ef.extract_null_map(E, PSI, PHI, U, trials),
+    "identity_errors": lambda trials: controlled.identity_errors(E, PSI, U, trials),
+    "verify_dual": lambda trials: controlled.verify_dual(E, PSI, PHI, U, trials),
+    "extract_null_map": lambda trials: controlled.extract_null_map(E, PSI, PHI, U, trials),
 }
 
 
@@ -275,15 +277,15 @@ def test_bad_trials_is_an_input_error(label, value):
 
 
 def test_numpy_scalars_are_numbers():
-    assert ef.ControlledEFrame(E, PSI, U, np.float32(1e-6)).tol == pytest.approx(1e-6)
-    _, report = ef.corrected_dual(E, PSI, 0.9 * PHI, U, np.float64(1e-12), np.int64(100))
+    assert controlled.ControlledEFrame(E, PSI, U, np.float32(1e-6)).tol == pytest.approx(1e-6)
+    _, report = neumann.corrected_dual(E, PSI, 0.9 * PHI, U, np.float64(1e-12), np.int64(100))
     assert report.converged
 
 
 def test_negative_definite_operator_is_no_frame_at_any_tol():
     """lo > tol * hi held for S = -S_E / 2 (spectrum [-1, -1/2]) at tol = 3."""
-    record = ef.ControlledEFrame(E, PSI, -U, tol=3.0)
-    assert record.verdict == ef.INVALID
+    record = controlled.ControlledEFrame(E, PSI, -U, tol=3.0)
+    assert record.verdict == controlled.INVALID
 
 
 def test_config_and_cli_keep_their_messages(tmp_path, capsys):
@@ -297,13 +299,13 @@ def test_config_and_cli_keep_their_messages(tmp_path, capsys):
 def test_banded_size_is_checked_before_its_diagonals(n):
     message = rf"^mapping size must be a finite positive integer, got {n}$"
     with pytest.raises(ValueError, match=message):
-        ef.build_banded(n, {0: []})
+        mapping.build_banded(n, {0: []})
 
 
 SIZE_BUILDERS = {
-    "identity": ef.identity_mapping,
-    "bidiagonal": ef.build_bidiagonal,
-    "banded": lambda n: ef.build_banded(n, {0: np.ones(4)}),
+    "identity": mapping.identity_mapping,
+    "bidiagonal": mapping.build_bidiagonal,
+    "banded": lambda n: mapping.build_banded(n, {0: np.ones(4)}),
 }
 
 
@@ -326,7 +328,7 @@ def test_banded_offset_given_twice_is_an_input_error(keys):
     off = int(keys[0])
     diagonals = {key: np.full(4 - abs(off), 2.0) for key in keys}
     with pytest.raises(DimensionMismatchError, match=rf"^diagonal offset {off} is given twice$"):
-        ef.build_banded(4, diagonals)
+        mapping.build_banded(4, diagonals)
 
 
 def test_config_offset_given_twice_exits_1(tmp_path, capsys):
@@ -357,13 +359,13 @@ def test_negative_config_seed_names_the_key(tmp_path, capsys):
 def test_banded_offset_must_be_an_integer(key):
     diagonals = {0: np.ones(3), key: np.ones(2)}
     with pytest.raises(DimensionMismatchError, match=rf"^bad diagonal offset {re.escape(repr(key))}$"):
-        ef.build_banded(3, diagonals)
+        mapping.build_banded(3, diagonals)
 
 
 def test_banded_offsets_are_integers_or_integer_strings():
     diagonals = {0: np.ones(3), np.int64(1): np.full(2, 2.0), "-1": np.full(2, 3.0)}
     want = np.eye(3) + np.diag([2.0, 2.0], 1) + np.diag([3.0, 3.0], -1)
-    assert np.array_equal(ef.build_banded(3, diagonals).entries, want)
+    assert np.array_equal(mapping.build_banded(3, diagonals).entries, want)
 
 
 def test_config_offset_that_is_not_an_integer_exits_1(tmp_path, capsys):
@@ -384,12 +386,12 @@ def test_paper_example_dim_below_2_keeps_its_message(capsys):
 #: library call -> the call with a given seed
 SEEDED = {
     "hilbert.trial_vectors": lambda seed: hilbert.trial_vectors(3, 5, seed),
-    "random_null_map": lambda seed: ef.random_null_map(E, PSI, U, seed=seed),
-    "random_right_inverse": lambda seed: ef.random_right_inverse(E, PSI, U, seed=seed),
+    "random_null_map": lambda seed: controlled.random_null_map(E, PSI, U, seed=seed),
+    "random_right_inverse": lambda seed: controlled.random_right_inverse(E, PSI, U, seed=seed),
     "ControlledEFrame.certify": lambda seed: RECORD.certify(RECORD.images_of(PHI), seed=seed),
-    "identity_errors": lambda seed: ef.identity_errors(E, PSI, U, seed=seed),
-    "verify_dual": lambda seed: ef.verify_dual(E, PSI, PHI, U, seed=seed),
-    "extract_null_map": lambda seed: ef.extract_null_map(E, PSI, PHI, U, seed=seed),
+    "identity_errors": lambda seed: controlled.identity_errors(E, PSI, U, seed=seed),
+    "verify_dual": lambda seed: controlled.verify_dual(E, PSI, PHI, U, seed=seed),
+    "extract_null_map": lambda seed: controlled.extract_null_map(E, PSI, PHI, U, seed=seed),
 }
 
 
@@ -402,7 +404,7 @@ def test_library_seed_must_be_a_non_negative_integer(name, seed):
 
 
 def test_library_seed_is_checked_before_the_frame_verdict():
-    record = ef.ControlledEFrame(E, np.zeros_like(PSI), U)
+    record = controlled.ControlledEFrame(E, np.zeros_like(PSI), U)
     for call in (record.random_null_map, lambda seed: record.identity_errors(seed=seed)):
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer"):
             call(-1)
