@@ -9,6 +9,7 @@ elapsed time is shown in the text format only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -183,7 +184,9 @@ def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEF
     return report, EXIT_OK if ok else EXIT_VERDICT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every main() call shares: it is built once per process."""
     parser = argparse.ArgumentParser(
         prog="eframes",
         description="Frame analysis over matrix mappings: bounds, duals, "

@@ -19,9 +19,12 @@ booleans, strings or null; an integer beyond double range is an error):
 from __future__ import annotations
 
 import json
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import DimensionMismatchError
 from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
@@ -29,6 +32,9 @@ from .hilbert import require_positive, require_seed
 from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
 
 _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials", "seed"}
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+_DEPTH_STEPS = bytes.maketrans(b'[{]}"', b"\x01\x01\xff\xff\x00")  # read as int8
+_FAST_DEPTH = 8  # the schema nests 5 deep; orjson itself recurses without a limit
 
 
 class ConfigError(ValueError):
@@ -112,12 +118,42 @@ def _build_u(spec, dim: int) -> np.ndarray:
     raise ConfigError(f"unknown control operator kind {kind!r}")
 
 
+def _fast_json(path):
+    """The regular file at path as orjson reads it, or None where the stdlib
+    reader must decide: a pipe (it reads once), a string escape, nesting beyond
+    _FAST_DEPTH and whatever orjson refuses (NaN, 1e400, a BOM, a syntax error).
+    """
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    marks = data.translate(None, _NOT_MARKS)  # an escape would hide a string's end
+    steps = re.sub(rb'"[^"]*"', b"", marks).translate(_DEPTH_STEPS)
+    if b"\\" in marks or np.frombuffer(steps, np.int8).cumsum().max(initial=0) > _FAST_DEPTH:
+        return None
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return None
+
+
 def parse_config(path, overrides=None) -> ProblemConfig:
     """Load and validate a problem configuration file. overrides, the checked
     --tol, --trials and --seed flags, replace the file's values before anything
     is parsed or built. Raises ConfigError on malformed input and
     SingularOperatorError when the declared mapping cannot be inverted.
+    orjson reads the file when it can, but the stdlib reader decides every
+    error: orjson reads an integer beyond 64 bits as a float, for one.
     """
+    raw = _fast_json(path)
+    if raw is not None:
+        try:
+            return _problem(raw, overrides)
+        except ValueError:
+            pass
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -127,6 +163,10 @@ def parse_config(path, overrides=None) -> ProblemConfig:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ConfigError("configuration is nested too deeply to parse") from None
+    return _problem(raw, overrides)
+
+
+def _problem(raw, overrides) -> ProblemConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     unknown = set(raw) - _TOP_KEYS

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eframes import gallery
-from eframes.cli import cmd_paper_example, main
+from eframes.cli import build_parser, cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
 from eframes.errors import SingularOperatorError
 from eframes.hilbert import trial_sums, trial_vectors, worst_residual
@@ -280,6 +280,20 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """A usage error, --help or a flag leaves the shared parser as it was."""
+    assert build_parser() is build_parser()
+    argv = ["analyze", write_config(tmp_path), "--format", "machine"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["analyze", "--no-such-flag", argv[1]]) == 1
+    assert main(["analyze", "--help"]) == 0
+    assert main([*argv, "--seed", "3", "--trials", "5"]) == 0
+    assert capsys.readouterr().out != first
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_machine_reports_are_deterministic(tmp_path, capsys):
     path = write_config(tmp_path)
     argv = ["dual", path, "--mode", "offset", "--seed", "11", "--format", "machine"]
@@ -348,8 +362,8 @@ def test_config_non_finite_tol_exits_1(tmp_path, capsys, tol):
 
 
 def test_deeply_nested_config_exits_1(tmp_path, capsys):
-    """json.load raises RecursionError this deep; a nesting of 500-900 is
-    parsed and then fails the shape check."""
+    """Nesting this deep skips orjson, and json.load raises RecursionError;
+    a nesting of 500-900 is parsed and then fails the shape check."""
     depth = 200_000
     path = tmp_path / "deep.json"
     path.write_text('{"dimension": ' + "[" * depth + "]" * depth + "}")

@@ -3,15 +3,23 @@
 Six fields hold complex data: psi, phi, mapping.entries, each banded
 diagonal, u.entries and u.value. Each must be an array of JSON-number
 pairs of the declared shape; anything else is a ConfigError (exit 1),
-and every accepted value equals complex(re, im) bit for bit.
+and every accepted value equals complex(re, im) bit for bit. orjson
+reads a file first where it can; the stdlib reader alone must give the
+same values, errors and exit codes.
 """
+
+import contextlib
+import io
+import json
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from eframes import gallery
+from eframes import config, gallery
 from eframes.cli import main
 from eframes.config import ConfigError, parse_config
 from eframes.mapping import build_banded, build_dense
@@ -182,3 +190,177 @@ def test_non_finite_scalar_u_exits_1_without_a_warning(tmp_path, capsys, value):
     path = write_config(tmp_path, **field_config("u.value", value))
     assert main(["analyze", path]) == 1
     assert capsys.readouterr().err == "error: entries must be finite\n"
+
+
+def reader_config() -> str:
+    """The worked example at d = 3 with every optional key, as JSON text; the
+    psi entry 0.125 marks a place to put another number."""
+    psi = pairs(gallery.example_psi(3))
+    psi[1][1] = [0.125, 0]
+    diagonals = {"0": [[1, 0]] * 4, "-1": [[-1, 0]] * 3}
+    return json.dumps({
+        "dimension": 3,
+        "count": 4,
+        "psi": psi,
+        "phi": pairs(gallery.example_psi_tilde(3)),
+        "mapping": {"kind": "banded", "diagonals": diagonals},
+        "u": {"kind": "dense", "entries": pairs(0.5 * np.eye(3))},
+        "tol": 1e-10,
+        "trials": 7,
+        "seed": 42,
+    })
+
+
+def outcome(path) -> tuple:
+    """parse_config's values or error on path, bit for bit, and the exit code
+    and output of verify; verify is skipped when it would run over 1,000 trials."""
+    try:
+        cfg = parse_config(path)
+        arrays = (cfg.psi, cfg.phi, cfg.mapping.entries, cfg.u)
+        parsed = (cfg.tol, cfg.trials, cfg.seed, *(bits(a).tobytes() for a in arrays))
+    except Exception as exc:  # the two readers must raise alike
+        parsed = (type(exc), str(exc))
+    if len(parsed) > 2 and parsed[1] > 1000:
+        return parsed, None
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["verify", path, "--format", "machine"])
+        except Exception as exc:
+            code = type(exc), str(exc)
+    return parsed, code, out.getvalue(), err.getvalue()
+
+
+def assert_readers_agree(path) -> tuple:
+    """What orjson-first reading gives on path, once checked against the
+    stdlib reader alone."""
+    fast = outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "_fast_json", lambda path: None)
+        assert outcome(path) == fast
+    return fast
+
+
+READER_CASES = {
+    "nan": ("0.125", "NaN", "finite"),
+    "infinity": ("0.125", "-Infinity", "finite"),
+    "1e400": ("0.125", "1e400", "finite"),
+    "integer-beyond-64-bits": ("0.125", "18446744073709551617", None),
+    "integer-beyond-double": ("0.125", "1" + "0" * 400, "range"),
+    "seed-2**64": ('"seed": 42', '"seed": 18446744073709551616', None),
+    "seed-below-int64": ('"seed": 42', '"seed": -9223372036854775809', "'seed'"),
+    "24-digit-tol": ('"tol": 1e-10', '"tol": 123456789012345678901234', "singular"),
+    "20-digit-trials": ('"trials": 7', '"trials": 99999999999999999999', None),
+    "20-digit-trials-negative": ('"trials": 7', '"trials": -99999999999999999999', "'trials'"),
+    "escaped-quote-in-key": ('"phi"', '"p\\"hi"', "unknown configuration keys"),
+    "escaped-offset": ('"-1"', '"\\u002d1"', None),
+    "lone-surrogate": ('"banded"', '"\\ud800"', "unknown mapping kind"),
+    "nested-9-deep": ("[0.125, 0]", "[[[[[[0.125, 0]]]]]]", "shape"),
+}
+FALLS_BACK = ("nan", "infinity", "1e400", "integer-beyond-double", "escaped-quote-in-key",
+              "escaped-offset", "lone-surrogate", "nested-9-deep")
+
+
+def case_config(name) -> str:
+    old, new, _ = READER_CASES[name]
+    assert old in reader_config()
+    return reader_config().replace(old, new, 1)
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_readers_agree_on_numbers_escapes_and_nesting(tmp_path, name):
+    path = tmp_path / "config.json"
+    path.write_text(case_config(name))
+    parsed, *run = assert_readers_agree(str(path))
+    error = READER_CASES[name][2]
+    if error is None:
+        assert len(parsed) > 2
+    else:
+        assert error in (parsed[1] if len(parsed) == 2 else run[2])
+
+
+def test_readers_agree_on_crlf_bom_and_bad_utf8(tmp_path):
+    text = json.dumps(json.loads(reader_config()), indent=1).replace('"seed": 42', '"seed": 42,')
+    cases = {
+        "lf": (text.encode(), "Expecting property name"),
+        "crlf": (text.replace("\n", "\r\n").encode(), "Expecting property name"),
+        "bom": (b"\xef\xbb\xbf" + text.encode(), "BOM"),
+        "xff": (text.replace('"banded"', '"band\xff"').encode("latin-1"), "utf-8"),
+    }
+    errors = {}
+    for name, (data, error) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        parsed, *_ = assert_readers_agree(str(path))
+        assert error in parsed[1]
+        errors[name] = parsed[1]
+    assert errors["crlf"] == errors["lf"]  # placed by text-mode lines and columns
+
+
+def test_orjson_reads_plain_configs_only(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(reader_config())
+    assert config._fast_json(str(path)) == json.loads(reader_config())
+    for name in READER_CASES:
+        path.write_text(case_config(name))
+        assert (config._fast_json(str(path)) is None) == (name in FALLS_BACK), name
+
+
+def test_a_pipe_is_read_once_by_the_stdlib_reader():
+    read, write = os.pipe()
+    with os.fdopen(write, "w") as handle:
+        handle.write(reader_config().replace('"seed": 42', '"seed": 42,'))
+    try:
+        with pytest.raises(ConfigError, match="Expecting property name"):
+            parse_config(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+
+
+MUTATION_BYTES = st.sampled_from(list(b'[]{}",:.-+0123456789eE \\\r\nNaIfinty\xff'))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 2), MUTATION_BYTES), min_size=1, max_size=4,
+))
+def test_readers_agree_on_mutated_configs(tmp_path_factory, edits):
+    """Each edit replaces, inserts or deletes one byte."""
+    data = bytearray(reader_config().encode())
+    for at, op, byte in edits:
+        at %= len(data)
+        if op == 0:
+            data[at] = byte
+        elif op == 1:
+            data.insert(at, byte)
+        else:
+            del data[at]
+    path = tmp_path_factory.mktemp("mutated") / "config.json"
+    path.write_bytes(bytes(data))
+    assert_readers_agree(str(path))
+
+
+def test_deep_nesting_never_reaches_orjson(tmp_path):
+    """orjson recurses without a depth limit: this nesting overflows a 1 MiB
+    thread stack and kills the process unless the depth scan sends the file to
+    the stdlib reader, whose recursion limit turns it into a ConfigError."""
+    depth = 50_000
+    path = tmp_path / "deep.json"
+    path.write_text(reader_config().replace('"phi": ', '"phi": ' + "[" * depth + "]" * depth + ", \"p\": ", 1))
+    errors = []
+
+    def target():
+        try:
+            parse_config(str(path))
+        except ConfigError as exc:
+            errors.append(str(exc))
+
+    previous = threading.stack_size(1 << 20)
+    try:
+        thread = threading.Thread(target=target)
+        thread.start()
+    finally:
+        threading.stack_size(previous)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert errors == ["configuration is nested too deeply to parse"]
