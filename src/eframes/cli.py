@@ -73,7 +73,7 @@ def _render_machine(report: dict) -> str:
 
 
 def cmd_analyze(cfg, strict: bool) -> tuple[dict, int]:
-    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+    record = controlled.controlled_bounds(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report = {
         "command": "analyze",
         "eframe": _bounds_dict(record.plain),
@@ -118,8 +118,8 @@ def cmd_dual(cfg, mode: str) -> tuple[dict, int]:
 def cmd_verify(cfg) -> tuple[dict, int]:
     if cfg.phi is None:
         raise ConfigError("verify requires 'phi' in the configuration")
-    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
-    certs = record.certify(record.images_of(cfg.phi), cfg.trials, cfg.seed)
+    certs = controlled.verify_dual(
+        cfg.mapping, cfg.psi, cfg.phi, cfg.u, cfg.trials, cfg.seed, cfg.tol)
     report = {"command": "verify", "certificates": [asdict(cert) for cert in certs]}
     return report, EXIT_OK if certs[0].verdict else EXIT_VERDICT
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import hilbert
 from .eframe import FRAME, EFrameRecord, e_riesz_family, frame_record
-from .errors import DualConditionError, NotAFrameError, NotHermitianError
+from .errors import DualConditionError, NotAFrameError
 from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, SpectralBounds
 from .mapping import (
     MatrixMapping,
@@ -155,9 +155,8 @@ class ControlledEFrame:
         return hilbert.frozen(np.linalg.inv(self.s_ue))
 
     def is_parseval(self) -> bool:
-        """True iff S_ue is the identity to tol * sqrt(d)."""
-        d = self.s_ue.shape[0]
-        return bool(np.linalg.norm(self.s_ue - np.eye(d)) <= self.tol * np.sqrt(d))
+        """True iff S_ue is the identity to tol (hilbert.close)."""
+        return hilbert.close(self.s_ue, np.eye(self.s_ue.shape[0]), self.tol)
 
     def identity_errors(
         self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
@@ -184,16 +183,12 @@ class ControlledEFrame:
 
     def commutation_criterion(self) -> bool:
         """For self-adjoint U: controlled frame iff plain frame, U commutes
-        with the frame operator, and U is positive definite."""
-        hermitian, u_bounds = hilbert.hermitian_spectrum(self.u, self.tol)
-        if not hermitian:
-            raise NotHermitianError("control operator must be Hermitian to tolerance")
+        with the frame operator, and U is positive definite. Raises
+        NotHermitianError for a U that is not Hermitian to tol."""
+        positive = hilbert.hermitian_bounds(self.u, self.tol).positive(self.tol)
         if self.plain.verdict != FRAME:
             return False
-        commutator = hilbert.frobenius(self.s_ue - self.s_e @ self.u)
-        if commutator > self.tol * hilbert.frobenius(self.s_ue):
-            return False
-        return u_bounds.positive(self.tol)
+        return positive and hilbert.close(self.s_e @ self.u, self.s_ue, self.tol)
 
     def canonical_reconstruct(self, f) -> np.ndarray:
         """sum_n <S^{-1} f, (E psi)_n> U (E psi)_n, which returns f."""
@@ -330,7 +325,7 @@ def commutation_criterion(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) ->
 
 
 def is_parseval(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the controlled frame operator is the identity to tol * sqrt(d)."""
+    """See ControlledEFrame.is_parseval."""
     return ControlledEFrame(e, psi, u, tol).is_parseval()
 
 

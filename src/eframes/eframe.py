@@ -70,13 +70,12 @@ def e_riesz_family(
     """Family with member k equal to V applied to (E^{-1} basis)_k.
 
     V must be invertible (hilbert.invert_operator at tol) and the basis
-    orthonormal with as many members as dimensions.
+    orthonormal to tol (hilbert.close) with as many members as dimensions.
     """
     n = e.n
     basis = hilbert.validated(basis, "basis", (n, n))
     v = hilbert.validated(v, "v", (n, n))
     hilbert.invert_operator(v, tol)
-    gram = basis @ basis.conj().T
-    if np.linalg.norm(gram - np.eye(n)) > tol * np.sqrt(n):
+    if not hilbert.close(basis @ basis.conj().T, np.eye(n), tol):
         raise ValueError("basis is not orthonormal to tolerance")
     return apply_inverse_mapping(e, basis) @ v.T

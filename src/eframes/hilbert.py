@@ -13,8 +13,9 @@ half) for every array, require_positive for every tol, eps and count and
 require_seed for every seed that configuration, CLI or library takes;
 invert_operator is the one checked inverse. ControlledEFrame.s_inv and
 e_canonical_dual call the plain inv, since the frame verdict they require
-has already bounded S away from singular. The tolerance rules take their
-norms from frobenius, which neither overflows nor underflows.
+has already bounded S away from singular. Each tolerance rule is stated
+once: close (equality), hermitian_bounds (Hermitian), SpectralBounds.positive,
+require_nonsingular and backward_ok (duals), on scale-safe frobenius norms.
 """
 
 from __future__ import annotations
@@ -61,10 +62,15 @@ def validated(x, name: str = "array", shape=(None, None), square=False) -> np.nd
 
 
 def require_positive(raw, name: str, integer: bool = False):
-    """raw as a float, or an int when integer is set, if it is a finite number
-    > 0; else ValueError naming it (a bool, non-number, NaN, infinity or <= 0)."""
+    """raw as a float, or an int when integer is set, if it is a finite number > 0
+    in double range; else ValueError naming it (a bool, non-number, NaN or <= 0)."""
     kinds = numbers.Integral if integer else numbers.Real
-    if isinstance(raw, bool) or not isinstance(raw, kinds) or not 0 < raw < math.inf:
+    ok = isinstance(raw, kinds) and not isinstance(raw, bool)
+    try:  # float() raises OverflowError for an integer beyond double range
+        ok = ok and 0 < float(raw) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
         kind = "integer" if integer else "number"
         raise ValueError(f"{name} must be a finite positive {kind}, got {raw!r}")
     return int(raw) if integer else float(raw)
@@ -101,23 +107,16 @@ class SpectralBounds:
 
 
 def hermitian_spectrum(a: np.ndarray, tol: float) -> tuple[bool, SpectralBounds]:
-    """Whether a is Hermitian to tol, and the spectrum of its Hermitian part.
-
-    a is Hermitian when the Frobenius norm of a - a* is at most tol
-    times that of a. The bounds are the extreme eigenvalues of
-    (a + a*) / 2 either way.
-    """
-    hermitian = bool(frobenius(a - a.conj().T) <= tol * frobenius(a))
+    """Whether a is Hermitian to tol (close(a*, a, tol)), and the extreme
+    eigenvalues of its Hermitian part (a + a*) / 2 either way."""
+    hermitian = close(a.conj().T, a, tol)
     w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return hermitian, SpectralBounds(float(w[0]), float(w[-1]))
 
 
 def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
-    """Smallest and largest eigenvalue of a Hermitian operator.
-
-    Raises NotHermitianError when the skew part exceeds tol times the
-    Frobenius norm of the operator.
-    """
+    """Smallest and largest eigenvalue of a Hermitian operator: the Hermitian
+    precondition, which raises NotHermitianError unless a is Hermitian to tol."""
     tol = require_positive(tol, "tol")
     hermitian, bounds = hermitian_spectrum(validated(a, "a", square=True), tol)
     if not hermitian:
@@ -126,10 +125,9 @@ def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
 
 
 def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Dense inverse from one LU, the one checked inverse: SingularOperatorError
-    on an exact zero pivot or when the 1-norm reciprocal condition
-    1 / (||a||_1 ||a^{-1}||_1) is at most tol (scale invariant; LAPACK's xGECON
-    estimates it: Higham, Accuracy and Stability of Numerical Algorithms, ch. 15)."""
+    """Dense inverse from one LU, the one checked inverse: require_nonsingular on
+    the exact 1-norm reciprocal condition 1 / (||a||_1 ||a^{-1}||_1), or 0 for an
+    exact zero pivot."""
     a, tol = validated(a, "a", square=True), require_positive(tol, "tol")
     try:
         inv = np.linalg.inv(a)
@@ -138,17 +136,30 @@ def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
         rcond = 1.0 / a1 / inv1 if a1 >= 1.0 else 1.0 / inv1 / a1
     except np.linalg.LinAlgError:  # an exact zero pivot
         rcond = 0.0
+    require_nonsingular(rcond, tol)
+    return inv
+
+
+def require_nonsingular(
+    rcond: float, tol: float, quantity: str = "1-norm reciprocal condition"
+) -> None:
+    """The singularity rule: SingularOperatorError naming the quantity unless
+    rcond, a 1-norm reciprocal condition (scale invariant; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 15), exceeds tol."""
     if not rcond > tol:
         raise SingularOperatorError(
-            f"matrix is singular to tolerance (1-norm reciprocal condition "
-            f"= {rcond:.3e})"
+            f"matrix is singular to tolerance ({quantity} = {rcond:.3e})"
         )
-    return inv
 
 
 def pseudoinverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse, singular values below tol*sigma_max dropped."""
     return np.linalg.pinv(validated(m, "m"), rcond=require_positive(tol, "tol"))
+
+
+def close(a, b, tol: float) -> bool:
+    """The equality rule of every operator identity: ||a - b||_F <= tol ||b||_F."""
+    return bool(frobenius(a - b) <= tol * frobenius(b))
 
 
 def backward_ok(residual: float, a, b, tol: float) -> bool:
@@ -163,14 +174,15 @@ def backward_ok(residual: float, a, b, tol: float) -> bool:
 def frobenius(a) -> float:
     """Frobenius norm of a without overflow or underflow: np.linalg.norm(a)
     when that is in (1e-100, inf), where no square overflowed and each lost
-    to underflow is under 1e-107 of their sum; else the norm of a over the
-    power of two at its largest entry (an exact scaling), times that power."""
+    to underflow is under 1e-107 of their sum, or when a is zero; else the norm
+    of a over the power of two at its largest entry (an exact scaling, part by
+    part: a complex a / scale forms 1 / scale, which overflows), times that power."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
-    if 1e-100 < norm < math.inf:
+    if 1e-100 < norm < math.inf or not a.any():
         return norm
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1] - 1)
-    return float(np.linalg.norm(a / scale)) * scale
+    return float(np.linalg.norm(a.real / scale + 1j * (a.imag / scale))) * scale
 
 
 def operator_norm(m) -> float:

@@ -17,8 +17,8 @@ N x N arrays:
 A mapping that cannot be inverted is a build error, as are a bad size or tol
 (hilbert.require_positive), a non-finite entry, and a banded offset that is
 not an integer (a bool, a float, or a string int() cannot read) or repeated.
-Dense and banded are singular when the 1-norm reciprocal condition (exact
-from the one dense inverse, LAPACK's estimate for banded) is at most tol.
+Dense and banded are singular by hilbert.require_nonsingular on the 1-norm
+reciprocal condition: exact from the one dense inverse, estimated for banded.
 apply and apply_inverse take an (n, d) sequence and raise
 DimensionMismatchError naming `seq` for any other shape. The dense forms
 `entries` and `inverse` are computed on first read and cached, for
@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatchError, SingularOperatorError
+from .errors import DimensionMismatchError
 from .hilbert import DEFAULT_TOL
 
 
@@ -122,11 +122,7 @@ class _Banded(MatrixMapping):
         lu, piv, info = zgbtrf(band, kl, ku)
         # info > 0 is an exact zero pivot
         rcond = zgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
-        if not rcond > tol:
-            raise SingularOperatorError(
-                f"matrix is singular to tolerance (1-norm reciprocal condition "
-                f"estimate = {rcond:.3e})"
-            )
+        hilbert.require_nonsingular(rcond, tol, "1-norm reciprocal condition estimate")
         self._diagonals = {off: hilbert.readonly(diags[off]) for off in sorted(diags)}
         self._kl, self._ku, self._lu, self._piv = kl, ku, hilbert.frozen(lu), piv
 
@@ -159,10 +155,8 @@ class _Dense(MatrixMapping):
 
 
 def build_dense(entries, tol: float = DEFAULT_TOL) -> MatrixMapping:
-    """Validate a square grid, invert it once, and keep both. Raises
-    SingularOperatorError on an exact zero pivot or when the 1-norm reciprocal
-    condition 1 / (||E||_1 ||E^{-1}||_1) is at most tol (hilbert.invert_operator).
-    """
+    """Validate a square grid, invert it once (hilbert.invert_operator, which
+    raises SingularOperatorError) and keep both."""
     arr = hilbert.validated(entries, "entries", square=True)
     inverse = hilbert.invert_operator(arr, tol)
     return _Dense(hilbert.readonly(arr), hilbert.frozen(inverse))
@@ -180,8 +174,8 @@ def build_banded(n: int, diagonals, tol: float = DEFAULT_TOL) -> MatrixMapping:
     """Mapping from {offset: values}; offset 0 is the main diagonal.
 
     The banded LU factors are computed once, at build, and reused by
-    every inverse apply. Raises SingularOperatorError when LAPACK's estimate of the
-    reciprocal 1-norm condition number is at most tol (scale invariant).
+    every inverse apply. LAPACK's estimate of their 1-norm reciprocal condition
+    goes to hilbert.require_nonsingular, which raises SingularOperatorError.
     """
     return _Banded(n, diagonals, hilbert.require_positive(tol, "tol"))
 

@@ -100,3 +100,24 @@ def test_canonical_reconstruct_reuses_the_inverse_of_s(worked, counts):
     before = {key: counts[key] for key in LINALG}
     record.canonical_reconstruct(np.ones(3, dtype=complex))
     assert {key: counts[key] for key in LINALG} == before
+
+
+@pytest.mark.parametrize(
+    "command, name", [("analyze", "controlled_bounds"), ("verify", "verify_dual")]
+)
+def test_cli_command_calls_its_module_function_once(
+    command, name, tmp_path, capsys, monkeypatch
+):
+    """The benchmark's tracer counts controlled work by these module-level names."""
+    calls = Counter()
+    fn = getattr(controlled, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(controlled, name, counting)
+    path = write_config(tmp_path, phi=pairs(gallery.example_psi_tilde(3)))
+    assert main([command, path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert calls == {name: 1}

@@ -361,6 +361,33 @@ def test_config_non_finite_tol_exits_1(tmp_path, capsys, tol):
     assert main(["analyze", path, "--strict"]) == 1
 
 
+def test_config_tol_beyond_double_range_exits_1(tmp_path, capsys):
+    """orjson refuses the 401-digit integer and the stdlib reader returns it."""
+    assert main(["analyze", write_config(tmp_path, tol=10**400)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: 'tol' must be a finite positive number, got 1000"
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-160])
+def test_tiny_worked_example_gets_no_false_verdict(tmp_path, capsys, scale):
+    """S_E has entries near 1e-320 at scale 1e-160. The rules see its subnormal
+    parts (hilbert.frobenius), so the verdicts are those at scale 1; S^{-1}
+    overflows, and the duals built on it are an input error."""
+    _, unscaled = machine(capsys, "analyze", write_config(tmp_path, "one.json"))
+    path = write_config(tmp_path, psi=pairs(scale * gallery.example_psi(3)))
+    code, report = machine(capsys, "analyze", path, "--strict")
+    assert code == 0
+    for key in ("eframe", "controlled"):
+        assert report[key]["verdict"] == unscaled[key]["verdict"]
+    assert report["parseval"] == unscaled["parseval"]
+    assert main(["dual", path, "--mode", "right-inverse", "--format", "machine"]) == 0
+    capsys.readouterr()
+    for mode in ("canonical", "offset"):
+        assert main(["dual", path, "--mode", mode]) == 1
+        assert capsys.readouterr().err == "error: entries must be finite\n"
+
+
 def test_deeply_nested_config_exits_1(tmp_path, capsys):
     """Nesting this deep skips orjson, and json.load raises RecursionError;
     a nesting of 500-900 is parsed and then fails the shape check."""

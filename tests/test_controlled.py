@@ -294,6 +294,16 @@ def test_dual_with_offset_rejects_non_null_map(worked):
         controlled.dual_with_offset(worked.mapping, worked.psi, worked.u, v)
 
 
+def test_dual_with_offset_accepts_a_null_map_with_subnormal_products():
+    """||T_u V||_F lies near 1e-313: frobenius scales the real and imaginary
+    parts of a subnormal array apart, where a complex division overflows."""
+    rng = np.random.default_rng(0)
+    psi = random_complex(rng, (40, 8))
+    record = controlled.ControlledEFrame(mapping.build_bidiagonal(40), psi, 0.5 * np.eye(8))
+    v = 1e-300 * record.random_null_map(0)
+    assert_allclose(record.dual_with_offset(v), record.canonical_dual(), rtol=0, atol=1e-290)
+
+
 def test_random_null_map_kernel_structure(worked):
     # kernel of the worked synthesis map is spanned by delta_1 - delta_2
     for seed in (1, 2):

@@ -99,13 +99,23 @@ def test_hermitian_bounds_rejects_skew():
         hilbert.hermitian_bounds(a)
 
 
-@pytest.mark.parametrize("k", [-900, -700, -340, 0, 340, 700, 1000])
+@pytest.mark.parametrize("k", [-1068, -1040, -900, -700, -340, 0, 340, 700, 1000])
 def test_frobenius_scales_exactly_by_powers_of_two(k):
-    """np.linalg.norm returns 0 at k = -700 and inf at k = 700."""
+    """np.linalg.norm returns 0 at k = -700 and inf at k = 700. Below k = -1022
+    the largest entry is subnormal; integers under 64 times 2**k stay exact there."""
     rng = np.random.default_rng(11)
     a = rng.standard_normal((16, 33)) + 1j * rng.standard_normal((16, 33))
-    assert hilbert.frobenius(a * 2.0**k) == np.linalg.norm(a) * 2.0**k
+    if k > -1022:
+        assert hilbert.frobenius(a * 2.0**k) == np.linalg.norm(a) * 2.0**k
+    whole = np.round(8 * a)
+    assert np.abs(whole).max() < 64
+    for b in (whole, whole.real):
+        assert hilbert.frobenius(b * 2.0**k) == np.linalg.norm(b) * 2.0**k
     assert hilbert.frobenius(np.zeros((3, 3))) == 0.0
+
+
+def test_frobenius_of_one_subnormal_complex_entry():
+    assert hilbert.frobenius(np.array([[1e-309 + 0j]])) == 1e-309
 
 
 def test_hermitian_bounds_sandwich():

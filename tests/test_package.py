@@ -2,7 +2,8 @@
 
 Every public name has one address, in its module; `import eframes` loads
 the six modules that hold them. Each library and test module uses every
-name it imports (no linter is assumed, so the check reads the source with
+name it imports, and only `hilbert` compares against a tolerance outside a
+short allow-list (no linter is assumed, so the checks read the source with
 ast).
 """
 
@@ -49,3 +50,49 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: (module, function) of each tolerance comparison outside hilbert, with its reason
+TOL_COMPARISONS = {
+    ("cli", "cmd_dual"),  # null_map_roundtrip: max(||V||, 1) guards N = d
+    ("cli", "cmd_neumann"),  # the certificate's tol, widened by the series' eps
+    ("cli", "cmd_paper_example"),  # the worked example's sums are exact
+    ("controlled", "riesz_equivalence"),  # two routes' bounds agree
+}
+
+
+def tol_comparisons(module: str, source: str) -> set:
+    """(module, function) of each <, <=, >, >=, max or min that reads tol or .tol."""
+    found = set()
+
+    def reads_tol(node) -> bool:
+        return any(
+            isinstance(n, ast.Name) and n.id == "tol"
+            or isinstance(n, ast.Attribute) and n.attr == "tol"
+            for n in ast.walk(node)
+        )
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        ordered = isinstance(node, ast.Compare) and all(
+            isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
+        )
+        extreme = isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("max", "min")
+        if (ordered or extreme) and reads_tol(node):
+            found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_hilbert_states_tolerance_rules():
+    """Equality, the Hermitian precondition and singularity are hilbert.close,
+    hilbert.hermitian_bounds and hilbert.require_nonsingular."""
+    found = set()
+    for path in (ROOT / "src" / "eframes").glob("*.py"):
+        if path.name != "hilbert.py":
+            found |= tol_comparisons(path.stem, path.read_text(encoding="utf-8"))
+    assert found == TOL_COMPARISONS

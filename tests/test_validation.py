@@ -233,7 +233,8 @@ STOP_CALLS = {
         RECORD, 0.9 * PHI).iterative_reconstruct(F, **kw),
 }
 
-BAD_NUMBERS = [float("nan"), float("inf"), 0, -1]
+#: 10**400 is finite and positive as an integer but beyond double range
+BAD_NUMBERS = [float("nan"), float("inf"), 0, -1, pytest.param(10**400, id="10**400")]
 
 
 @pytest.mark.parametrize("label", sorted(TOL_CALLS))
