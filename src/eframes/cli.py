@@ -28,6 +28,7 @@ from .hilbert import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TRIALS,
+    frobenius,
     require_positive,
     require_seed,
     trial_sums,
@@ -104,7 +105,7 @@ def cmd_dual(cfg, mode: str) -> tuple[dict, int]:
     certs = record.certify(images, cfg.trials, cfg.seed)
     if mode == "offset":
         recovered = record.null_map(images, certs[0])
-        roundtrip = float(np.linalg.norm(recovered - v) / max(np.linalg.norm(v), 1.0))
+        roundtrip = frobenius(recovered - v) / frobenius(images)  # at the family's scale
         report["null_map_roundtrip"] = roundtrip
         if roundtrip > cfg.tol:
             code = EXIT_VERDICT

@@ -18,9 +18,10 @@ T_u V = 0 added to the canonical dual). Generators and the inverse
 extraction are provided for both.
 
 Everything works from one prepared record per (E, psi, U, tol),
-ControlledEFrame. Its constructor validates the inputs and applies E
-to psi once. S_E, S, the bounds and verdict, T_u, pinv(T_u) and S^{-1}
-are each computed on first use and cached; all of them are d x d or
+ControlledEFrame, the one place a family is prepared and judged (its plain
+half is eframe.e_frame_bounds). Its constructor validates the inputs and
+applies E to psi once. S_E, S, the bounds and verdict, T_u, pinv(T_u) and
+S^{-1} are each computed on first use and cached; all of them are d x d or
 d x N, so no N x N array is cached. The module-level functions build a
 record per call; to run several operations on one problem, build the
 record once and call its methods.
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hilbert
-from .eframe import FRAME, EFrameRecord, e_riesz_family, frame_record
+from .eframe import BESSEL_ONLY, FRAME, EFrameRecord, e_riesz_family
 from .errors import DualConditionError, NotAFrameError
 from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, SpectralBounds
 from .mapping import (
@@ -103,18 +104,23 @@ class ControlledEFrame:
 
     @cached_property
     def s_e(self) -> np.ndarray:
-        """S_E = T T*, the plain frame operator."""
-        return hilbert.frozen(self.images.T @ self.images.conj())
+        """S_E = T T*, the plain frame operator; an overflow is an input error."""
+        with np.errstate(over="ignore", invalid="ignore"):  # validated raises instead
+            return hilbert.frozen(hilbert.validated(self.images.T @ self.images.conj()))
 
     @cached_property
     def plain(self) -> EFrameRecord:
-        """The E-frame half: bounds and verdict of S_E."""
-        return frame_record(self.mapping, self.psi, self.images, self.s_e, self.tol)
+        """The E-frame half, the one maker of an EFrameRecord: hermitian_bounds
+        of S_E at the record's tol, and ``frame`` iff they are positive."""
+        bounds = hilbert.hermitian_bounds(self.s_e, self.tol)
+        verdict = FRAME if bounds.positive(self.tol) else BESSEL_ONLY
+        return EFrameRecord(self.psi, self.mapping, self.images, self.s_e, bounds, verdict)
 
     @cached_property
     def s_ue(self) -> np.ndarray:
         """f -> sum_n <f, (E psi)_n> U (E psi)_n, equal to U S_E."""
-        return hilbert.frozen(self.u @ self.s_e)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in s_e
+            return hilbert.frozen(hilbert.validated(self.u @ self.s_e))
 
     @cached_property
     def _spectrum(self) -> tuple[bool, SpectralBounds]:
@@ -272,10 +278,12 @@ class ControlledEFrame:
 
     def random_null_map(self, seed: int = 0) -> np.ndarray:
         """Seeded member of the null-map family: G - pinv(T_u) (T_u G), the
-        projection of a random (N, d) map G onto the kernel of T_u."""
+        projection of a random (N, d) map G onto the kernel of T_u, {0} at N = d."""
         rng = np.random.default_rng(hilbert.require_seed(seed, "seed"))
         self.require_valid()
         n, d = self.images.shape
+        if n == d:  # exact: the projection would leave rounding noise alone
+            return np.zeros((n, d), dtype=np.complex128)
         g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         return g - self.t_u_pinv @ (self.t_u @ g)
 

@@ -1,9 +1,9 @@
 """E-frame analysis: frame operator, bounds, canonical dual and
 Riesz-type families.
 
-Everything is driven by the images (E psi)_n of a sequence under the
-mapping, which e_frame_bounds computes once and returns with the frame
-operator T T*, where the synthesis map T has image n as its n-th column.
+An E-frame is a controlled E-frame at U = id: e_frame_bounds is the plain
+half of the prepared record (controlled.ControlledEFrame.plain), with the
+images (E psi)_n and the frame operator T T*, T having image n as column n.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from . import hilbert
 from .errors import NotAFrameError
 from .hilbert import DEFAULT_TOL, SpectralBounds
-from .mapping import MatrixMapping, apply_inverse_mapping, apply_mapping
+from .mapping import MatrixMapping, apply_inverse_mapping
 
 FRAME = "frame"
 BESSEL_ONLY = "bessel-only"
@@ -23,7 +23,7 @@ BESSEL_ONLY = "bessel-only"
 
 @dataclass(frozen=True)
 class EFrameRecord:
-    """Analysis result for one (mapping, sequence) pair."""
+    """Analysis result for one (mapping, sequence) pair: ControlledEFrame.plain."""
 
     psi: np.ndarray
     mapping: MatrixMapping
@@ -33,25 +33,11 @@ class EFrameRecord:
     verdict: str
 
 
-def frame_record(e: MatrixMapping, psi, images, frame_op, tol: float) -> EFrameRecord:
-    """Bounds and verdict of frame_op, the frame operator of the images of psi.
-
-    The verdict is ``frame`` iff the smallest eigenvalue exceeds tol
-    times the largest magnitude (SpectralBounds.positive), otherwise
-    ``bessel-only``. Raises NotHermitianError when frame_op is not
-    Hermitian to tol.
-    """
-    bounds = hilbert.hermitian_bounds(frame_op, tol)  # checks tol too
-    verdict = FRAME if bounds.positive(tol) else BESSEL_ONLY
-    return EFrameRecord(psi, e, images, frame_op, bounds, verdict)
-
-
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
-    """Frame bounds and verdict from the spectrum of the frame operator."""
+    """Frame bounds and verdict: the record's E-frame half at U = id."""
+    from .controlled import ControlledEFrame  # controlled imports this module
     psi = hilbert.require_shape(psi, "psi", (e.n, None))
-    images = hilbert.frozen(apply_mapping(e, psi))
-    frame_op = hilbert.frozen(images.T @ images.conj())
-    return frame_record(e, hilbert.readonly(psi), images, frame_op, tol)
+    return ControlledEFrame(e, psi, np.eye(psi.shape[1], dtype=np.complex128), tol).plain
 
 
 def e_canonical_dual(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> np.ndarray:

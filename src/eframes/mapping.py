@@ -20,15 +20,14 @@ not an integer (a bool, a float, or a string int() cannot read) or repeated.
 Dense and banded are singular by hilbert.require_nonsingular on the 1-norm
 reciprocal condition: exact from the one dense inverse, estimated for banded.
 apply and apply_inverse take an (n, d) sequence and raise
-DimensionMismatchError naming `seq` for any other shape. The dense forms
-`entries` and `inverse` are computed on first read and cached, for
-tests and callers that want the matrices; the library never reads them.
+DimensionMismatchError naming `seq` for any other shape. A mapping is an
+operator only: the dense kind alone has `entries` and `inverse`, the two
+arrays it applies, and the dense form of any kind is apply(np.eye(n)).
 """
 
 from __future__ import annotations
 
 import numbers
-from functools import cached_property
 
 import numpy as np
 
@@ -54,16 +53,6 @@ class MatrixMapping:
     def apply_inverse(self, seq) -> np.ndarray:
         """Sequence psi with apply(psi) = seq."""
         return self._apply_inverse(hilbert.validated(seq, "seq", (self.n, None)))
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """E as a read-only dense N x N array."""
-        return hilbert.frozen(self._apply(np.eye(self.n, dtype=np.complex128)))
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """E^{-1} as a read-only dense N x N array."""
-        return hilbert.frozen(self._apply_inverse(np.eye(self.n, dtype=np.complex128)))
 
 
 class _Identity(MatrixMapping):

@@ -27,6 +27,16 @@ def inner(u, v) -> complex:
     return complex(np.vdot(v, u))
 
 
+def dense_form(e) -> np.ndarray:
+    """E as a dense N x N array, read through apply: mappings keep no dense view."""
+    return e.apply(np.eye(e.n))
+
+
+def dense_inverse(e) -> np.ndarray:
+    """E^{-1} as a dense N x N array, read through apply_inverse."""
+    return e.apply_inverse(np.eye(e.n))
+
+
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

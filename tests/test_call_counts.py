@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from eframes import controlled, gallery, mapping, neumann
+from eframes import controlled, eframe, gallery, mapping, neumann
 from eframes.cli import main
 from test_cli import pairs, write_config
 
@@ -85,6 +85,16 @@ def test_neumann_calls_read_no_spectrum(worked, counts):
         worked.mapping, worked.psi, phi, worked.u, np.ones(3, dtype=complex)
     )
     assert counts["eigvalsh"] == 0
+
+
+def test_e_frame_bounds_is_one_apply_and_one_spectrum(worked, counts):
+    """The plain bounds come from the prepared record: E applied once, one
+    eigvalsh of S_E; the plain canonical dual adds its own inv of S_E."""
+    for call, want in ((eframe.e_frame_bounds, expected(1, eigvalsh=1)),
+                       (eframe.e_canonical_dual, expected(1, eigvalsh=1, inv=1))):
+        counts.clear()
+        call(worked.mapping, worked.psi)
+        assert {key: counts[key] for key in want} == want
 
 
 def test_dense_build_is_one_inverse(counts):

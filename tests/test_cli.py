@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import dense_form, dense_inverse
 from eframes import gallery
 from eframes.cli import build_parser, cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
@@ -45,7 +46,7 @@ def machine(capsys, *argv):
 def test_parse_config_worked(tmp_path):
     cfg = parse_config(write_config(tmp_path))
     assert cfg.dimension == 3 and cfg.count == 4
-    assert np.allclose(cfg.mapping.inverse, np.tril(np.ones((4, 4))))
+    assert np.allclose(dense_inverse(cfg.mapping), np.tril(np.ones((4, 4))))
     assert np.allclose(cfg.u, 0.5 * np.eye(3))
     assert cfg.tol == 1e-10 and cfg.trials == 100 and cfg.seed == 42
 
@@ -58,7 +59,7 @@ def test_parse_config_dense_and_banded(tmp_path):
     cfg2 = parse_config(
         write_config(tmp_path, mapping={"kind": "banded", "diagonals": diagonals})
     )
-    assert np.allclose(cfg2.mapping.entries, np.eye(4) - np.eye(4, k=-1))
+    assert np.allclose(dense_form(cfg2.mapping), np.eye(4) - np.eye(4, k=-1))
 
 
 def test_parse_config_rejects_non_square_mapping(tmp_path):
@@ -135,6 +136,60 @@ def test_dual_offset_roundtrip(tmp_path, capsys):
     assert report["certificates"][0]["verdict"] is True
 
 
+@pytest.mark.parametrize("d", [3, 16])
+def test_dual_on_a_square_family_exits_0_in_every_mode(tmp_path, capsys, d):
+    """For N = d the kernel of T_u is {0}: the null map is exactly 0, so the
+    offset dual is the canonical dual (the map was rounding noise, and the
+    null condition failed with exit 2)."""
+    psi = np.random.default_rng(d).standard_normal((d, d, 2)).view(complex)[..., 0]
+    path = write_config(tmp_path, dimension=d, count=d, psi=pairs(psi))
+    reports = {}
+    for mode in ("canonical", "right-inverse", "offset"):
+        code, reports[mode] = machine(capsys, "dual", path, "--mode", mode)
+        assert code == 0
+        assert reports[mode]["certificates"][0]["verdict"] is True
+    assert reports["offset"]["dual"] == reports["canonical"]["dual"]
+    assert reports["offset"]["null_map_roundtrip"] <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-16, 1e-8, 1.0, 1e150])
+def test_dual_offset_roundtrip_does_not_depend_on_scale(tmp_path, capsys, scale):
+    """The recovered null map is formed at the family's scale, about 1 / scale,
+    so the round trip is measured against ||E phi||_F, not against ||V||."""
+    path = write_config(tmp_path, psi=pairs(scale * gallery.example_psi(3)))
+    code, report = machine(capsys, "dual", path, "--mode", "offset")
+    assert code == 0
+    assert report["null_map_roundtrip"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["dual", "--mode", "canonical"], ["dual", "--mode", "right-inverse"],
+    ["dual", "--mode", "offset"], ["neumann", "--rho", "0.9"],
+])
+def test_overflowing_frame_operator_is_one_input_error(tmp_path, capsys, argv):
+    """At psi times 1e154, S_E overflows: every command exits 1 with the
+    validator's message and no warning (pytest turns a warning into an error)."""
+    path = write_config(tmp_path, psi=pairs(1e154 * gallery.example_psi(3)))
+    assert main([argv[0], path, *argv[1:]]) == 1
+    assert capsys.readouterr().err == "error: entries must be finite\n"
+
+
+def test_dual_text_format_counts_the_rows(tmp_path, capsys):
+    code, out = run(capsys, "dual", write_config(tmp_path))
+    assert code == 0
+    assert "dual: <4 rows>" in out.splitlines()
+
+
+def test_verdict_failure_exits_2_in_process(tmp_path, capsys):
+    path = write_config(tmp_path, psi=pairs(np.zeros((4, 3))))
+    assert main(["dual", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verdict failure: family is not a controlled frame: operator not Hermitian positive\n"
+    )
+
+
 def test_dual_right_inverse(tmp_path, capsys):
     code, report = machine(
         capsys, "dual", write_config(tmp_path), "--mode", "right-inverse", "--seed", "3"
@@ -179,6 +234,21 @@ def test_neumann_rho_1_single_term(tmp_path, capsys):
     assert code == 0
     assert report["ratio"] == pytest.approx(0.0, abs=1e-12)
     assert report["terms_used"] == 1
+
+
+def test_neumann_reads_phi_from_the_config(tmp_path, capsys):
+    path = write_config(tmp_path, phi=pairs(0.9 * gallery.example_psi_tilde(3)))
+    code, report = machine(capsys, "neumann", path)
+    assert code == 0
+    assert "rho" not in report
+    assert report["ratio"] == pytest.approx(0.1, abs=1e-9)
+    assert report["converged"] is True
+
+
+def test_neumann_without_rho_or_phi_is_input_error(tmp_path, capsys):
+    assert main(["neumann", write_config(tmp_path)]) == 1
+    want = "error: neumann requires --rho or 'phi' in the configuration\n"
+    assert capsys.readouterr().err == want
 
 
 def test_neumann_rho_2_exits_2(tmp_path, capsys):

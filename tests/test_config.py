@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_form
 from eframes import config, gallery
 from eframes.cli import main
 from eframes.config import ConfigError, parse_config
@@ -169,12 +170,43 @@ def test_accepted_mapping_numbers_are_exact(tmp_path_factory, data):
     banded = {"kind": "banded", "diagonals": {"0": ones, "-1": sub}}
     got = parse_config(write_config(directory, mapping=banded)).mapping
     want = build_banded(4, {0: np.ones(4), -1: complex_grid([sub])[0]})
-    assert np.array_equal(bits(got.entries), bits(want.entries))
+    assert np.array_equal(bits(dense_form(got)), bits(dense_form(want)))
     entries = pairs(np.eye(4))
     entries[1][0], entries[2][1], entries[3][2] = sub
     dense = {"kind": "dense", "entries": entries}
     got = parse_config(write_config(directory, mapping=dense)).mapping
     assert np.array_equal(bits(got.entries), bits(build_dense(complex_grid(entries)).entries))
+
+
+#: malformed structure -> (the worked configuration made so, its message)
+BAD_STRUCTURE = {
+    "mapping-without-kind": (lambda c: {**c, "mapping": {}}, "'mapping' must be an object with a 'kind'"),
+    "diagonals-not-an-object": (
+        lambda c: {**c, "mapping": {"kind": "banded", "diagonals": [[1, 0]]}},
+        "mapping.diagonals must be an object"),
+    "diagonal-not-a-list": (
+        lambda c: {**c, "mapping": {"kind": "banded", "diagonals": {"0": 1}}},
+        "diagonal 0 must be a list of pairs"),
+    "u-without-kind": (lambda c: {**c, "u": "identity"}, "'u' must be an object with a 'kind'"),
+    "root-not-an-object": (lambda c: [c], "configuration root must be an object"),
+    "missing-key": (
+        lambda c: {k: v for k, v in c.items() if k != "u"}, "missing required key 'u'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STRUCTURE))
+def test_malformed_structure_is_a_config_error(tmp_path, capsys, name):
+    make, message = BAD_STRUCTURE[name]
+    path = write_config(tmp_path)
+    with open(path, encoding="utf-8") as handle:
+        raw = make(json.load(handle))
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(raw, handle)
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value) == message
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_banded_offset_outside_range_exits_1(tmp_path, capsys):
@@ -216,7 +248,7 @@ def outcome(path) -> tuple:
     and output of verify; verify is skipped when it would run over 1,000 trials."""
     try:
         cfg = parse_config(path)
-        arrays = (cfg.psi, cfg.phi, cfg.mapping.entries, cfg.u)
+        arrays = (cfg.psi, cfg.phi, dense_form(cfg.mapping), cfg.u)
         parsed = (cfg.tol, cfg.trials, cfg.seed, *(bits(a).tobytes() for a in arrays))
     except Exception as exc:  # the two readers must raise alike
         parsed = (type(exc), str(exc))

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import inner, random_complex, random_conditioned_matrix, random_unit_vector
 from eframes import controlled, eframe, hilbert, mapping
+from test_mapping import build_kind
 from eframes.errors import (
     DualConditionError,
     NotAFrameError,
@@ -147,6 +148,36 @@ def test_commutation_criterion_noncommuting():
     commutator = np.linalg.norm(u @ s_e - s_e @ u)
     assert commutator > 1e-6  # sanity: the instance really does not commute
     assert not controlled.commutation_criterion(e, psi, u)
+
+
+def test_commutation_criterion_is_false_on_a_family_that_is_no_frame(worked):
+    """U = I/2 is positive and commutes with S_E, but no member reaches e3."""
+    psi = worked.psi.copy()
+    psi[:, 2] = 0.0
+    record = controlled.ControlledEFrame(worked.mapping, psi, worked.u)
+    assert record.plain.verdict == eframe.BESSEL_ONLY
+    assert record.commutation_criterion() is False
+
+
+@pytest.mark.parametrize("u_kind", ["half", "commuting"])
+@pytest.mark.parametrize("kind", ["identity", "bidiagonal", "banded", "dense"])
+def test_record_plain_half_is_e_frame_bounds_bit_for_bit(kind, u_kind):
+    """e_frame_bounds is the record's E-frame half at U = id, and that half
+    does not read U."""
+    rng = np.random.default_rng(35)
+    e, _ = build_kind(kind, 9, {-1, 2}, rng)
+    psi = random_complex(rng, (9, 4))
+    want = eframe.e_frame_bounds(e, psi)
+    u = 0.5 * np.eye(4)
+    if u_kind == "commuting":
+        _, q = np.linalg.eigh(want.frame_op)
+        u = q @ np.diag(rng.uniform(0.5, 2.0, size=4)) @ q.conj().T
+    got = controlled.ControlledEFrame(e, psi, u).plain
+    assert got.mapping is want.mapping
+    for name in ("psi", "images", "frame_op"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (got.bounds, got.verdict) == (want.bounds, want.verdict)
 
 
 def test_commutation_criterion_rejects_non_hermitian(worked):
@@ -671,11 +702,12 @@ def test_dual_verdicts_invariant_under_scaling_and_unitary_basis_change(
     log_cond=st.floats(0.0, 6.0),
     log_c=st.floats(-3.0, 3.0),
 )
+@example(seed=1, d=16, n=16, u_kind="half", log_cond=0.0, log_c=0.0)
+@example(seed=2, d=4, n=4, u_kind="commuting", log_cond=2.0, log_c=-2.0)
 def test_generated_duals_pass_their_own_certificate(seed, d, n, u_kind, log_cond, log_c):
     """Canonical, right-inverse and offset duals of a valid controlled
-    frame all pass certify, for N up to 1024, cond(E) up to about 1e6 and
-    psi scaled by c in [1e-3, 1e3]."""
-    d = min(d, n - 1)
+    frame all pass certify, for N from d (a square family) up to 1024,
+    cond(E) up to about 1e6 and psi scaled by c in [1e-3, 1e3]."""
     e, psi, u = make_problem(seed, n, d, 10.0**log_cond, u_kind)
     record = controlled.ControlledEFrame(e, 10.0**log_c * psi, u)
     assume(record.verdict == controlled.CONTROLLED_FRAME)
@@ -686,6 +718,19 @@ def test_generated_duals_pass_their_own_certificate(seed, d, n, u_kind, log_cond
     )
     for phi in families:
         assert all(cert.verdict for cert in record.certify(record.images_of(phi)))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_square_family_null_map_is_exactly_zero(n):
+    """For N = d, T_u is invertible and its kernel is {0}: the null map of every
+    seed is 0, so the offset dual is the canonical dual (the projection left
+    rounding noise, which the null condition rejected for every seed)."""
+    for seed in range(5):
+        e, psi, u = make_problem(seed, n, n, 1.0, "half")
+        record = controlled.ControlledEFrame(e, psi, u)
+        null = record.random_null_map(seed)
+        assert null.shape == (n, n) and not null.any()
+        assert np.array_equal(record.dual_with_offset(null), record.canonical_dual())
 
 
 def test_canonical_dual_is_exact_when_s_is_hermitian_only_to_tol(worked):

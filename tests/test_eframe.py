@@ -270,13 +270,25 @@ def test_riesz_family_bounds_are_squared_singular_values():
         assert record.bounds.lo == pytest.approx(s[-1] ** 2, rel=1e-8)
 
 
+def test_overflowing_frame_operator_is_an_input_error_without_a_warning(worked):
+    """S_E of psi times 1e154 overflows; pytest turns a warning into an error."""
+    with pytest.raises(ValueError, match=r"^entries must be finite$"):
+        eframe.e_frame_bounds(worked.mapping, 1e154 * worked.psi)
+
+
 def test_frame_record_hermitian_test_uses_record_tol():
     """A skew part of relative size about 6e-9 fails the default tolerance
-    and passes tol = 1e-6."""
+    and passes tol = 1e-6, put into the record's S_E before .plain reads it."""
     e = mapping.identity_mapping(2)
     psi = np.eye(2, dtype=complex)
     frame_op = np.array([[2.0, 1e-8], [0.0, 1.0]], dtype=complex)
+
+    def plain(tol):
+        record = controlled.ControlledEFrame(e, psi, np.eye(2), tol)
+        vars(record)["s_e"] = frame_op
+        return record.plain
+
     with pytest.raises(NotHermitianError):
-        eframe.frame_record(e, psi, psi, frame_op, hilbert.DEFAULT_TOL)
-    record = eframe.frame_record(e, psi, psi, frame_op, 1e-6)
+        plain(hilbert.DEFAULT_TOL)
+    record = plain(1e-6)
     assert record.verdict == eframe.FRAME

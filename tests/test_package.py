@@ -1,10 +1,10 @@
 """The package's own shape: where its names live and what its modules import.
 
 Every public name has one address, in its module; `import eframes` loads
-the six modules that hold them. Each library and test module uses every
-name it imports, and only `hilbert` compares against a tolerance outside a
-short allow-list (no linter is assumed, so the checks read the source with
-ast).
+the six modules that hold them. The modules import each other without a
+cycle, each library and test module uses every name it imports, and only
+`hilbert` compares against a tolerance outside a short allow-list (no
+linter is assumed, so the checks read the source with ast).
 """
 
 import ast
@@ -17,9 +17,10 @@ import pytest
 import eframes
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "eframes"
 MODULES = ["controlled", "eframe", "gallery", "hilbert", "mapping", "neumann"]
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "eframes").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
 )
 
@@ -31,6 +32,42 @@ def test_import_loads_each_module_as_an_attribute(name):
 
 def test_version_is_set():
     assert re.fullmatch(r"\d+\.\d+\.\d+", eframes.__version__)
+
+
+def sibling_imports() -> tuple[dict, set]:
+    """Each module's module-level imports of sibling modules, and every import
+    of a sibling inside a function, as (module, function, sibling)."""
+
+    def siblings(node) -> list:
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            return []
+        return [a.name for a in node.names] if node.module is None else [node.module]
+
+    graph, local = {}, set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {name for node in tree.body for name in siblings(node)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                local |= {(path.stem, fn.name, name)
+                          for node in ast.walk(fn) for name in siblings(node)}
+    return graph, local
+
+
+def test_module_imports_form_a_dag():
+    """Peel off modules that import no remaining sibling; a cycle is left over."""
+    remaining, _ = sibling_imports()
+    while remaining:
+        leaves = {name for name, deps in remaining.items() if not deps & remaining.keys()}
+        assert leaves, f"import cycle among {sorted(remaining)}"
+        remaining = {name: deps for name, deps in remaining.items() if name not in leaves}
+
+
+def test_the_one_function_level_sibling_import():
+    """e_frame_bounds reads the prepared record, whose module imports eframe."""
+    graph, local = sibling_imports()
+    assert local == {("eframe", "e_frame_bounds", "controlled")}
+    assert "eframe" in graph["controlled"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,7 +91,7 @@ def test_every_import_is_used(path):
 
 #: (module, function) of each tolerance comparison outside hilbert, with its reason
 TOL_COMPARISONS = {
-    ("cli", "cmd_dual"),  # null_map_roundtrip: max(||V||, 1) guards N = d
+    ("cli", "cmd_dual"),  # null_map_roundtrip, relative to ||E phi||_F
     ("cli", "cmd_neumann"),  # the certificate's tol, widened by the series' eps
     ("cli", "cmd_paper_example"),  # the worked example's sums are exact
     ("controlled", "riesz_equivalence"),  # two routes' bounds agree
@@ -92,7 +129,7 @@ def test_only_hilbert_states_tolerance_rules():
     """Equality, the Hermitian precondition and singularity are hilbert.close,
     hilbert.hermitian_bounds and hilbert.require_nonsingular."""
     found = set()
-    for path in (ROOT / "src" / "eframes").glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         if path.name != "hilbert.py":
             found |= tol_comparisons(path.stem, path.read_text(encoding="utf-8"))
     assert found == TOL_COMPARISONS

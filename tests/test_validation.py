@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import dense_form
 from eframes import controlled, eframe, gallery, hilbert, mapping, neumann
 from eframes.cli import main
 from eframes.config import ConfigError, parse_config
@@ -41,7 +42,7 @@ GOOD = {
     "a:square": np.eye(3, dtype=complex),
     "a:free": np.ones((3, 4), dtype=complex),
     "m": np.ones((3, 4), dtype=complex),
-    "entries": E.entries,
+    "entries": dense_form(E),
     "diagonals": np.ones(3, dtype=complex),
     "v:right": RECORD.random_right_inverse(1),
     "v:null": RECORD.random_null_map(1),
@@ -199,7 +200,6 @@ TOL_CALLS = {
         lambda tol: hilbert.hermitian_bounds(np.eye(3), tol).positive(tol)),
     "build_dense": lambda tol: mapping.build_dense(np.eye(3), tol),
     "build_banded": lambda tol: mapping.build_banded(3, {0: np.ones(3)}, tol),
-    "frame_record": lambda tol: eframe.frame_record(E, PSI, RECORD.images, RECORD.s_e, tol),
     "e_frame_bounds": lambda tol: eframe.e_frame_bounds(E, PSI, tol),
     "e_canonical_dual": lambda tol: eframe.e_canonical_dual(E, PSI, tol),
     "e_riesz_family": lambda tol: eframe.e_riesz_family(np.eye(3), E3, np.eye(3), tol),
@@ -366,7 +366,7 @@ def test_banded_offset_must_be_an_integer(key):
 def test_banded_offsets_are_integers_or_integer_strings():
     diagonals = {0: np.ones(3), np.int64(1): np.full(2, 2.0), "-1": np.full(2, 3.0)}
     want = np.eye(3) + np.diag([2.0, 2.0], 1) + np.diag([3.0, 3.0], -1)
-    assert np.array_equal(mapping.build_banded(3, diagonals).entries, want)
+    assert np.array_equal(dense_form(mapping.build_banded(3, diagonals)), want)
 
 
 def test_config_offset_that_is_not_an_integer_exits_1(tmp_path, capsys):
