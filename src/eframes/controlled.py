@@ -22,9 +22,11 @@ ControlledEFrame, the one place a family is prepared and judged (its plain
 half is eframe.e_frame_bounds). Its constructor validates the inputs and
 applies E to psi once. S_E, S, the bounds and verdict, T_u, pinv(T_u) and
 S^{-1} are each computed on first use and cached; all of them are d x d or
-d x N, so no N x N array is cached. The module-level functions build a
-record per call; to run several operations on one problem, build the
-record once and call its methods.
+d x N, so no N x N array is cached. The verdict is the one rank rule:
+pinv(T_u) and S^{-1} require it, and it makes S = T_u T* invertible, so T_u
+has full rank d and its pseudoinverse cuts no singular value. The
+module-level functions build a record per call; to run several operations
+on one problem, build the record once and call its methods.
 """
 
 from __future__ import annotations
@@ -147,12 +149,15 @@ class ControlledEFrame:
     @cached_property
     def t_u(self) -> np.ndarray:
         """Synthesis map whose column n is U applied to the image (E psi)_n."""
-        return hilbert.frozen(self.u @ self.images.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in s_e
+            return hilbert.frozen(hilbert.validated(self.u @ self.images.T))
 
     @cached_property
     def t_u_pinv(self) -> np.ndarray:
-        """Pseudoinverse of T_u; singular values below tol * sigma_max are cut."""
-        return hilbert.frozen(hilbert.pseudoinverse(self.t_u, self.tol))
+        """Pseudoinverse of T_u, no singular value cut: the valid verdict it
+        requires gives T_u full rank d, so this is a right inverse of T_u."""
+        self.require_valid()
+        return hilbert.frozen(np.linalg.pinv(self.t_u, rcond=0.0))
 
     @cached_property
     def s_inv(self) -> np.ndarray:
@@ -184,7 +189,7 @@ class ControlledEFrame:
         scale = hilbert.frobenius(self.s_ue)
         err_sue_use = hilbert.frobenius(lhs[:, trials:] - self.s_ue) / scale
         err_commute = hilbert.frobenius(self.s_ue - self.s_e @ self.u.conj().T) / scale
-        err_switched = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
+        err_switched = hilbert.worst_residual(lhs - rhs, f, 0.0)
         return IdentityReport(err_sue_use, err_commute, err_switched)
 
     def commutation_criterion(self) -> bool:
@@ -251,12 +256,7 @@ class ControlledEFrame:
         """
         v = hilbert.validated(v, "v", self.t_u.shape)
         gap = self.t_u @ v.conj().T - np.eye(self.t_u.shape[0])
-        if not hilbert.backward_ok(hilbert.frobenius(gap), self.t_u, v, self.tol):
-            dev = hilbert.operator_norm(gap)
-            raise DualConditionError(
-                f"right-inverse condition violated: ||T V* - id|| = {dev:.3e}",
-                deviation=dev,
-            )
+        self._require_backward_ok(gap, v, "right-inverse condition violated: ||T V* - id||")
         return apply_inverse_mapping(self.mapping, v.T)
 
     def dual_with_offset(self, v) -> np.ndarray:
@@ -268,13 +268,16 @@ class ControlledEFrame:
         ||T_u V||_F against T_u and V, raises DualConditionError carrying ||T_u V||.
         """
         v = hilbert.validated(v, "v", self.images.shape)
-        product = self.t_u @ v
-        if not hilbert.backward_ok(hilbert.frobenius(product), self.t_u, v, self.tol):
-            dev = hilbert.operator_norm(product)
-            raise DualConditionError(
-                f"null condition violated: ||T V|| = {dev:.3e}", deviation=dev
-            )
+        self._require_backward_ok(self.t_u @ v, v, "null condition violated: ||T V||")
         return self.canonical_dual() + apply_inverse_mapping(self.mapping, v.conj())
+
+    def _require_backward_ok(self, residual, v, quantity: str) -> None:
+        """The generators' one rejection: unless hilbert.backward_ok accepts
+        ||residual||_F against T_u and V, DualConditionError naming the
+        quantity and carrying its spectral norm."""
+        if not hilbert.backward_ok(hilbert.frobenius(residual), self.t_u, v, self.tol):
+            dev = hilbert.operator_norm(residual)
+            raise DualConditionError(f"{quantity} = {dev:.3e}", deviation=dev)
 
     def random_null_map(self, seed: int = 0) -> np.ndarray:
         """Seeded member of the null-map family: G - pinv(T_u) (T_u G), the
@@ -335,13 +338,6 @@ def commutation_criterion(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) ->
 def is_parseval(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> bool:
     """See ControlledEFrame.is_parseval."""
     return ControlledEFrame(e, psi, u, tol).is_parseval()
-
-
-def canonical_reconstruct(
-    e: MatrixMapping, psi, u, f, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """sum_n <S^{-1} f, (E psi)_n> U (E psi)_n, which returns f."""
-    return ControlledEFrame(e, psi, u, tol).canonical_reconstruct(f)
 
 
 def canonical_dual(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -12,10 +12,12 @@ Input is checked here, once: validated (with require_shape, its shape
 half) for every array, require_positive for every tol, eps and count and
 require_seed for every seed that configuration, CLI or library takes;
 invert_operator is the one checked inverse. ControlledEFrame.s_inv and
-e_canonical_dual call the plain inv, since the frame verdict they require
-has already bounded S away from singular. Each tolerance rule is stated
-once: close (equality), hermitian_bounds (Hermitian), SpectralBounds.positive,
-require_nonsingular and backward_ok (duals), on scale-safe frobenius norms.
+e_canonical_dual call the plain inv, and ControlledEFrame.t_u_pinv a pinv
+that cuts no singular value, since the frame verdict they require has
+already bounded S away from singular, and so T_u at full rank. Each
+tolerance rule is stated once: close (equality), hermitian_bounds
+(Hermitian), SpectralBounds.positive, require_nonsingular and backward_ok
+(duals), on scale-safe frobenius norms; no tol reaches numpy.
 """
 
 from __future__ import annotations
@@ -152,11 +154,6 @@ def require_nonsingular(
         )
 
 
-def pseudoinverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, singular values below tol*sigma_max dropped."""
-    return np.linalg.pinv(validated(m, "m"), rcond=require_positive(tol, "tol"))
-
-
 def close(a, b, tol: float) -> bool:
     """The equality rule of every operator identity: ||a - b||_F <= tol ||b||_F."""
     return bool(frobenius(a - b) <= tol * frobenius(b))
@@ -172,17 +169,22 @@ def backward_ok(residual: float, a, b, tol: float) -> bool:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm of a without overflow or underflow: np.linalg.norm(a)
-    when that is in (1e-100, inf), where no square overflowed and each lost
-    to underflow is under 1e-107 of their sum, or when a is zero; else the norm
-    of a over the power of two at its largest entry (an exact scaling, part by
-    part: a complex a / scale forms 1 / scale, which overflows), times that power."""
+    """Frobenius norm of a without overflow or underflow (_scaled_norm)."""
+    return float(_scaled_norm(a))
+
+
+def _scaled_norm(a, axis=None):
+    """np.linalg.norm(a, axis=axis) when its largest value is in (1e-100, inf),
+    where no square overflowed and each lost to underflow is under 1e-107 of
+    their sum, or when a is zero; else the norm of a over the power of two at
+    its largest entry (an exact scaling, part by part: a complex a / scale
+    forms 1 / scale, which overflows), times that power."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if 1e-100 < norm < math.inf or not a.any():
+        norm = np.linalg.norm(a, axis=axis)
+    if 1e-100 < np.max(norm) < math.inf or not a.any():
         return norm
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1] - 1)
-    return float(np.linalg.norm(a.real / scale + 1j * (a.imag / scale))) * scale
+    return np.linalg.norm(a.real / scale + 1j * (a.imag / scale), axis=axis) * scale
 
 
 def operator_norm(m) -> float:
@@ -208,8 +210,9 @@ def trial_sums(synthesis, analysis, f) -> np.ndarray:
 
 
 def worst_residual(block: np.ndarray, f: np.ndarray, target: float) -> float:
-    """Largest column norm of block - target * [f | I]; overwrites block."""
+    """Largest column norm of block - target * [f | I], scale-safe as frobenius;
+    overwrites block."""
     trials = f.shape[1]
     block[:, :trials] -= target * f
     block[:, trials:][np.diag_indices(f.shape[0])] -= target
-    return float(np.max(np.linalg.norm(block, axis=0)))
+    return float(np.max(_scaled_norm(block, axis=0)))

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import dense_form, dense_inverse
-from eframes import gallery
+from eframes import controlled, gallery
 from eframes.cli import build_parser, cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
 from eframes.errors import SingularOperatorError
@@ -196,6 +198,67 @@ def test_dual_right_inverse(tmp_path, capsys):
     )
     assert code == 0
     assert report["certificates"][0]["verdict"] is True
+
+
+@pytest.mark.parametrize("tol, k", [(1e-10, 21), (1e-6, 13), (1e-4, 9)])
+def test_dual_on_a_parseval_frame_with_a_small_t_u(tmp_path, capsys, tol, k):
+    """S = id exactly, while the smallest singular value of T_u, 10^(-k/2), is
+    below tol: no tol cuts it, so every mode exits 0."""
+    path = write_config(
+        tmp_path, dimension=2, count=3, tol=tol,
+        psi=pairs([[1.0, 0.0], [0.0, 10.0 ** (k / 2)], [0.0, 0.0]]),
+        mapping={"kind": "dense", "entries": pairs(np.eye(3))},
+        u={"kind": "dense", "entries": pairs(np.diag([1.0, 10.0 ** -k]))},
+    )
+    for mode in ("canonical", "right-inverse", "offset"):
+        code, report = machine(capsys, "dual", path, "--mode", mode)
+        assert code == 0
+        assert report["certificates"][0]["verdict"] is True
+
+
+@pytest.mark.parametrize("mode", ["canonical", "right-inverse"])
+def test_dual_failing_certificate_exits_2_with_its_report(tmp_path, capsys, monkeypatch, mode):
+    certify = controlled.ControlledEFrame.certify
+
+    def failing(self, *args, **kwargs):
+        definitional, switched = certify(self, *args, **kwargs)
+        return dataclasses.replace(definitional, verdict=False), switched
+
+    monkeypatch.setattr(controlled.ControlledEFrame, "certify", failing)
+    code, report = machine(capsys, "dual", write_config(tmp_path), "--mode", mode)
+    assert code == 2
+    assert report["mode"] == mode and len(report["dual"]) == 4
+    assert report["certificates"][0]["verdict"] is False
+
+
+def test_dual_offset_roundtrip_beyond_tol_exits_2_with_its_report(
+    tmp_path, capsys, monkeypatch
+):
+    null_map = controlled.ControlledEFrame.null_map
+    monkeypatch.setattr(
+        controlled.ControlledEFrame, "null_map",
+        lambda self, images, cert: (1 + 1e-6) * null_map(self, images, cert),
+    )
+    code, report = machine(capsys, "dual", write_config(tmp_path), "--mode", "offset")
+    assert code == 2
+    assert report["null_map_roundtrip"] > 1e-10 and len(report["dual"]) == 4
+    assert report["certificates"][0]["verdict"] is True
+
+
+def test_verify_far_past_1e154_reports_a_finite_residual(tmp_path, capsys):
+    """psi and psi_tilde both times 1e150 sum to 1e300 f, so phi is no dual
+    (exit 2); the residual's column norms are scale-safe: no warning, no inf."""
+    path = write_config(
+        tmp_path, psi=pairs(1e150 * gallery.example_psi(3)),
+        phi=pairs(1e150 * gallery.example_psi_tilde(3)),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, "verify", path, "--format", "machine")
+    assert code == 2 and caught == []
+    assert "Infinity" not in out
+    definitional = json.loads(out)["certificates"][0]
+    assert definitional["max_residual"] == pytest.approx(1e300, rel=1e-12)
 
 
 def test_verify_phi_fails_at_half(tmp_path, capsys):

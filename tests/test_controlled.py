@@ -206,15 +206,11 @@ def test_is_parseval(worked):
 
 
 def test_canonical_reconstruct(worked):
+    record = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u)
     f = np.array([1.0, 2.0, 3.0], dtype=complex)
-    got = controlled.canonical_reconstruct(worked.mapping, worked.psi, worked.u, f)
-    assert_allclose(got, f, atol=1e-12)
+    assert_allclose(record.canonical_reconstruct(f), f, atol=1e-12)
     zero = np.zeros(3, dtype=complex)
-    assert_allclose(
-        controlled.canonical_reconstruct(worked.mapping, worked.psi, worked.u, zero),
-        zero,
-        atol=0,
-    )
+    assert_allclose(record.canonical_reconstruct(zero), zero, atol=0)
 
 
 def test_canonical_reconstruct_parseval_without_inversion(worked):
@@ -226,7 +222,7 @@ def test_canonical_reconstruct_parseval_without_inversion(worked):
     f = random_unit_vector(3, rng)
     plain_sum = explicit_controlled_sum(images, worked.u, f)
     assert np.linalg.norm(plain_sum - f) <= 1e-12
-    got = controlled.canonical_reconstruct(worked.mapping, psi, worked.u, f)
+    got = controlled.ControlledEFrame(worked.mapping, psi, worked.u).canonical_reconstruct(f)
     assert np.linalg.norm(got - f) <= 1e-12
 
 
@@ -281,8 +277,7 @@ def test_dual_from_right_inverse_synthesis_of_tilde(worked):
 
 
 def test_dual_from_right_inverse_pinv_gives_canonical(worked):
-    t_u = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u).t_u
-    v = hilbert.pseudoinverse(t_u).conj().T
+    v = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u).t_u_pinv.conj().T
     dual = controlled.dual_from_right_inverse(worked.mapping, worked.psi, worked.u, v)
     canonical = controlled.canonical_dual(worked.mapping, worked.psi, worked.u)
     assert_allclose(dual, canonical, atol=1e-12)
@@ -492,15 +487,75 @@ def test_parseval_soundness(worked):
     assert cert_def.verdict
 
 
-def test_t_u_pinv_cutoff_uses_record_tol():
-    """T_u has singular values 1 and 1e-8: tol = 1e-6 cuts the small one,
-    the default tolerance keeps it."""
-    psi = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]], dtype=complex)
-    e = mapping.identity_mapping(3)
-    loose = controlled.ControlledEFrame(e, psi, np.eye(2), tol=1e-6)
-    assert np.isclose(np.linalg.norm(loose.t_u_pinv, 2), 1.0)
-    default = controlled.ControlledEFrame(e, psi, np.eye(2))
-    assert np.isclose(np.linalg.norm(default.t_u_pinv, 2), 1e8)
+def synthesis_record(t):
+    """Record whose T_u is t: identity mapping, psi = t^T and U = id."""
+    d, n = t.shape
+    return controlled.ControlledEFrame(mapping.identity_mapping(n), t.T, np.eye(d))
+
+
+def test_t_u_pinv_surjective_normal_equations_oracle():
+    t = np.array(
+        [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]],
+        dtype=complex,
+    )
+    p = synthesis_record(t).t_u_pinv
+    oracle = t.conj().T @ np.linalg.inv(t @ t.conj().T)
+    assert_allclose(p, oracle, atol=1e-12)
+    assert_allclose(t @ p, np.eye(3), atol=1e-12)
+
+
+def test_t_u_pinv_of_the_identity_and_none_of_an_invalid_family():
+    """The verdict decides T_u's rank: a zero family, or S = diag(1, 1e-16),
+    which is not positive to tol, has no pseudoinverse to offer."""
+    eye = np.eye(3, dtype=complex)
+    assert_allclose(synthesis_record(eye).t_u_pinv, eye, atol=1e-14)
+    for t in (np.zeros((2, 5)), np.array([[1.0, 0.0, 0.0], [0.0, 1e-8, 0.0]])):
+        record = synthesis_record(t.astype(complex))
+        assert record.verdict == controlled.INVALID
+        with pytest.raises(NotAFrameError):
+            record.t_u_pinv
+
+
+def test_t_u_pinv_moore_penrose_identities():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        rows = int(rng.integers(2, 6))
+        cols = int(rng.integers(rows, 9))
+        m = random_complex(rng, (rows, cols))
+        p = synthesis_record(m).t_u_pinv
+        scale = 1e-9 * np.linalg.norm(m)
+        assert np.linalg.norm(m @ p @ m - m) <= scale
+        assert np.linalg.norm(p @ m @ p - p) <= scale
+
+
+def parseval_with_small_t_u(k):
+    """S = U S_E = id exactly, while T_u = diag(1, 10^(-k/2)) on two of three
+    coefficients: the smallest singular value of T_u is far below tol."""
+    psi = np.array([[1.0, 0.0], [0.0, 10.0 ** (k / 2)], [0.0, 0.0]], dtype=complex)
+    return psi, np.diag([1.0, 10.0 ** -k]).astype(complex)
+
+
+@pytest.mark.parametrize("tol, k", [(1e-10, 21), (1e-6, 13), (1e-4, 9)])
+def test_a_valid_record_inverts_every_singular_value_of_t_u(tol, k):
+    """The verdict alone decides T_u's rank: no tol cuts a singular value, so
+    the right-inverse generator works on this controlled Parseval frame."""
+    psi, u = parseval_with_small_t_u(k)
+    record = controlled.ControlledEFrame(mapping.identity_mapping(3), psi, u, tol)
+    assert record.is_parseval() and record.verdict == controlled.CONTROLLED_FRAME
+    assert np.linalg.norm(record.t_u_pinv, 2) == pytest.approx(10.0 ** (k / 2))
+    for seed in range(5):
+        dual = record.dual_from_right_inverse(record.random_right_inverse(seed))
+        definitional, _ = record.certify(record.images_of(dual))
+        assert definitional.verdict
+
+
+def test_t_u_overflow_is_an_input_error():
+    """U times an image past the double range: T_u is checked like S_E and S."""
+    psi = np.array([[1e200, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    u = np.diag([1e200, 1.0]).astype(complex)
+    record = controlled.ControlledEFrame(mapping.identity_mapping(3), psi, u)
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        record.t_u
 
 
 @pytest.mark.parametrize("trials", [1, 7, 100])

@@ -2,9 +2,10 @@
 
 Every public name has one address, in its module; `import eframes` loads
 the six modules that hold them. The modules import each other without a
-cycle, each library and test module uses every name it imports, and only
-`hilbert` compares against a tolerance outside a short allow-list (no
-linter is assumed, so the checks read the source with ast).
+cycle, each library and test module uses every name it imports, only
+`hilbert` compares against a tolerance outside a short allow-list, and no
+tolerance reaches numpy or scipy (no linter is assumed, so the checks read
+the source with ast).
 """
 
 import ast
@@ -98,16 +99,17 @@ TOL_COMPARISONS = {
 }
 
 
+def reads_tol(node) -> bool:
+    return any(
+        isinstance(n, ast.Name) and n.id == "tol"
+        or isinstance(n, ast.Attribute) and n.attr == "tol"
+        for n in ast.walk(node)
+    )
+
+
 def tol_comparisons(module: str, source: str) -> set:
     """(module, function) of each <, <=, >, >=, max or min that reads tol or .tol."""
     found = set()
-
-    def reads_tol(node) -> bool:
-        return any(
-            isinstance(n, ast.Name) and n.id == "tol"
-            or isinstance(n, ast.Attribute) and n.attr == "tol"
-            for n in ast.walk(node)
-        )
 
     def visit(node, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -133,3 +135,39 @@ def test_only_hilbert_states_tolerance_rules():
         if path.name != "hilbert.py":
             found |= tol_comparisons(path.stem, path.read_text(encoding="utf-8"))
     assert found == TOL_COMPARISONS
+
+
+def numpy_calls_given_tol(source: str) -> list[int]:
+    """Lines of each call into numpy or scipy (through a name that an import
+    of either binds) with an argument that reads tol or .tol."""
+    tree = ast.parse(source)
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {(a.asname or a.name).split(".")[0] for a in node.names
+                      if a.name.split(".")[0] in ("numpy", "scipy")}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in ("numpy", "scipy"):
+                roots |= {a.asname or a.name for a in node.names}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        while isinstance(func, ast.Attribute):
+            func = func.value
+        arguments = node.args + [k.value for k in node.keywords]
+        if isinstance(func, ast.Name) and func.id in roots and any(map(reads_tol, arguments)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_tolerance_reaches_numpy():
+    """A tol handed to numpy or scipy (a pinv cutoff, an allclose) would be a
+    rule outside hilbert's five: the controlled verdict decides T_u's rank."""
+    found = {
+        f"{path.name}:{line}"
+        for path in PACKAGE.glob("*.py")
+        for line in numpy_calls_given_tol(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()
