@@ -43,8 +43,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    dimension: int
-    count: int
     psi: np.ndarray
     mapping: MatrixMapping
     u: np.ndarray
@@ -195,13 +193,5 @@ def _problem(raw, overrides) -> ProblemConfig:
         phi = _complex_array(raw["phi"], (count, dimension), "phi")
 
     return ProblemConfig(
-        dimension=dimension,
-        count=count,
-        psi=psi,
-        mapping=mapping,
-        u=u,
-        phi=phi,
-        tol=tol,
-        trials=trials,
-        seed=seed,
+        psi=psi, mapping=mapping, u=u, phi=phi, tol=tol, trials=trials, seed=seed
     )

@@ -17,7 +17,8 @@ that cuts no singular value, since the frame verdict they require has
 already bounded S away from singular, and so T_u at full rank. Each
 tolerance rule is stated once: close (equality), hermitian_bounds
 (Hermitian), SpectralBounds.positive, require_nonsingular and backward_ok
-(duals), on scale-safe frobenius norms; no tol reaches numpy.
+(duals), on scale-safe frobenius norms; no tol reaches numpy. Every norm
+the library takes is taken here: no other module calls numpy.linalg.norm.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _scaled_norm(a, axis=None):
     forms 1 / scale, which overflows), times that power."""
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(a, axis=axis)
-    if 1e-100 < np.max(norm) < math.inf or not a.any():
+    if 1e-100 < (norm if axis is None else np.max(norm)) < math.inf or not a.any():
         return norm
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1] - 1)
     return np.linalg.norm(a.real / scale + 1j * (a.imag / scale), axis=axis) * scale

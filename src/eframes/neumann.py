@@ -5,7 +5,8 @@ operator R = id - D T_u* (D the synthesis map of phi, T_u the
 controlled synthesis map of psi) is a contraction and the series
 sum_n R^n phi_k converges to an exact dual. Powers of R are applied
 iteratively to the sequence members; high matrix powers are never
-materialized.
+materialized. Every term, stop and residual norm is hilbert.frobenius,
+so scaling psi by a power of two c and phi by 1 / c changes no term count.
 """
 
 from __future__ import annotations
@@ -88,13 +89,13 @@ class ApproximateDual:
         self._require_contraction()
         step = self.deviation.conj()  # term @ step applies id - D T_u* to each member
         term = acc = self.phi
-        history = [float(np.linalg.norm(term))]
+        history = [hilbert.frobenius(term)]
         converged = False
         for n in range(1, max_terms + 1):
             term = term @ step
             acc = acc + term
-            history.append(float(np.linalg.norm(term)))
-            if history[-1] <= eps * np.linalg.norm(acc):
+            history.append(hilbert.frobenius(term))
+            if history[-1] <= eps * hilbert.frobenius(acc):
                 converged = True
                 break
         return acc, NeumannReport(self.ratio, n, tuple(history), converged)
@@ -114,13 +115,13 @@ class ApproximateDual:
         eps = hilbert.require_positive(eps, "eps")
         max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
         self._require_contraction()
-        goal = eps * float(np.linalg.norm(f))
+        goal = eps * hilbert.frobenius(f)
         term = approx = f - self.deviation @ f  # one-step reconstruction T_u D* f
-        history = [float(np.linalg.norm(f - approx))]
+        history = [hilbert.frobenius(f - approx)]
         while not history[-1] <= goal and len(history) < max_terms:
             term = self.deviation @ term
             approx = approx + term
-            history.append(float(np.linalg.norm(f - approx)))
+            history.append(hilbert.frobenius(f - approx))
         converged = history[-1] <= goal
         return approx, NeumannReport(self.ratio, len(history), tuple(history), converged)
 

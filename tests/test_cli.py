@@ -47,7 +47,7 @@ def machine(capsys, *argv):
 
 def test_parse_config_worked(tmp_path):
     cfg = parse_config(write_config(tmp_path))
-    assert cfg.dimension == 3 and cfg.count == 4
+    assert cfg.psi.shape == (4, 3)
     assert np.allclose(dense_inverse(cfg.mapping), np.tril(np.ones((4, 4))))
     assert np.allclose(cfg.u, 0.5 * np.eye(3))
     assert cfg.tol == 1e-10 and cfg.trials == 100 and cfg.seed == 42
@@ -529,3 +529,33 @@ def test_deeply_nested_config_exits_1(tmp_path, capsys):
     path.write_text('{"dimension": ' + "[" * depth + "]" * depth + "}")
     assert main(["analyze", str(path)]) == 1
     assert capsys.readouterr().err == "error: configuration is nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("j", [530, -530])
+def test_neumann_on_a_rescaled_pair_passes(tmp_path, capsys, j):
+    """psi times 2**j and phi = can / 2**j / 2: the series takes its norms from
+    hilbert.frobenius, so it runs the 39 terms of the unscaled pair and both
+    certificates pass, with no numpy warning."""
+    worked = (gallery.example_mapping(3), gallery.example_psi(3), gallery.example_u(3))
+    can = controlled.canonical_dual(*worked)
+    path = write_config(
+        tmp_path, psi=pairs(2.0**j * worked[1]), phi=pairs(0.5 * can / 2.0**j)
+    )
+    code = main(["neumann", path, "--format", "machine"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["terms_used"] == 39 and report["converged"] is True
+    assert [cert["verdict"] for cert in report["certificates"]] == [True, True]
+
+
+def test_trials_beyond_memory_exit_1(tmp_path, capsys):
+    """numpy refuses a (3, 10**15) array at once and allocates nothing."""
+    huge = 10**15
+    for argv in (
+        ["analyze", write_config(tmp_path), "--trials", str(huge)],
+        ["analyze", write_config(tmp_path, "huge.json", trials=huge)],
+        ["paper-example", "--dim", "3", "--trials", str(huge)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")

@@ -152,3 +152,43 @@ def test_reports_are_consistent_with_verify(worked):
     )
     assert cert_def.max_residual <= 1e-12 / (1.0 - report.ratio)
     assert cert_def.verdict
+
+
+def scaled_runs(worked, run, powers):
+    """run(c) at c = 1 and at each 2**j: the series' norms are hilbert.frobenius,
+    so an exact power-of-two scaling changes no stop decision and no bit."""
+    can = controlled.canonical_dual(worked.mapping, worked.psi, worked.u)
+    return run(can, 1.0), [(2.0**j, run(can, 2.0**j)) for j in powers]
+
+
+def test_iterative_reconstruct_is_scale_equivariant(worked):
+    """A plain numpy norm overflows at 2**530 and underflows at 2**-530; taken
+    on the series, it stopped it after 1 or 10 terms where it needs 34."""
+    f = np.array([1.0, 2.0, 3.0], dtype=complex)
+
+    def run(can, c):
+        return neumann.iterative_reconstruct(
+            worked.mapping, worked.psi, 0.5 * can, worked.u, c * f
+        )
+
+    (approx, report), scaled = scaled_runs(worked, run, (530, -530, 1000, -1000))
+    assert report.terms_used == 34 and report.converged
+    for c, (approx_c, report_c) in scaled:
+        assert report_c.terms_used == 34 and report_c.converged
+        assert report_c.residual_history == tuple(c * h for h in report.residual_history)
+        assert np.array_equal(approx_c, c * approx)
+
+
+def test_corrected_dual_is_scale_equivariant(worked):
+    """psi times c and phi over c: the term norms scale by 1 / c. Plain numpy
+    norms stopped the series after 38, 8 and 1 of its 39 terms."""
+
+    def run(can, c):
+        return neumann.corrected_dual(worked.mapping, c * worked.psi, 0.5 * can / c, worked.u)
+
+    (corrected, report), scaled = scaled_runs(worked, run, (500, 530, -530))
+    assert report.terms_used == 39 and report.converged
+    for c, (corrected_c, report_c) in scaled:
+        assert report_c.terms_used == 39 and report_c.converged
+        assert report_c.residual_history == tuple(h / c for h in report.residual_history)
+        assert np.array_equal(c * corrected_c, corrected)

@@ -3,9 +3,9 @@
 Every public name has one address, in its module; `import eframes` loads
 the six modules that hold them. The modules import each other without a
 cycle, each library and test module uses every name it imports, only
-`hilbert` compares against a tolerance outside a short allow-list, and no
-tolerance reaches numpy or scipy (no linter is assumed, so the checks read
-the source with ast).
+`hilbert` compares against a tolerance outside a short allow-list or calls
+numpy.linalg.norm, and no tolerance reaches numpy or scipy (no linter is
+assumed, so the checks read the source with ast).
 """
 
 import ast
@@ -137,29 +137,49 @@ def test_only_hilbert_states_tolerance_rules():
     assert found == TOL_COMPARISONS
 
 
-def numpy_calls_given_tol(source: str) -> list[int]:
-    """Lines of each call into numpy or scipy (through a name that an import
-    of either binds) with an argument that reads tol or .tol."""
-    tree = ast.parse(source)
-    roots = set()
+def numeric_names(tree) -> dict:
+    """Each name that an import of numpy or scipy binds, with the dotted path
+    it stands for: np -> numpy, la -> numpy.linalg, norm -> numpy.linalg.norm."""
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            roots |= {(a.asname or a.name).split(".")[0] for a in node.names
-                      if a.name.split(".")[0] in ("numpy", "scipy")}
+            for a in node.names:
+                root = a.name.split(".")[0]
+                if root in ("numpy", "scipy"):
+                    bound[a.asname or root] = a.name if a.asname else root
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             if node.module.split(".")[0] in ("numpy", "scipy"):
-                roots |= {a.asname or a.name for a in node.names}
-    lines = []
+                bound |= {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
+    return bound
+
+
+def numeric_calls(source: str):
+    """(call node, dotted path) of each call into numpy or scipy through a name
+    that numeric_names binds."""
+    tree = ast.parse(source)
+    bound = numeric_names(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
+        parts, func = [], node.func
         while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
             func = func.value
-        arguments = node.args + [k.value for k in node.keywords]
-        if isinstance(func, ast.Name) and func.id in roots and any(map(reads_tol, arguments)):
-            lines.append(node.lineno)
-    return lines
+        if isinstance(func, ast.Name) and func.id in bound:
+            yield node, ".".join([bound[func.id], *reversed(parts)])
+
+
+def numpy_calls_given_tol(source: str) -> list[int]:
+    """Lines of each call into numpy or scipy with an argument that reads tol or .tol."""
+    return [
+        node.lineno for node, _ in numeric_calls(source)
+        if any(map(reads_tol, node.args + [k.value for k in node.keywords]))
+    ]
+
+
+def norm_calls(source: str) -> list[int]:
+    """Lines of each call of numpy.linalg.norm, under whatever name."""
+    return [node.lineno for node, path in numeric_calls(source) if path == "numpy.linalg.norm"]
 
 
 def test_no_tolerance_reaches_numpy():
@@ -169,5 +189,32 @@ def test_no_tolerance_reaches_numpy():
         f"{path.name}:{line}"
         for path in PACKAGE.glob("*.py")
         for line in numpy_calls_given_tol(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nnp.linalg.norm(x)",
+        "import numpy\nnumpy.linalg.norm(x)",
+        "import numpy.linalg as la\nla.norm(x)",
+        "from numpy import linalg\nlinalg.norm(x)",
+        "from numpy.linalg import norm as n\nn(x)",
+    ],
+)
+def test_norm_scan_sees_every_spelling(source):
+    assert norm_calls(source) == [2]
+
+
+def test_only_hilbert_takes_norms():
+    """Every norm is hilbert's: frobenius (scale-safe), operator_norm and
+    the 1-norms of invert_operator. A plain numpy norm elsewhere would be a
+    second norm path, one that overflows past about 1e154."""
+    found = {
+        f"{path.name}:{line}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "hilbert.py"
+        for line in norm_calls(path.read_text(encoding="utf-8"))
     }
     assert found == set()
