@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -28,6 +29,7 @@ from .hilbert import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TRIALS,
+    finite,
     frobenius,
     require_positive,
     require_seed,
@@ -128,7 +130,7 @@ def cmd_verify(cfg) -> tuple[dict, int]:
 def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     if rho is not None:
-        phi = rho * record.canonical_dual()
+        phi = finite(np.multiply, rho, record.canonical_dual())
     elif cfg.phi is not None:
         phi = cfg.phi
     else:
@@ -159,19 +161,20 @@ def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
 def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     mapping = gallery.example_mapping(dim)
     images_psi = apply_mapping(mapping, gallery.example_psi(dim))
-    images_tilde = apply_mapping(mapping, gallery.example_psi_tilde(dim))
-    images_phi = apply_mapping(mapping, gallery.example_phi(dim))
     f = trial_vectors(dim, trials, seed)
 
-    def both_residuals(analysis, synthesis, plain_target, controlled_target):
-        plain = trial_sums(synthesis.T, analysis, f)  # U plain: the controlled sums
-        controlled = worst_residual(gallery.CONTROL_SCALE * plain, f, controlled_target)
-        return worst_residual(plain, f, plain_target), controlled
+    def both_residuals(analysis, synthesis, target):
+        plain = worst_residual(trial_sums(synthesis.T, analysis, f), f, target)
+        # Exact: U = I/2 scales the sums and target by CONTROL_SCALE, a power of two,
+        # and barring underflow (unit f, O(1) families) so does each step of
+        # worst_residual: - target, |.|^2, the column sum, sqrt and max (checked
+        # bit for bit by test_paper_example_residuals_equal_the_dense_u_reference).
+        return plain, gallery.CONTROL_SCALE * plain
 
     residuals = dict(zip(
         ("plain_psi_tilde", "controlled_psi_tilde", "plain_phi", "controlled_phi"),
-        both_residuals(images_psi, images_tilde, 2.0, 1.0)
-        + both_residuals(images_phi, images_psi, 1.0, 0.5),
+        both_residuals(images_psi, apply_mapping(mapping, gallery.example_psi_tilde(dim)), 2.0)
+        + both_residuals(apply_mapping(mapping, gallery.example_phi(dim)), images_psi, 1.0),
     ))
     report = {
         "command": "paper-example",
@@ -278,6 +281,8 @@ def main(argv=None) -> int:
             elif args.command == "verify":
                 report, code = cmd_verify(cfg)
             else:
+                if args.rho is not None and not math.isfinite(args.rho):
+                    raise ValueError(f"--rho must be a finite number, got {args.rho!r}")
                 eps = require_positive(args.eps, "--eps")
                 terms = require_positive(args.max_terms, "--max-terms", integer=True)
                 report, code = cmd_neumann(cfg, args.rho, eps, terms)

@@ -107,8 +107,7 @@ class ControlledEFrame:
     @cached_property
     def s_e(self) -> np.ndarray:
         """S_E = T T*, the plain frame operator; an overflow is an input error."""
-        with np.errstate(over="ignore", invalid="ignore"):  # validated raises instead
-            return hilbert.frozen(hilbert.validated(self.images.T @ self.images.conj()))
+        return hilbert.frozen(hilbert.finite(np.matmul, self.images.T, self.images.conj()))
 
     @cached_property
     def plain(self) -> EFrameRecord:
@@ -121,8 +120,7 @@ class ControlledEFrame:
     @cached_property
     def s_ue(self) -> np.ndarray:
         """f -> sum_n <f, (E psi)_n> U (E psi)_n, equal to U S_E."""
-        with np.errstate(over="ignore", invalid="ignore"):  # as in s_e
-            return hilbert.frozen(hilbert.validated(self.u @ self.s_e))
+        return hilbert.frozen(hilbert.finite(np.matmul, self.u, self.s_e))
 
     @cached_property
     def _spectrum(self) -> tuple[bool, SpectralBounds]:
@@ -149,8 +147,7 @@ class ControlledEFrame:
     @cached_property
     def t_u(self) -> np.ndarray:
         """Synthesis map whose column n is U applied to the image (E psi)_n."""
-        with np.errstate(over="ignore", invalid="ignore"):  # as in s_e
-            return hilbert.frozen(hilbert.validated(self.u @ self.images.T))
+        return hilbert.frozen(hilbert.finite(np.matmul, self.u, self.images.T))
 
     @cached_property
     def t_u_pinv(self) -> np.ndarray:
@@ -236,14 +233,15 @@ class ControlledEFrame:
         f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
 
         def certificate(orientation, synthesis, analysis):
-            block = hilbert.trial_sums(synthesis, analysis, f)
+            block = hilbert.finite(hilbert.trial_sums, synthesis, analysis, f)
             res = hilbert.worst_residual(block, f, 1.0)
             ok = hilbert.backward_ok(res, synthesis, analysis, tol)
             return DualCertificate(orientation, res, block.shape[1], ok)
 
+        switched = hilbert.finite(np.matmul, self.u, images_phi.T)
         return (
             certificate("definitional", self.t_u, images_phi),
-            certificate("switched", self.u @ images_phi.T, self.images),
+            certificate("switched", switched, self.images),
         )
 
     def dual_from_right_inverse(self, v) -> np.ndarray:

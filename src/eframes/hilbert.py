@@ -11,6 +11,10 @@ can be shared freely between threads.
 Input is checked here, once: validated (with require_shape, its shape
 half) for every array, require_positive for every tol, eps and count and
 require_seed for every seed that configuration, CLI or library takes;
+finite for every array formed from finite input that can overflow (each
+mapping's apply and apply_inverse, S_E, S, T_u, the certificates' sums, the
+Neumann deviation and the CLI's rho times a dual), so that an overflow is
+ValueError("entries must be finite") and numpy warns of nothing;
 invert_operator is the one checked inverse. ControlledEFrame.s_inv and
 e_canonical_dual call the plain inv, and ControlledEFrame.t_u_pinv a pinv
 that cuts no singular value, since the frame verdict they require has
@@ -62,6 +66,16 @@ def validated(x, name: str = "array", shape=(None, None), square=False) -> np.nd
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
     return arr
+
+
+def finite(form, *args):
+    """form(*args) under np.errstate(over="ignore", invalid="ignore"), then through
+    validated at its own shape: the overflow rule, so that an entry formed as inf,
+    or NaN from inf - inf, is ValueError("entries must be finite"), not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = form(*args)
+    validated(out, shape=np.shape(out))
+    return out
 
 
 def require_positive(raw, name: str, integer: bool = False):

@@ -20,7 +20,9 @@ not an integer (a bool, a float, or a string int() cannot read) or repeated.
 Dense and banded are singular by hilbert.require_nonsingular on the 1-norm
 reciprocal condition: exact from the one dense inverse, estimated for banded.
 apply and apply_inverse take an (n, d) sequence and raise
-DimensionMismatchError naming `seq` for any other shape. A mapping is an
+DimensionMismatchError naming `seq` for any other shape; every kind forms its
+result under hilbert.finite, the overflow rule, so an image past the double
+range raises ValueError("entries must be finite") and numpy warns of nothing. A mapping is an
 operator only: the dense kind alone has `entries` and `inverse`, the two
 arrays it applies, and the dense form of any kind is apply(np.eye(n)).
 """
@@ -48,11 +50,12 @@ class MatrixMapping:
 
     def apply(self, seq) -> np.ndarray:
         """(E seq)_n = sum_k E[n, k] seq_k for every n."""
-        return self._apply(hilbert.validated(seq, "seq", (self.n, None)))
+        return hilbert.finite(self._apply, hilbert.validated(seq, "seq", (self.n, None)))
 
     def apply_inverse(self, seq) -> np.ndarray:
         """Sequence psi with apply(psi) = seq."""
-        return self._apply_inverse(hilbert.validated(seq, "seq", (self.n, None)))
+        return hilbert.finite(
+            self._apply_inverse, hilbert.validated(seq, "seq", (self.n, None)))
 
 
 class _Identity(MatrixMapping):

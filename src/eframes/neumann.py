@@ -58,8 +58,8 @@ class ApproximateDual:
     @cached_property
     def deviation(self) -> np.ndarray:
         """id - T_u D*: how far the one-step reconstruction is from the identity."""
-        d = self.images.shape[1]
-        return hilbert.frozen(np.eye(d) - self.frame.t_u @ self.images.conj())
+        product = hilbert.finite(np.matmul, self.frame.t_u, self.images.conj())
+        return hilbert.frozen(np.eye(product.shape[0]) - product)  # cannot overflow
 
     @cached_property
     def ratio(self) -> float:

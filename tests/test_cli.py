@@ -40,9 +40,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def not_json(constant):
+    raise ValueError(f"machine output is not RFC 8259 JSON: it holds {constant}")
+
+
 def machine(capsys, *argv):
+    """Exit code and report, parsed strictly: NaN, Infinity or -Infinity fails."""
     code, out = run(capsys, *argv, "--format", "machine")
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=not_json)
 
 
 def test_parse_config_worked(tmp_path):
@@ -174,6 +179,60 @@ def test_overflowing_frame_operator_is_one_input_error(tmp_path, capsys, argv):
     path = write_config(tmp_path, psi=pairs(1e154 * gallery.example_psi(3)))
     assert main([argv[0], path, *argv[1:]]) == 1
     assert capsys.readouterr().err == "error: entries must be finite\n"
+
+
+B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+OVERFLOWING_IMAGES = {  # psi and E, each finite, whose images E psi pass 1e308
+    "dense": (1e200 * B, {"kind": "dense", "entries": pairs(1e200 * np.eye(3))}),
+    "banded": (1e200 * B, {"kind": "banded", "diagonals": {"0": [[1e200, 0]] * 3}}),
+    "bidiagonal": ([[1.7e308, 0], [-1.7e308, 1], [1, 1]], {"kind": "paper_bidiagonal"}),
+}
+
+
+@pytest.mark.parametrize("kind", OVERFLOWING_IMAGES)
+@pytest.mark.parametrize("argv", [["analyze"], ["dual"], ["neumann", "--rho", "0.5"]])
+def test_overflow_while_applying_e_is_one_input_error(tmp_path, capsys, kind, argv):
+    """Every kind of mapping forms E psi under the overflow rule: exit 1 with
+    the validator's message and no numpy warning."""
+    psi, e = OVERFLOWING_IMAGES[kind]
+    path = write_config(
+        tmp_path, dimension=2, count=3, psi=pairs(psi), mapping=e, u={"kind": "identity"}
+    )
+    assert main([argv[0], path, *argv[1:], "--format", "machine"]) == 1
+    assert capsys.readouterr() == ("", "error: entries must be finite\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "neumann"])
+def test_overflowing_certificate_sums_are_one_input_error(tmp_path, capsys, command):
+    """psi = 1e150 B, U = 1e50 and phi = 1e200 B: T_u and E phi are finite, but
+    both certificates' sums and the Neumann deviation id - T_u D* pass 1e308.
+    verify and neumann exit 1; verify prints no NaN residual."""
+    path = write_config(
+        tmp_path, dimension=2, count=3, psi=pairs(1e150 * B), phi=pairs(1e200 * B),
+        mapping={"kind": "dense", "entries": pairs(np.eye(3))},
+        u={"kind": "scalar", "value": 1e50},
+    )
+    assert main([command, path, "--format", "machine"]) == 1
+    assert capsys.readouterr() == ("", "error: entries must be finite\n")
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+def test_non_finite_rho_exits_1_naming_the_flag(tmp_path, capsys, rho):
+    assert main(["neumann", write_config(tmp_path), f"--rho={rho}"]) == 1
+    assert capsys.readouterr() == ("", f"error: --rho must be a finite number, got {rho}\n")
+
+
+@pytest.mark.parametrize("rho", ["1e308", "-1e308"])
+def test_rho_whose_product_overflows_is_one_input_error(tmp_path, capsys, rho):
+    assert main(["neumann", write_config(tmp_path), f"--rho={rho}"]) == 1
+    assert capsys.readouterr() == ("", "error: entries must be finite\n")
+
+
+@pytest.mark.parametrize("rho, ratio", [("0", 1.0), ("-1", 2.0)])
+def test_zero_or_negative_rho_is_accepted(tmp_path, capsys, rho, ratio):
+    code, report = machine(capsys, "neumann", write_config(tmp_path), f"--rho={rho}")
+    assert code == 2
+    assert report["ratio"] == pytest.approx(ratio) and report["converged"] is False
 
 
 def test_dual_text_format_counts_the_rows(tmp_path, capsys):
@@ -335,10 +394,12 @@ def test_paper_example_dims(capsys):
 
 
 def test_paper_example_peak_memory():
-    """The basis sums come from the d x d mixed operators and U = I/2 is
-    applied as a scalar: about 29 MB at d = 512, where a dense U and its
-    product peak at about 33 MB and a chain through N x (trials + d)
-    coefficient blocks at about 47 MB."""
+    """The basis sums come from the d x d mixed operators, each pair's sums are
+    formed once (the controlled residual is CONTROL_SCALE times the plain one),
+    and only psi's images outlive a pair: about 20 MB at d = 512. A second,
+    scaled block per pair with all three families' images alive peaks at
+    about 29 MB, a dense U and its product at about 33 MB, and a chain through
+    N x (trials + d) coefficient blocks at about 47 MB."""
     tracemalloc.start()
     try:
         report, code = cmd_paper_example(512, 1e-10, 100, 7)
@@ -346,7 +407,7 @@ def test_paper_example_peak_memory():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 31e6
+    assert peak <= 22e6
 
 
 @pytest.mark.parametrize("trials", [1, 7, 100])

@@ -558,6 +558,15 @@ def test_t_u_overflow_is_an_input_error():
         record.t_u
 
 
+def test_overflowing_certificate_sums_are_an_input_error():
+    """psi = 1e150 B, U = 1e50 and phi = 1e200 B: T_u, E phi and U (E phi)^T are
+    finite, but the sums of both orientations pass 1e308. The residual was NaN."""
+    b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    e, u = mapping.build_dense(np.eye(3)), 1e50 * np.eye(2)
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        controlled.verify_dual(e, 1e150 * b, 1e200 * b, u)
+
+
 @pytest.mark.parametrize("trials", [1, 7, 100])
 @pytest.mark.parametrize("d, n", [(4, 5), (16, 33), (32, 64)])
 def test_certify_counts_the_basis_and_matches_the_chain(d, n, trials):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,3 +80,9 @@ def test_numpy_integer_dim_is_accepted(function):
     if isinstance(want, mapping.MatrixMapping):
         got, want = dense_form(got), dense_form(want)
     assert np.array_equal(got, want)
+
+
+def test_control_scale_is_a_power_of_two():
+    """paper-example reports each controlled residual as CONTROL_SCALE times the
+    plain one; that product is exact only for a power of two."""
+    assert math.frexp(gallery.CONTROL_SCALE)[0] == 0.5

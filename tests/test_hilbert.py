@@ -202,6 +202,22 @@ def test_is_positive_definite():
     assert not positive_definite(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def test_finite_forms_under_the_overflow_rule():
+    """hilbert.finite returns what it formed, at any shape, when every entry is
+    finite; an inf it formed, or NaN from inf - inf, is ValueError with no
+    numpy warning."""
+    ones = np.ones((2, 3), dtype=complex)
+    assert hilbert.finite(np.multiply, 2.0, ones).shape == (2, 3)
+    assert hilbert.finite(float, 2.5) == 2.5
+    for form, args in [
+        (np.multiply, (1e200, 1e200 * ones)),
+        (np.matmul, (1e200 * ones.T, 1e200 * ones)),
+        (np.subtract, (np.array([np.inf]), np.array([np.inf]))),
+    ]:
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            hilbert.finite(form, *args)
+
+
 def test_finite_validation():
     assert hilbert.validated([1, 2j], shape=(None,)).dtype == np.complex128
     assert hilbert.validated(np.ones((2, 3))).shape == (2, 3)

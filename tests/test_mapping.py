@@ -235,6 +235,29 @@ def test_operator_kinds_match_dense_forms(kind, n, d, offsets, seed):
     assert_allclose(grid @ dense_inverse(e), np.eye(n), atol=roundtrip_tol * n)
 
 
+OVERFLOWING = [  # a mapping, the applying method and a finite sequence it takes past 1e308
+    (lambda: mapping.build_dense(1e200 * np.eye(3)), "apply", 1e200),
+    (lambda: mapping.build_dense(1e-200 * np.eye(3)), "apply_inverse", 1e200),
+    (lambda: mapping.build_banded(3, {0: [1e200] * 3}), "apply", 1e200),
+    (lambda: mapping.build_banded(3, {0: [1e-200] * 3}), "apply_inverse", 1e200),
+    (lambda: mapping.build_bidiagonal(3), "apply", [[1.7e308], [-1.7e308], [1.0]]),
+    (lambda: mapping.build_bidiagonal(3), "apply_inverse", [[1.7e308], [1.7e308], [1.0]]),
+]
+
+
+@pytest.mark.parametrize("build, method, seq", OVERFLOWING, ids=[
+    f"{kind}-{method}" for kind in ("dense", "banded", "bidiagonal")
+    for method in ("apply", "apply_inverse")
+])
+def test_overflow_while_applying_is_an_input_error(build, method, seq):
+    """Every kind applies E and E^{-1} under hilbert.finite: an image past the
+    double range is ValueError, never a numpy warning or a silent inf (the
+    banded inverse is LAPACK's, which warns of nothing)."""
+    seq = np.broadcast_to(np.asarray(seq, dtype=complex), (3, 2))
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        getattr(build(), method)(seq)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_apply_returns_new_array_and_keeps_input(kind):
     rng = np.random.default_rng(11)

@@ -192,3 +192,13 @@ def test_corrected_dual_is_scale_equivariant(worked):
         assert report_c.terms_used == 39 and report_c.converged
         assert report_c.residual_history == tuple(h / c for h in report.residual_history)
         assert np.array_equal(c * corrected_c, corrected)
+
+
+def test_overflowing_deviation_is_an_input_error():
+    """psi = 1e150 B, U = 1e50 and phi = 1e200 B: T_u and E phi are finite, but
+    T_u D* in id - T_u D* passes 1e308."""
+    b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    e = mapping.build_dense(np.eye(3))
+    frame = controlled.ControlledEFrame(e, 1e150 * b, 1e50 * np.eye(2))
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        neumann.ApproximateDual(frame, 1e200 * b).deviation
