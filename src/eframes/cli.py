@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import controlled, eframe, gallery, neumann
+from . import controlled, gallery, neumann
 from .config import ConfigError, parse_config
 from .errors import (
     ConvergenceError,
@@ -61,7 +61,10 @@ def _render_text(report: dict, elapsed: float) -> str:
         if isinstance(value, dict):
             for key in value:
                 emit(f"{prefix}.{key}" if prefix else str(key), value[key])
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for index, item in enumerate(value):
+                emit(f"{prefix}[{index}]", item)
+        elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{prefix}: <{len(value)} rows>")
         else:
             lines.append(f"{prefix}: {value}")
@@ -86,7 +89,7 @@ def cmd_analyze(cfg, strict: bool) -> tuple[dict, int]:
     if record.verdict == controlled.CONTROLLED_FRAME:
         report["identities"] = asdict(record.identity_errors(cfg.trials, cfg.seed))
     failing = (
-        record.plain.verdict != eframe.FRAME
+        record.plain.verdict != controlled.FRAME
         or record.verdict != controlled.CONTROLLED_FRAME
     )
     return report, EXIT_VERDICT if strict and failing else EXIT_OK

@@ -18,8 +18,9 @@ T_u V = 0 added to the canonical dual). Generators and the inverse
 extraction are provided for both.
 
 Everything works from one prepared record per (E, psi, U, tol),
-ControlledEFrame, the one place a family is prepared and judged (its plain
-half is eframe.e_frame_bounds). Its constructor validates the inputs and
+ControlledEFrame, the one place a family is prepared and judged: its plain
+half, an EFrameRecord, is FRAME or BESSEL_ONLY, and the record itself
+CONTROLLED_FRAME or INVALID. Its constructor validates the inputs and
 applies E to psi once. S_E, S, the bounds and verdict, T_u, pinv(T_u) and
 S^{-1} are each computed on first use and cached; all of them are d x d or
 d x N, so no N x N array is cached. The verdict is the one rank rule:
@@ -37,18 +38,26 @@ from functools import cached_property
 import numpy as np
 
 from . import hilbert
-from .eframe import BESSEL_ONLY, FRAME, EFrameRecord, e_riesz_family
 from .errors import DualConditionError, NotAFrameError
 from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, SpectralBounds
-from .mapping import (
-    MatrixMapping,
-    apply_inverse_mapping,
-    apply_mapping,
-    identity_mapping,
-)
+from .mapping import MatrixMapping, apply_inverse_mapping, apply_mapping
 
+FRAME = "frame"
+BESSEL_ONLY = "bessel-only"
 CONTROLLED_FRAME = "controlled-frame"
 INVALID = "invalid"
+
+
+@dataclass(frozen=True)
+class EFrameRecord:
+    """Analysis result for one (mapping, sequence) pair: ControlledEFrame.plain."""
+
+    psi: np.ndarray
+    mapping: MatrixMapping
+    images: np.ndarray
+    frame_op: np.ndarray
+    bounds: SpectralBounds
+    verdict: str
 
 
 @dataclass(frozen=True)
@@ -68,16 +77,6 @@ class DualCertificate:
     max_residual: float
     trials: int
     verdict: bool
-
-
-@dataclass(frozen=True)
-class RieszEquivalenceReport:
-    """Controlled bounds computed along both routes of the Riesz equivalence."""
-
-    riesz_bounds: SpectralBounds
-    direct_bounds: SpectralBounds
-    max_deviation: float
-    agree: bool
 
 
 @dataclass(frozen=True)
@@ -396,21 +395,3 @@ def extract_null_map(
     cert, _ = record.certify(images_phi, trials, seed)
     return record.null_map(images_phi, cert)
 
-
-def riesz_equivalence(
-    v, basis, e: MatrixMapping, u, tol: float = DEFAULT_TOL
-) -> RieszEquivalenceReport:
-    """Controlled bounds of the Riesz-type family along both routes.
-
-    Route one maps the basis through E^{-1}, applies V, and runs the
-    controlled analysis over E; route two analyses {V b_j} directly over
-    the identity mapping. The defining sums coincide term by term, so
-    the spectra must agree to tol relative to the larger upper bound.
-    """
-    psi = e_riesz_family(v, e, basis, tol)
-    riesz = ControlledEFrame(e, psi, u, tol).bounds
-    direct_seq = np.asarray(basis, dtype=complex) @ np.asarray(v, dtype=complex).T
-    direct = ControlledEFrame(identity_mapping(e.n), direct_seq, u, tol).bounds
-    dev = float(max(abs(riesz.lo - direct.lo), abs(riesz.hi - direct.hi)))
-    agree = dev <= tol * max(abs(riesz.hi), abs(direct.hi))
-    return RieszEquivalenceReport(riesz, direct, dev, bool(agree))

@@ -1,9 +1,11 @@
-"""E-frame analysis: frame operator, bounds, canonical dual and
-Riesz-type families.
+"""E-frame entry points at U = id, and Riesz-type families.
 
 An E-frame is a controlled E-frame at U = id: e_frame_bounds is the plain
-half of the prepared record (controlled.ControlledEFrame.plain), with the
-images (E psi)_n and the frame operator T T*, T having image n as column n.
+half of the prepared record (controlled.ControlledEFrame.plain, a
+controlled.EFrameRecord), with the images (E psi)_n and the frame operator
+T T*, T having image n as column n; e_canonical_dual is its canonical dual.
+e_riesz_family builds the family V (E^{-1} basis), and riesz_equivalence
+checks its controlled bounds against those of {V b_j} over the identity.
 """
 
 from __future__ import annotations
@@ -13,29 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
+from .controlled import FRAME, ControlledEFrame, EFrameRecord
 from .errors import NotAFrameError
 from .hilbert import DEFAULT_TOL, SpectralBounds
-from .mapping import MatrixMapping, apply_inverse_mapping
-
-FRAME = "frame"
-BESSEL_ONLY = "bessel-only"
+from .mapping import MatrixMapping, apply_inverse_mapping, identity_mapping
 
 
 @dataclass(frozen=True)
-class EFrameRecord:
-    """Analysis result for one (mapping, sequence) pair: ControlledEFrame.plain."""
+class RieszEquivalenceReport:
+    """Controlled bounds computed along both routes of the Riesz equivalence."""
 
-    psi: np.ndarray
-    mapping: MatrixMapping
-    images: np.ndarray
-    frame_op: np.ndarray
-    bounds: SpectralBounds
-    verdict: str
+    riesz_bounds: SpectralBounds
+    direct_bounds: SpectralBounds
+    max_deviation: float
+    agree: bool
 
 
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
     """Frame bounds and verdict: the record's E-frame half at U = id."""
-    from .controlled import ControlledEFrame  # controlled imports this module
     psi = hilbert.require_shape(psi, "psi", (e.n, None))
     return ControlledEFrame(e, psi, np.eye(psi.shape[1], dtype=np.complex128), tol).plain
 
@@ -65,3 +62,22 @@ def e_riesz_family(
     if not hilbert.close(basis @ basis.conj().T, np.eye(n), tol):
         raise ValueError("basis is not orthonormal to tolerance")
     return apply_inverse_mapping(e, basis) @ v.T
+
+
+def riesz_equivalence(
+    v, basis, e: MatrixMapping, u, tol: float = DEFAULT_TOL
+) -> RieszEquivalenceReport:
+    """Controlled bounds of the Riesz-type family along both routes.
+
+    Route one maps the basis through E^{-1}, applies V, and runs the
+    controlled analysis over E; route two analyses {V b_j} directly over
+    the identity mapping. The defining sums coincide term by term, so
+    the spectra must agree to tol relative to the larger upper bound.
+    """
+    psi = e_riesz_family(v, e, basis, tol)
+    riesz = ControlledEFrame(e, psi, u, tol).bounds
+    direct_seq = np.asarray(basis, dtype=complex) @ np.asarray(v, dtype=complex).T
+    direct = ControlledEFrame(identity_mapping(e.n), direct_seq, u, tol).bounds
+    dev = float(max(abs(riesz.lo - direct.lo), abs(riesz.hi - direct.hi)))
+    agree = dev <= tol * max(abs(riesz.hi), abs(direct.hi))
+    return RieszEquivalenceReport(riesz, direct, dev, bool(agree))

@@ -22,7 +22,8 @@ already bounded S away from singular, and so T_u at full rank. Each
 tolerance rule is stated once: close (equality), hermitian_bounds
 (Hermitian), SpectralBounds.positive, require_nonsingular and backward_ok
 (duals), on scale-safe frobenius norms; no tol reaches numpy. Every norm
-the library takes is taken here: no other module calls numpy.linalg.norm.
+the library takes is taken here but the banded mapping's 1-norm, summed by
+hand for zgbcon: no other module calls numpy.linalg.norm.
 """
 
 from __future__ import annotations
@@ -217,10 +218,10 @@ def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
 def trial_sums(synthesis, analysis, f) -> np.ndarray:
     """[synthesis analysis* f | synthesis analysis*]: the sums of the trial vectors,
     then those of the basis, read from the d x d mixed operator."""
-    trials = f.shape[1]
+    trials, conj = f.shape[1], analysis.conj()
     block = np.empty((synthesis.shape[0], trials + f.shape[0]), dtype=np.complex128)
-    np.matmul(synthesis, analysis.conj() @ f, out=block[:, :trials])
-    np.matmul(synthesis, analysis.conj(), out=block[:, trials:])
+    np.matmul(synthesis, conj @ f, out=block[:, :trials])
+    np.matmul(synthesis, conj, out=block[:, trials:])
     return block
 
 

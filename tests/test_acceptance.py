@@ -217,7 +217,7 @@ def test_criterion_8_riesz_equivalence():
         v = random_conditioned_matrix(rng, d)
         e = mapping.build_dense(random_conditioned_matrix(rng, d))
         u = np.eye(d, dtype=complex) * rng.uniform(0.5, 1.5)
-        report = controlled.riesz_equivalence(v, np.eye(d, dtype=complex), e, u, tol=1e-8)
+        report = eframe.riesz_equivalence(v, np.eye(d, dtype=complex), e, u, tol=1e-8)
         scale = max(abs(report.riesz_bounds.hi), abs(report.direct_bounds.hi), 1.0)
         assert report.max_deviation <= 1e-8 * scale
         worst = max(worst, report.max_deviation / scale)

@@ -241,6 +241,18 @@ def test_dual_text_format_counts_the_rows(tmp_path, capsys):
     assert "dual: <4 rows>" in out.splitlines()
 
 
+def test_verify_text_format_shows_each_certificate(tmp_path, capsys):
+    path = write_config(tmp_path, phi=pairs(gallery.example_psi_tilde(3)))
+    code, out = run(capsys, "verify", path)
+    assert code == 0
+    lines = out.splitlines()
+    for index, orientation in enumerate(("definitional", "switched")):
+        assert f"certificates[{index}].orientation: {orientation}" in lines
+        assert f"certificates[{index}].verdict: True" in lines
+        assert any(line.startswith(f"certificates[{index}].max_residual: ") for line in lines)
+    assert not any("rows>" in line for line in lines)
+
+
 def test_verdict_failure_exits_2_in_process(tmp_path, capsys):
     path = write_config(tmp_path, psi=pairs(np.zeros((4, 3))))
     assert main(["dual", path]) == 2

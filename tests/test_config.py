@@ -349,6 +349,37 @@ def test_a_pipe_is_read_once_by_the_stdlib_reader():
         os.close(read)
 
 
+def refusing_open(refuses):
+    """An open for config that fails, as an unreadable file does, in each mode
+    that refuses(mode) picks."""
+    def fake_open(path, mode="r", **kwargs):
+        if refuses(mode):
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, mode, **kwargs)
+    return fake_open
+
+
+def test_a_file_unreadable_as_bytes_goes_to_the_stdlib_reader(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(reader_config())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "_fast_json", lambda path: None)
+        stdlib = outcome(str(path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "open", refusing_open(lambda mode: "b" in mode), raising=False)
+        assert config._fast_json(str(path)) is None
+        assert outcome(str(path)) == stdlib
+    assert len(stdlib[0]) > 2  # values, not an error
+
+
+def test_an_unreadable_file_is_a_config_error(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(reader_config())
+    monkeypatch.setattr(config, "open", refusing_open(lambda mode: True), raising=False)
+    with pytest.raises(ConfigError, match=r"^cannot read configuration: .*Permission denied"):
+        parse_config(str(path))
+
+
 MUTATION_BYTES = st.sampled_from(list(b'[]{}",:.-+0123456789eE \\\r\nNaIfinty\xff'))
 
 

@@ -155,7 +155,7 @@ def test_commutation_criterion_is_false_on_a_family_that_is_no_frame(worked):
     psi = worked.psi.copy()
     psi[:, 2] = 0.0
     record = controlled.ControlledEFrame(worked.mapping, psi, worked.u)
-    assert record.plain.verdict == eframe.BESSEL_ONLY
+    assert record.plain.verdict == controlled.BESSEL_ONLY
     assert record.commutation_criterion() is False
 
 
@@ -401,7 +401,7 @@ def test_right_inverse_family_duals_pass(worked):
 
 def test_riesz_equivalence_scaled_identity(worked):
     e3 = mapping.build_bidiagonal(3)
-    report = controlled.riesz_equivalence(
+    report = eframe.riesz_equivalence(
         2.0 * np.eye(3, dtype=complex), np.eye(3, dtype=complex), e3, 0.5 * np.eye(3)
     )
     assert report.agree
@@ -411,7 +411,7 @@ def test_riesz_equivalence_scaled_identity(worked):
 
 def test_riesz_equivalence_trivial():
     e = mapping.identity_mapping(3)
-    report = controlled.riesz_equivalence(
+    report = eframe.riesz_equivalence(
         np.eye(3, dtype=complex), np.eye(3, dtype=complex), e, np.eye(3)
     )
     assert report.agree
@@ -425,7 +425,7 @@ def test_riesz_equivalence_random_triangular():
         v = np.triu(random_complex(rng, (d, d)))
         v += np.diag(1.0 + np.abs(np.diag(v)))  # keep it comfortably invertible
         e = mapping.build_dense(random_conditioned_matrix(rng, d))
-        report = controlled.riesz_equivalence(
+        report = eframe.riesz_equivalence(
             v, np.eye(d, dtype=complex), e, np.eye(d)
         )
         assert report.agree
@@ -612,8 +612,8 @@ def test_riesz_equivalence_passes_tol_to_the_family():
     e = mapping.build_bidiagonal(3)
     v = 2.0 * np.eye(3, dtype=complex)
     with pytest.raises(ValueError, match="orthonormal"):
-        controlled.riesz_equivalence(v, basis, e, np.eye(3))
-    assert controlled.riesz_equivalence(v, basis, e, np.eye(3), tol=1e-6).agree
+        eframe.riesz_equivalence(v, basis, e, np.eye(3))
+    assert eframe.riesz_equivalence(v, basis, e, np.eye(3), tol=1e-6).agree
 
 
 def test_square_gaussian_problem_accepts_its_own_duals():

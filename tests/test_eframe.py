@@ -80,14 +80,14 @@ def test_e_frame_operator_orthonormal_identity():
 
 def test_e_frame_bounds_worked(worked):
     record = eframe.e_frame_bounds(worked.mapping, worked.psi)
-    assert record.verdict == eframe.FRAME
+    assert record.verdict == controlled.FRAME
     assert (record.bounds.lo, record.bounds.hi) == pytest.approx((1.0, 2.0))
 
 
 def test_e_frame_bounds_parseval_tight():
     e = mapping.identity_mapping(3)
     record = eframe.e_frame_bounds(e, np.eye(3, dtype=complex))
-    assert record.verdict == eframe.FRAME
+    assert record.verdict == controlled.FRAME
     assert (record.bounds.lo, record.bounds.hi) == pytest.approx((1.0, 1.0))
 
 
@@ -96,7 +96,7 @@ def test_e_frame_bounds_rank_deficient_is_bessel_only():
     psi = np.zeros((4, 3), dtype=complex)
     psi[:, 0] = [1.0, 2.0, -1.0, 0.5]  # all multiples of e1
     record = eframe.e_frame_bounds(e, psi)
-    assert record.verdict == eframe.BESSEL_ONLY
+    assert record.verdict == controlled.BESSEL_ONLY
     assert record.bounds.lo == pytest.approx(0.0, abs=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_zero_members_contribute_nothing():
     psi[2, 1] = 1.0
     psi[3, 2] = 1.0  # member 5 stays zero
     record = eframe.e_frame_bounds(e, psi)
-    assert record.verdict == eframe.FRAME
+    assert record.verdict == controlled.FRAME
     assert (record.bounds.lo, record.bounds.hi) == pytest.approx((1.0, 2.0))
 
 
@@ -115,7 +115,7 @@ def test_e_frame_bounds_fewer_members_than_dimensions():
     e = mapping.identity_mapping(2)
     psi = random_complex(np.random.default_rng(0), (2, 5))
     record = eframe.e_frame_bounds(e, psi)
-    assert record.verdict == eframe.BESSEL_ONLY
+    assert record.verdict == controlled.BESSEL_ONLY
 
 
 def test_e_canonical_dual_worked(worked):
@@ -291,4 +291,4 @@ def test_frame_record_hermitian_test_uses_record_tol():
     with pytest.raises(NotHermitianError):
         plain(hilbert.DEFAULT_TOL)
     record = plain(1e-6)
-    assert record.verdict == eframe.FRAME
+    assert record.verdict == controlled.FRAME

@@ -64,11 +64,12 @@ def test_module_imports_form_a_dag():
         remaining = {name: deps for name, deps in remaining.items() if name not in leaves}
 
 
-def test_the_one_function_level_sibling_import():
-    """e_frame_bounds reads the prepared record, whose module imports eframe."""
+def test_no_function_level_sibling_import():
+    """Every sibling import is at module level: eframe builds on the prepared
+    record, so controlled imports nothing from eframe."""
     graph, local = sibling_imports()
-    assert local == {("eframe", "e_frame_bounds", "controlled")}
-    assert "eframe" in graph["controlled"]
+    assert local == set()
+    assert "eframe" not in graph["controlled"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -95,7 +96,7 @@ TOL_COMPARISONS = {
     ("cli", "cmd_dual"),  # null_map_roundtrip, relative to ||E phi||_F
     ("cli", "cmd_neumann"),  # the certificate's tol, widened by the series' eps
     ("cli", "cmd_paper_example"),  # the worked example's sums are exact
-    ("controlled", "riesz_equivalence"),  # two routes' bounds agree
+    ("eframe", "riesz_equivalence"),  # two routes' bounds agree
 }
 
 

@@ -135,7 +135,7 @@ CALLS = {
     "extract_null_map": (
         lambda x: controlled.extract_null_map(E, x["psi"], x["phi"], x["u"]), ["psi", "phi", "u"]),
     "riesz_equivalence": (
-        lambda x: controlled.riesz_equivalence(x["v:riesz"], x["basis"], E3, x["u"]),
+        lambda x: eframe.riesz_equivalence(x["v:riesz"], x["basis"], E3, x["u"]),
         ["v:riesz", "basis", "u"]),
     "ControlledEFrame.canonical_reconstruct": (
         lambda x: RECORD.canonical_reconstruct(x["f"]), ["f"]),
@@ -222,7 +222,7 @@ TOL_CALLS = {
     "random_null_map": lambda tol: controlled.random_null_map(E, PSI, U, tol=tol),
     "random_right_inverse": lambda tol: controlled.random_right_inverse(E, PSI, U, tol=tol),
     "extract_null_map": lambda tol: controlled.extract_null_map(E, PSI, PHI, U, tol=tol),
-    "riesz_equivalence": lambda tol: controlled.riesz_equivalence(
+    "riesz_equivalence": lambda tol: eframe.riesz_equivalence(
         np.eye(3), np.eye(3), E3, U, tol),
 }
 
