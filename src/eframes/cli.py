@@ -276,6 +276,11 @@ def main(argv=None) -> int:
         if args.command == "paper-example":
             report, code = cmd_paper_example(args.dim, **_overrides(args))
         else:
+            if args.command == "neumann":  # its flags are checked before the config is read
+                if args.rho is not None and not math.isfinite(args.rho):
+                    raise ValueError(f"--rho must be a finite number, got {args.rho!r}")
+                eps = require_positive(args.eps, "--eps")
+                terms = require_positive(args.max_terms, "--max-terms", integer=True)
             cfg = parse_config(args.config, _overrides(args))
             if args.command == "analyze":
                 report, code = cmd_analyze(cfg, args.strict)
@@ -284,10 +289,6 @@ def main(argv=None) -> int:
             elif args.command == "verify":
                 report, code = cmd_verify(cfg)
             else:
-                if args.rho is not None and not math.isfinite(args.rho):
-                    raise ValueError(f"--rho must be a finite number, got {args.rho!r}")
-                eps = require_positive(args.eps, "--eps")
-                terms = require_positive(args.max_terms, "--max-terms", integer=True)
                 report, code = cmd_neumann(cfg, args.rho, eps, terms)
     except (NotAFrameError, DualConditionError, ConvergenceError) as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)

@@ -96,7 +96,7 @@ class ControlledEFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", hilbert.require_positive(self.tol, "tol"))
-        psi = hilbert.require_shape(self.psi, "psi", (self.mapping.n, None))
+        psi = hilbert.validated(self.psi, "psi", (self.mapping.n, None))
         images = hilbert.frozen(apply_mapping(self.mapping, psi))
         u = hilbert.validated(self.u, "u", (images.shape[1],) * 2)
         object.__setattr__(self, "psi", hilbert.readonly(psi))
@@ -210,7 +210,7 @@ class ControlledEFrame:
 
     def images_of(self, phi) -> np.ndarray:
         """Images (E phi)_n of a candidate family shaped like psi."""
-        phi = hilbert.require_shape(phi, "phi", self.psi.shape)
+        phi = hilbert.validated(phi, "phi", self.psi.shape)
         return apply_mapping(self.mapping, phi)
 
     def certify(

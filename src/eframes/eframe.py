@@ -33,7 +33,7 @@ class RieszEquivalenceReport:
 
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
     """Frame bounds and verdict: the record's E-frame half at U = id."""
-    psi = hilbert.require_shape(psi, "psi", (e.n, None))
+    psi = hilbert.validated(psi, "psi", (e.n, None))
     return ControlledEFrame(e, psi, np.eye(psi.shape[1], dtype=np.complex128), tol).plain
 
 

@@ -8,8 +8,8 @@ argument and conjugate-linear in the second. All functions but
 worst_residual are pure and never mutate their arguments, so values
 can be shared freely between threads.
 
-Input is checked here, once: validated (with require_shape, its shape
-half) for every array, require_positive for every tol, eps and count and
+Input is checked here, once: validated (shape, then entries) for every
+array, require_positive for every tol, eps and count and
 require_seed for every seed that configuration, CLI or library takes;
 finite for every array formed from finite input that can overflow (each
 mapping's apply and apply_inverse, S_E, S, T_u, the certificates' sums, the
@@ -43,10 +43,11 @@ DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
 
 
-def require_shape(x, name: str, shape: tuple, square: bool = False) -> np.ndarray:
+def validated(x, name: str = "array", shape=(None, None), square=False) -> np.ndarray:
     """x as a complex array if it is nonempty with the given shape (None for
     a free axis; square=True also asks for equal axes), else
-    DimensionMismatchError naming the argument. Entries are not checked."""
+    DimensionMismatchError naming the argument; then ValueError("entries must
+    be finite") for an entry that is NaN or infinite: the one check of array input."""
     arr = np.asarray(x, dtype=np.complex128)
     sizes = zip(shape, arr.shape)
     fits = arr.ndim == len(shape) and all(n in (None, k) for n, k in sizes)
@@ -57,13 +58,6 @@ def require_shape(x, name: str, shape: tuple, square: bool = False) -> np.ndarra
         raise DimensionMismatchError(
             f"{name}: expected a nonempty {kind} of shape ({axes}), got {arr.shape}"
         )
-    return arr
-
-
-def validated(x, name: str = "array", shape=(None, None), square=False) -> np.ndarray:
-    """require_shape, then ValueError("entries must be finite") for an
-    entry that is NaN or infinite: the one check of array input."""
-    arr = require_shape(x, name, shape, square)
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
     return arr

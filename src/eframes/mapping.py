@@ -25,6 +25,8 @@ result under hilbert.finite, the overflow rule, so an image past the double
 range raises ValueError("entries must be finite") and numpy warns of nothing. A mapping is an
 operator only: the dense kind alone has `entries` and `inverse`, the two
 arrays it applies, and the dense form of any kind is apply(np.eye(n)).
+apply_mapping and apply_inverse_mapping are the two methods under
+module-level names, for a tracer to patch.
 """
 
 from __future__ import annotations
@@ -155,10 +157,7 @@ def build_dense(entries, tol: float = DEFAULT_TOL) -> MatrixMapping:
 
 
 def build_bidiagonal(n: int) -> MatrixMapping:
-    """First-difference mapping: 1 on the diagonal, -1 on the subdiagonal.
-
-    Its inverse is the running sum (lower triangular all ones).
-    """
+    """1 on the diagonal, -1 on the subdiagonal; its inverse is the running sum."""
     return _Bidiagonal(n)
 
 
@@ -176,11 +175,6 @@ def identity_mapping(n: int) -> MatrixMapping:
     return _Identity(n)
 
 
-def apply_mapping(e: MatrixMapping, seq) -> np.ndarray:
-    """(E psi)_n = sum_k E[n, k] psi_k for every n."""
-    return e.apply(seq)
-
-
-def apply_inverse_mapping(e: MatrixMapping, seq) -> np.ndarray:
-    """Sequence psi with apply_mapping(e, psi) = seq."""
-    return e.apply_inverse(seq)
+# names, not wrappers: benchmarks/tracing.py and tests/test_call_counts.py patch them
+apply_mapping = MatrixMapping.apply
+apply_inverse_mapping = MatrixMapping.apply_inverse

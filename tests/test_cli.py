@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,6 +558,21 @@ def test_non_finite_or_non_positive_flags_exit_1(tmp_path, capsys, argv):
     assert main([command, write_config(tmp_path), *flags]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "0", "--eps must be a finite positive number, got 0.0"),
+        ("--max-terms", "0", "--max-terms must be a finite positive integer, got 0"),
+        ("--rho", "nan", "--rho must be a finite number, got nan"),
+    ],
+)
+def test_neumann_flags_are_checked_before_the_config_is_read(tmp_path, capsys, flag, value, message):
+    """A bad flag is named even when the configuration cannot be read, so a
+    dense config never pays its inverse before the flag is refused."""
+    assert main(["neumann", str(tmp_path / "missing.json"), flag, value]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_paper_example_non_finite_tol_exits_1(capsys, tol):
     assert main(["paper-example", "--dim", "3", "--tol", tol]) == 1
@@ -632,3 +651,35 @@ def test_trials_beyond_memory_exit_1(tmp_path, capsys):
     ):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+def test_dense_and_bidiagonal_commands_leave_scipy_unloaded(tmp_path):
+    """scipy serves banded mappings only: every other command, over the
+    bidiagonal and a dense mapping, runs without importing it."""
+    bidiagonal = np.eye(4) - np.eye(4, k=-1)
+    mappings = {"bidiagonal": {"kind": "paper_bidiagonal"},
+                "dense": {"kind": "dense", "entries": pairs(bidiagonal)}}
+    phi = pairs(gallery.example_psi_tilde(3))
+    argvs = [["paper-example", "--dim", "8"]]
+    for name, spec in mappings.items():
+        path = write_config(tmp_path, f"{name}.json", mapping=spec, phi=phi)
+        argvs += [["analyze", path], ["verify", path], ["neumann", path, "--rho", "0.9"]]
+        argvs += [["dual", path, "--mode", mode] for mode in ("canonical", "right-inverse", "offset")]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from eframes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    src = str(Path(controlled.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    codes, scipy_modules = json.loads(result.stdout)
+    assert codes == [0] * 13
+    assert scipy_modules == []

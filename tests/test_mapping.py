@@ -371,6 +371,12 @@ def test_banded_rejects_bad_diagonal_length():
         mapping.build_banded(3, {3: []})
 
 
+def test_apply_names_are_the_methods():
+    """The module-level names the tracer patches are the methods themselves."""
+    assert mapping.apply_mapping is mapping.MatrixMapping.apply
+    assert mapping.apply_inverse_mapping is mapping.MatrixMapping.apply_inverse
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(mapping.__file__).resolve().parents[1])
     env = dict(os.environ)

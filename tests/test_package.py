@@ -3,9 +3,10 @@
 Every public name has one address, in its module; `import eframes` loads
 the six modules that hold them. The modules import each other without a
 cycle, each library and test module uses every name it imports, only
-`hilbert` compares against a tolerance outside a short allow-list or calls
-numpy.linalg.norm, and no tolerance reaches numpy or scipy (no linter is
-assumed, so the checks read the source with ast).
+`hilbert` compares against a tolerance outside a short allow-list or
+calls numpy.linalg.norm, one validator raises every array shape error,
+and no tolerance reaches numpy or scipy (no linter is assumed, so the
+checks read the source with ast).
 """
 
 import ast
@@ -108,18 +109,14 @@ def reads_tol(node) -> bool:
     )
 
 
-def tol_comparisons(module: str, source: str) -> set:
-    """(module, function) of each <, <=, >, >=, max or min that reads tol or .tol."""
+def sites(module: str, source: str, hit) -> set:
+    """(module, function) of each node of the source for which hit(node) holds."""
     found = set()
 
     def visit(node, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}" if where else node.name
-        ordered = isinstance(node, ast.Compare) and all(
-            isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
-        )
-        extreme = isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("max", "min")
-        if (ordered or extreme) and reads_tol(node):
+        if hit(node):
             found.add((module, where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -128,14 +125,38 @@ def tol_comparisons(module: str, source: str) -> set:
     return found
 
 
+def tol_comparison(node) -> bool:
+    """A <, <=, >, >=, max or min that reads tol or .tol."""
+    ordered = isinstance(node, ast.Compare) and all(
+        isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
+    )
+    extreme = isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("max", "min")
+    return (ordered or extreme) and reads_tol(node)
+
+
 def test_only_hilbert_states_tolerance_rules():
     """Equality, the Hermitian precondition and singularity are hilbert.close,
     hilbert.hermitian_bounds and hilbert.require_nonsingular."""
     found = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "hilbert.py":
-            found |= tol_comparisons(path.stem, path.read_text(encoding="utf-8"))
+            found |= sites(path.stem, path.read_text(encoding="utf-8"), tol_comparison)
     assert found == TOL_COMPARISONS
+
+
+def shape_error(node) -> bool:
+    """A raise DimensionMismatchError(...)."""
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", "") == "DimensionMismatchError")
+
+
+def test_one_validator_raises_every_shape_error():
+    """Array shapes are checked by hilbert.validated alone; the banded
+    mapping's offset checks are the one other shape error."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= sites(path.stem, path.read_text(encoding="utf-8"), shape_error)
+    assert found == {("hilbert", "validated"), ("mapping", "_Banded.__init__")}
 
 
 def numeric_names(tree) -> dict:
