@@ -2,7 +2,8 @@
 
 Commands: analyze, dual, verify, neumann, paper-example. Exit codes:
 0 success, 1 input or validation error, 2 mathematical-verdict
-failure. The machine format is deterministic JSON (no timestamps);
+failure. The machine format is deterministic JSON (no timestamps),
+byte-identical to json.dumps(report, sort_keys=True, separators=(",", ":"));
 elapsed time is shown in the text format only.
 """
 
@@ -12,11 +13,13 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict
 
 import numpy as np
+import orjson
 
 from . import controlled, gallery, neumann
 from .config import ConfigError, parse_config
@@ -43,9 +46,18 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERDICT = 2
 
+# orjson prints repr's shortest round-trip digits in another layout: 1e16, 1e-7 and
+# 0.00001234 for 1e+16, 1e-07 and 1.234e-05. A leading literal keeps re's fast search.
+_ORJSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_NULL_TOKEN = re.compile(rb"null(?<=[:,\[]null)")  # NaN and +-inf; not a key's "null"
+_EXPONENT_SIGN = re.compile(rb"e(?<=[0-9]e)(?=[0-9])")
+_EXPONENT_PAD = re.compile(rb"e-(?<=[0-9]e-)(?=[0-9](?![0-9]))")
+_BELOW_1E_4 = re.compile(rb"0\.0000(?<![0-9]0\.0000)[0-9]+")
 
-def _sequence_pairs(seq) -> list:
-    return np.stack([seq.real, seq.imag], -1).tolist()
+
+def _sequence_pairs(seq) -> np.ndarray:
+    """seq as a C-contiguous (N, d, 2) float64 array of [re, im] pairs."""
+    return np.ascontiguousarray(seq, dtype=complex).view(np.float64).reshape(*seq.shape, 2)
 
 
 def _bounds_dict(record) -> dict:
@@ -64,7 +76,7 @@ def _render_text(report: dict, elapsed: float) -> str:
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             for index, item in enumerate(value):
                 emit(f"{prefix}[{index}]", item)
-        elif isinstance(value, list) and value and isinstance(value[0], list):
+        elif isinstance(value, np.ndarray):
             lines.append(f"{prefix}: <{len(value)} rows>")
         else:
             lines.append(f"{prefix}: {value}")
@@ -75,7 +87,16 @@ def _render_text(report: dict, elapsed: float) -> str:
 
 
 def _render_machine(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    """orjson's text with its floats in repr's layout, or the stdlib's where
+    orjson cannot write the same bytes: a non-finite float, an int beyond 64 bits."""
+    try:
+        data = orjson.dumps(report, option=_ORJSON_OPTIONS)
+    except orjson.JSONEncodeError:
+        data = None
+    if data is None or _NULL_TOKEN.search(data):
+        return json.dumps(report, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+    data = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", data))
+    return _BELOW_1E_4.sub(lambda m: repr(float(m[0])).encode(), data).decode()
 
 
 def cmd_analyze(cfg, strict: bool) -> tuple[dict, int]:

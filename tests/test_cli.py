@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import dense_form, dense_inverse
-from eframes import controlled, gallery
+from eframes import cli, controlled, gallery
 from eframes.cli import build_parser, cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
 from eframes.errors import SingularOperatorError
@@ -48,10 +52,18 @@ def not_json(constant):
     raise ValueError(f"machine output is not RFC 8259 JSON: it holds {constant}")
 
 
+def stdlib(report) -> str:
+    """The machine format's reference: the stdlib's canonical JSON."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+
+
 def machine(capsys, *argv):
-    """Exit code and report, parsed strictly: NaN, Infinity or -Infinity fails."""
+    """Exit code and report, parsed strictly: NaN, Infinity or -Infinity fails.
+    Floats round-trip exactly, so the output must be the report's stdlib bytes."""
     code, out = run(capsys, *argv, "--format", "machine")
-    return code, json.loads(out, parse_constant=not_json)
+    report = json.loads(out, parse_constant=not_json)
+    assert out == stdlib(report) + "\n"
+    return code, report
 
 
 def test_parse_config_worked(tmp_path):
@@ -683,3 +695,126 @@ def test_dense_and_bidiagonal_commands_leave_scipy_unloaded(tmp_path):
     codes, scipy_modules = json.loads(result.stdout)
     assert codes == [0] * 13
     assert scipy_modules == []
+
+
+def assert_written_as_stdlib(values):
+    """values as a list, as a float64 array and each under its own key."""
+    values = list(values)
+    for report in ({"x": values}, {"x": np.array(values)},
+                   {str(index): x for index, x in enumerate(values)}):
+        assert cli._render_machine(report) == stdlib(report)
+
+
+def test_machine_writer_matches_the_stdlib_on_every_decimal_exponent():
+    """orjson writes 1e16, 1e-7 and 0.00001234 where repr writes 1e+16, 1e-07
+    and 1.234e-05; the writer rewrites each layout on every exponent."""
+    values = []
+    for exponent in range(-324, 309):
+        for mantissa in ("1", "2.5", "9.876543210123457"):
+            x = float(f"{mantissa}e{exponent}")
+            values += [x, -x]
+    assert_written_as_stdlib(values)
+    assert_written_as_stdlib(np.float64(x) for x in values)
+
+
+def near(boundary):
+    return st.floats(boundary / 2, boundary * 2).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          near(1e-5), near(1e-4), near(1e16)), min_size=1))
+@example([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0, -0.0])
+@example([np.nextafter(b, toward) for b in (1e-5, 1e-4, 1e16) for toward in (0, np.inf)])
+@example([1.7976931348623157e308, -1.7976931348623157e308, 1e15, 1e-6, 10.000012])
+def test_machine_writer_matches_the_stdlib_on_any_finite_float(values):
+    assert_written_as_stdlib(values)
+
+
+def test_machine_writer_falls_back_to_the_stdlib_where_orjson_differs():
+    """orjson writes NaN and +-inf as null and refuses an int beyond 64 bits;
+    the stdlib writes NaN, Infinity and -Infinity, and the int."""
+    report = {"a": [1.0, float("nan")], "b": np.array([np.inf, -np.inf]), "c": 2**64}
+    assert cli._render_machine(report) == stdlib(report)
+    assert '"a":[1.0,NaN],"b":[Infinity,-Infinity],"c":18446744073709551616' in stdlib(report)
+    report = {"null": None, "null_map": "null", "x": [None, 1e-5]}
+    assert cli._render_machine(report) == stdlib(report)
+
+
+def test_machine_writer_keeps_a_key_named_null_on_orjson(monkeypatch):
+    """A null token, not the substring in a key such as null_map_roundtrip,
+    sends a report to the stdlib writer."""
+    report = {"null_map_roundtrip": 1.5e-16, "dual": np.array([[1e-5, -0.0]])}
+    expected = stdlib(report)
+    monkeypatch.setattr(cli, "json", None)
+    assert cli._render_machine(report) == expected
+
+
+def test_machine_writer_takes_a_fortran_ordered_family():
+    """The banded right-inverse dual comes out of the solve in Fortran order,
+    which orjson refuses: the pairs are made C-contiguous first."""
+    family = np.asfortranarray(np.random.default_rng(0).standard_normal((5, 3, 2)).view(complex)[..., 0])
+    assert not family.flags.c_contiguous
+    report = {"dual": cli._sequence_pairs(family)}
+    assert cli._render_machine(report) == stdlib({"dual": pairs(family)})
+
+
+def strings(value):
+    """Every key and string value in a report."""
+    if isinstance(value, dict):
+        yield from value
+        value = list(value.values())
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from strings(item)
+
+
+def test_every_machine_report_is_written_as_the_stdlib_writes_it(tmp_path, capsys, monkeypatch):
+    """Each command's report, as main() hands it to the writer, over the
+    bidiagonal and a banded mapping (whose right-inverse dual is in Fortran
+    order); neumann echoes an int beyond 64 bits, which orjson refuses. Every
+    key and string is printable ASCII: orjson writes other text as UTF-8,
+    and DEL bare, where json.dumps writes escapes."""
+    reports = []
+    render = cli._render_machine
+    monkeypatch.setattr(cli, "_render_machine", lambda report: reports.append(report) or render(report))
+    phi = pairs(0.5 * gallery.example_psi_tilde(3))
+    diagonals = {"0": [[4, 0]] * 4, "-1": [[1, 0.5]] * 3, "2": [[0.25, -1]] * 2}
+    argvs = [["paper-example", "--dim", "8"], ["paper-example", "--dim", "3", "--tol", "1e-300"]]
+    for name, spec in (("bidiagonal", {"kind": "paper_bidiagonal"}),
+                       ("banded", {"kind": "banded", "diagonals": diagonals})):
+        path = write_config(tmp_path, f"{name}.json", mapping=spec, phi=phi)
+        argvs += [["analyze", path], ["verify", path], ["neumann", path, "--rho", "0.9"],
+                  ["neumann", path, "--rho", "2"], ["neumann", path, "--max-terms", str(10**20)]]
+        argvs += [["dual", path, "--mode", mode] for mode in ("canonical", "right-inverse", "offset")]
+    for argv in argvs:
+        code, report = machine(capsys, *argv)
+        assert code in (0, 2)
+    assert len(reports) == len(argvs)
+    for report in reports:
+        assert render(report) == stdlib(report)
+        assert all(text.isascii() and text.isprintable() for text in strings(report))
+    assert [report["max_terms"] for report in reports if report.get("max_terms", 0) > 2**64] == [10**20] * 2
+
+
+def test_machine_dual_peak_memory(tmp_path):
+    """The dual goes to orjson as a float64 view of the family, with no list
+    of Python floats. At (1025, 16) the peak, 4.0-4.4 MB, is then set by the
+    command's own work: writing the dual adds at most 0.2 MB. Through tolist()
+    and json.dumps the writing raised it to 6.1-6.3 MB. An untraced first call
+    keeps the one-off state of a process's first command (about 1 MB) out."""
+    psi = np.random.default_rng(0).standard_normal((1025, 16, 2))
+    path = write_config(tmp_path, dimension=16, count=1025, psi=psi.tolist())
+    for mode in ("canonical", "right-inverse", "offset"):
+        argv = ["dual", path, "--mode", mode, "--format", "machine"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 5e6, (mode, peak)
