@@ -189,11 +189,7 @@ def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEF
 
     def both_residuals(analysis, synthesis, target):
         plain = worst_residual(trial_sums(synthesis.T, analysis, f), f, target)
-        # Exact: U = I/2 scales the sums and target by CONTROL_SCALE, a power of two,
-        # and barring underflow (unit f, O(1) families) so does each step of
-        # worst_residual: - target, |.|^2, the column sum, sqrt and max (checked
-        # bit for bit by test_paper_example_residuals_equal_the_dense_u_reference).
-        return plain, gallery.CONTROL_SCALE * plain
+        return plain, gallery.CONTROL_SCALE * plain  # exact: see README's paper-example
 
     residuals = dict(zip(
         ("plain_psi_tilde", "controlled_psi_tilde", "plain_phi", "controlled_phi"),
@@ -323,7 +319,3 @@ def main(argv=None) -> int:
     else:
         print(_render_text(report, elapsed))
     return code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -211,12 +211,20 @@ def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
 
 def trial_sums(synthesis, analysis, f) -> np.ndarray:
     """[synthesis analysis* f | synthesis analysis*]: the sums of the trial vectors,
-    then those of the basis, read from the d x d mixed operator."""
-    trials, conj = f.shape[1], analysis.conj()
-    block = np.empty((synthesis.shape[0], trials + f.shape[0]), dtype=np.complex128)
-    np.matmul(synthesis, conj @ f, out=block[:, :trials])
-    np.matmul(synthesis, conj, out=block[:, trials:])
-    return block
+    then those of the basis, read from the d x d mixed operator. If both maps are real,
+    from C-contiguous copies of their real parts in real GEMMs (a quarter of the flops),
+    freed before the block is formed so that the peak stays below the complex route's."""
+    if synthesis.imag.any() or analysis.imag.any():
+        trials, conj = f.shape[1], analysis.conj()
+        block = np.empty((synthesis.shape[0], trials + f.shape[0]), dtype=np.complex128)
+        np.matmul(synthesis, conj @ f, out=block[:, :trials])
+        np.matmul(synthesis, conj, out=block[:, trials:])
+        return block
+    s, a = (np.ascontiguousarray(m.real) for m in (synthesis, analysis))
+    f = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
+    sums = [(s @ (a @ f)).view(np.complex128), s @ a]
+    del s, a
+    return np.concatenate(sums, axis=1)
 
 
 def worst_residual(block: np.ndarray, f: np.ndarray, target: float) -> float:

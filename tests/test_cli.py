@@ -15,11 +15,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import dense_form, dense_inverse
-from eframes import cli, controlled, gallery
+from eframes import cli, controlled, gallery, hilbert
 from eframes.cli import build_parser, cmd_paper_example, main
 from eframes.config import ConfigError, parse_config
 from eframes.errors import SingularOperatorError
-from eframes.hilbert import trial_sums, trial_vectors, worst_residual
+from eframes.hilbert import trial_vectors, worst_residual
 from eframes.mapping import apply_mapping
 
 
@@ -441,7 +441,8 @@ def test_paper_example_peak_memory():
 @pytest.mark.parametrize("trials", [1, 7, 100])
 @pytest.mark.parametrize("dim", [2, 3, 17, 64])
 def test_paper_example_residuals_equal_the_dense_u_reference(dim, trials):
-    """The scalar CONTROL_SCALE gives the same bits as the public dense U."""
+    """The scalar CONTROL_SCALE and the real route of trial_sums give the same bits
+    as the public dense U applied to sums formed as explicit complex products."""
     e, u = gallery.example_mapping(dim), gallery.example_u(dim)
     psi, tilde, phi = (
         apply_mapping(e, family(dim))
@@ -452,13 +453,45 @@ def test_paper_example_residuals_equal_the_dense_u_reference(dim, trials):
     for analysis, synthesis, plain_target, controlled_target in (
         (psi, tilde, 2.0, 1.0), (phi, psi, 1.0, 0.5)
     ):
-        plain = trial_sums(synthesis.T, analysis, f)
+        plain = np.hstack([synthesis.T @ (analysis.conj() @ f), synthesis.T @ analysis.conj()])
         controlled = u @ plain
         want += [worst_residual(plain, f, plain_target),
                  worst_residual(controlled, f, controlled_target)]
     report, code = cmd_paper_example(dim, 1e-10, trials, 5)
     assert list(report["residuals"].values()) == want
     assert code == 0
+
+
+def complex_trial_sums(synthesis, analysis, f):
+    """hilbert.trial_sums with complex GEMMs only, whatever the maps hold."""
+    conj = analysis.conj()
+    return np.hstack([synthesis @ (conj @ f), synthesis @ conj])
+
+
+@pytest.mark.parametrize("dim", [3, 16])
+def test_real_configs_keep_their_certificates(tmp_path, capsys, monkeypatch, dim):
+    """The worked-example config (gallery families, U = I/2) is real, so its sums
+    take the real route of trial_sums; every command's report, certificates to the
+    bit, is the one the complex route gives."""
+    path = write_config(
+        tmp_path, dimension=dim, count=dim + 1, psi=pairs(gallery.example_psi(dim)),
+        phi=pairs(gallery.example_psi_tilde(dim)), trials=7,
+    )
+    argvs = [["analyze", path], ["verify", path]]
+    argvs += [["dual", path, "--mode", mode] for mode in ("canonical", "right-inverse", "offset")]
+    real_routes, trial_sums = [], hilbert.trial_sums
+
+    def spy(synthesis, analysis, f):
+        real_routes.append(not (synthesis.imag.any() or analysis.imag.any()))
+        return trial_sums(synthesis, analysis, f)
+
+    monkeypatch.setattr(hilbert, "trial_sums", spy)
+    want = [machine(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(hilbert, "trial_sums", complex_trial_sums)
+    assert [machine(capsys, *argv) for argv in argvs] == want
+    assert [code for code, _ in want] == [0] * len(argvs)
+    assert all("certificates" in report for _, report in want[1:])
+    assert sum(real_routes) >= 4
 
 
 def test_paper_example_dim_1_is_input_error(capsys):
