@@ -23,11 +23,7 @@ import orjson
 
 from . import controlled, gallery, neumann
 from .config import ConfigError, parse_config
-from .errors import (
-    ConvergenceError,
-    DualConditionError,
-    NotAFrameError,
-)
+from .errors import ConvergenceError, DualConditionError, NotAFrameError
 from .hilbert import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -164,10 +160,11 @@ def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
         report["rho"] = float(rho)
     pair = neumann.ApproximateDual(record, phi)
     report["ratio"] = pair.ratio
-    if pair.ratio >= 1.0:
+    try:
+        corrected, diag = pair.corrected_dual(eps, max_terms)
+    except ConvergenceError:  # the ratio is >= 1: the series diverges
         report["converged"] = False
         return report, EXIT_VERDICT
-    corrected, diag = pair.corrected_dual(eps, max_terms)
     cert_tol = max(cfg.tol, 10.0 * eps / max(1.0 - diag.ratio, 1e-12))
     certs = record.certify(record.images_of(corrected), cfg.trials, cfg.seed, cert_tol)
     report.update(
@@ -307,10 +304,10 @@ def main(argv=None) -> int:
                 report, code = cmd_verify(cfg)
             else:
                 report, code = cmd_neumann(cfg, args.rho, eps, terms)
-    except (NotAFrameError, DualConditionError, ConvergenceError) as exc:
+    except (NotAFrameError, DualConditionError) as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     elapsed = time.perf_counter() - start

@@ -74,10 +74,15 @@ def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
     return parts.view(np.complex128).reshape(shape)
 
 
-def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
+def _kind(spec, key: str):
+    """The 'kind' of spec, if it is an object with one; else ConfigError naming key."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("'mapping' must be an object with a 'kind'")
-    kind = spec["kind"]
+        raise ConfigError(f"'{key}' must be an object with a 'kind'")
+    return spec["kind"]
+
+
+def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
+    kind = _kind(spec, "mapping")
     try:
         if kind == "dense":
             entries = _complex_array(spec.get("entries"), (count, count), "mapping.entries")
@@ -101,9 +106,7 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
 
 
 def _build_u(spec, dim: int) -> np.ndarray:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("'u' must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind = _kind(spec, "u")
     if kind == "identity":
         return np.eye(dim, dtype=np.complex128)
     if kind == "scalar":

@@ -3,7 +3,8 @@
 An E-frame is a controlled E-frame at U = id: e_frame_bounds is the plain
 half of the prepared record (controlled.ControlledEFrame.plain, a
 controlled.EFrameRecord), with the images (E psi)_n and the frame operator
-T T*, T having image n as column n; e_canonical_dual is its canonical dual.
+T T*, T having image n as column n; e_canonical_dual is the record's
+canonical_dual at U = id: its S^{-1}, and its NotAFrameError for a non-frame.
 e_riesz_family builds the family V (E^{-1} basis), and riesz_equivalence
 checks its controlled bounds against those of {V b_j} over the identity.
 """
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .controlled import FRAME, ControlledEFrame, EFrameRecord
-from .errors import NotAFrameError
+from .controlled import ControlledEFrame, EFrameRecord
 from .hilbert import DEFAULT_TOL, SpectralBounds
 from .mapping import MatrixMapping, apply_inverse_mapping, identity_mapping
 
@@ -31,20 +31,20 @@ class RieszEquivalenceReport:
     agree: bool
 
 
+def _record_at_identity(e: MatrixMapping, psi, tol: float) -> ControlledEFrame:
+    """The prepared record of psi over E at U = id."""
+    psi = hilbert.validated(psi, "psi", (e.n, None))
+    return ControlledEFrame(e, psi, np.eye(psi.shape[1], dtype=np.complex128), tol)
+
+
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
     """Frame bounds and verdict: the record's E-frame half at U = id."""
-    psi = hilbert.validated(psi, "psi", (e.n, None))
-    return ControlledEFrame(e, psi, np.eye(psi.shape[1], dtype=np.complex128), tol).plain
+    return _record_at_identity(e, psi, tol).plain
 
 
 def e_canonical_dual(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Canonical dual {S^{-*} psi_k}, which is {S^{-1} psi_k} for a Hermitian S.
-    Its synthesis map D has T D* = S S^{-1} = id even when S is Hermitian only
-    to tol; the frame verdict bounds S from singular."""
-    record = e_frame_bounds(e, psi, tol)
-    if record.verdict != FRAME:
-        raise NotAFrameError("family is not a frame: lower bound vanishes")
-    return record.psi @ np.linalg.inv(record.frame_op).conj()
+    """Canonical dual {S^{-1} psi_k}: the record's canonical_dual at U = id."""
+    return _record_at_identity(e, psi, tol).canonical_dual()
 
 
 def e_riesz_family(

@@ -15,15 +15,15 @@ finite for every array formed from finite input that can overflow (each
 mapping's apply and apply_inverse, S_E, S, T_u, the certificates' sums, the
 Neumann deviation and the CLI's rho times a dual), so that an overflow is
 ValueError("entries must be finite") and numpy warns of nothing;
-invert_operator is the one checked inverse. ControlledEFrame.s_inv and
-e_canonical_dual call the plain inv, and ControlledEFrame.t_u_pinv a pinv
-that cuts no singular value, since the frame verdict they require has
-already bounded S away from singular, and so T_u at full rank. Each
-tolerance rule is stated once: close (equality), hermitian_bounds
-(Hermitian), SpectralBounds.positive, require_nonsingular and backward_ok
-(duals), on scale-safe frobenius norms; no tol reaches numpy. Every norm
-the library takes is taken here but the banded mapping's 1-norm, summed by
-hand for zgbcon: no other module calls numpy.linalg.norm.
+invert_operator is the one checked inverse. ControlledEFrame.s_inv alone
+calls the plain inv (eframe.e_canonical_dual reuses it), and
+ControlledEFrame.t_u_pinv a pinv that cuts no singular value, since the
+verdict both require has already bounded S away from singular, and so T_u
+at full rank. Each tolerance rule is stated once: close (equality),
+hermitian_bounds (Hermitian), SpectralBounds.positive, require_nonsingular
+and backward_ok (duals), on scale-safe frobenius norms; no tol reaches
+numpy. Every norm the library takes is taken here but the banded mapping's
+1-norm, summed by hand for zgbcon: no other module calls numpy.linalg.norm.
 """
 
 from __future__ import annotations

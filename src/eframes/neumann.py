@@ -66,11 +66,13 @@ class ApproximateDual:
         """Spectral norm of the deviation id - T_u D*."""
         return hilbert.operator_norm(self.deviation)
 
-    def _require_contraction(self) -> None:
+    def _series_args(self, eps, max_terms) -> tuple[float, int]:
+        """eps and max_terms checked (hilbert.require_positive); ConvergenceError at ratio >= 1."""
+        eps = hilbert.require_positive(eps, "eps")
+        max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
         if self.ratio >= 1.0:
-            raise ConvergenceError(
-                f"contraction ratio {self.ratio:.6g} >= 1: the series diverges"
-            )
+            raise ConvergenceError(f"contraction ratio {self.ratio:.6g} >= 1: the series diverges")
+        return eps, max_terms
 
     def corrected_dual(
         self, eps: float = 1e-12, max_terms: int = 10_000
@@ -84,9 +86,7 @@ class ApproximateDual:
         an exhausted max_terms returns converged=False. eps and max_terms
         must be finite and > 0 (hilbert.require_positive).
         """
-        eps = hilbert.require_positive(eps, "eps")
-        max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
-        self._require_contraction()
+        eps, max_terms = self._series_args(eps, max_terms)
         step = self.deviation.conj()  # term @ step applies id - D T_u* to each member
         term = acc = self.phi
         history = [hilbert.frobenius(term)]
@@ -112,9 +112,7 @@ class ApproximateDual:
         max_terms must be finite and > 0 (hilbert.require_positive).
         """
         f = hilbert.validated(f, "f", self.images.shape[1:])
-        eps = hilbert.require_positive(eps, "eps")
-        max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
-        self._require_contraction()
+        eps, max_terms = self._series_args(eps, max_terms)
         goal = eps * hilbert.frobenius(f)
         term = approx = f - self.deviation @ f  # one-step reconstruction T_u D* f
         history = [hilbert.frobenius(f - approx)]

@@ -89,7 +89,7 @@ def test_neumann_calls_read_no_spectrum(worked, counts):
 
 def test_e_frame_bounds_is_one_apply_and_one_spectrum(worked, counts):
     """The plain bounds come from the prepared record: E applied once, one
-    eigvalsh of S_E; the plain canonical dual adds its own inv of S_E."""
+    eigvalsh of S_E; the plain canonical dual adds the record's inv of S."""
     for call, want in ((eframe.e_frame_bounds, expected(1, eigvalsh=1)),
                        (eframe.e_canonical_dual, expected(1, eigvalsh=1, inv=1))):
         counts.clear()

@@ -408,6 +408,19 @@ def test_neumann_rho_2_exits_2(tmp_path, capsys):
     assert report["converged"] is False
 
 
+def test_neumann_rho_2_text_report(tmp_path, capsys):
+    """The diverging report stops at the ratio: no term count, history or certificate."""
+    code, out = run(capsys, "neumann", write_config(tmp_path), "--rho", "2.0")
+    assert code == 2
+    *lines, elapsed = out.splitlines()
+    assert elapsed.startswith("elapsed: ")
+    assert [line.partition(": ")[0] for line in lines] == [
+        "command", "eps", "max_terms", "rho", "ratio", "converged"
+    ]
+    assert lines[:4] == ["command: neumann", "eps: 1e-12", "max_terms: 10000", "rho: 2.0"]
+    assert lines[-1] == "converged: False"
+
+
 def test_paper_example_dims(capsys):
     for dim in (3, 8):
         code, report = machine(capsys, "paper-example", "--dim", str(dim))

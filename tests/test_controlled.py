@@ -180,6 +180,22 @@ def test_record_plain_half_is_e_frame_bounds_bit_for_bit(kind, u_kind):
     assert (got.bounds, got.verdict) == (want.bounds, want.verdict)
 
 
+@pytest.mark.parametrize("kind", ["identity", "bidiagonal", "banded", "dense"])
+def test_e_canonical_dual_is_psi_times_the_inverse_of_s_e_bit_for_bit(kind):
+    """e_canonical_dual is the record's canonical dual at U = id, whose S^{-1}
+    inverts I S_E = S_E; a family that is no frame still raises NotAFrameError."""
+    rng = np.random.default_rng(36)
+    e, _ = build_kind(kind, 9, {-1, 2}, rng)
+    psi = random_complex(rng, (9, 4))
+    want = psi @ np.linalg.inv(eframe.e_frame_bounds(e, psi).frame_op).conj()
+    got = eframe.e_canonical_dual(e, psi)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    psi[:, 2] = 0.0
+    assert eframe.e_frame_bounds(e, psi).verdict == controlled.BESSEL_ONLY
+    with pytest.raises(NotAFrameError):
+        eframe.e_canonical_dual(e, psi)
+
+
 def test_commutation_criterion_rejects_non_hermitian(worked):
     with pytest.raises(NotHermitianError):
         controlled.commutation_criterion(worked.mapping, worked.psi, ROTATION)

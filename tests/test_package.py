@@ -5,11 +5,14 @@ the six modules that hold them. The modules import each other without a
 cycle, each library and test module uses every name it imports, only
 `hilbert` compares against a tolerance outside a short allow-list or
 calls numpy.linalg.norm, one validator raises every array shape error,
-and no tolerance reaches numpy or scipy (no linter is assumed, so the
-checks read the source with ast).
+no tolerance reaches numpy or scipy, each rule that two modules could
+state has one owner (the plain inverses, the contraction test and the
+CLI's handlers), and no linter is assumed, so the checks read the source
+with ast.
 """
 
 import ast
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import eframes
+from eframes import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "eframes"
@@ -101,10 +105,11 @@ TOL_COMPARISONS = {
 }
 
 
-def reads_tol(node) -> bool:
+def reads(node, name: str = "tol") -> bool:
+    """Whether node reads a name or an attribute called name."""
     return any(
-        isinstance(n, ast.Name) and n.id == "tol"
-        or isinstance(n, ast.Attribute) and n.attr == "tol"
+        isinstance(n, ast.Name) and n.id == name
+        or isinstance(n, ast.Attribute) and n.attr == name
         for n in ast.walk(node)
     )
 
@@ -131,7 +136,7 @@ def tol_comparison(node) -> bool:
         isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
     )
     extreme = isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("max", "min")
-    return (ordered or extreme) and reads_tol(node)
+    return (ordered or extreme) and reads(node)
 
 
 def test_only_hilbert_states_tolerance_rules():
@@ -195,7 +200,7 @@ def numpy_calls_given_tol(source: str) -> list[int]:
     """Lines of each call into numpy or scipy with an argument that reads tol or .tol."""
     return [
         node.lineno for node, _ in numeric_calls(source)
-        if any(map(reads_tol, node.args + [k.value for k in node.keywords]))
+        if any(map(reads, node.args + [k.value for k in node.keywords]))
     ]
 
 
@@ -240,3 +245,61 @@ def test_only_hilbert_takes_norms():
         for line in norm_calls(path.read_text(encoding="utf-8"))
     }
     assert found == set()
+
+
+def inverse_sites() -> tuple[set, int]:
+    """(module, function) of each call of numpy.linalg.inv, and the number of calls."""
+    found, calls = set(), 0
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        at = {(node.lineno, node.col_offset)
+              for node, dotted in numeric_calls(source) if dotted == "numpy.linalg.inv"}
+        calls += len(at)
+        found |= sites(path.stem, source, lambda node: isinstance(node, ast.Call)
+                       and (node.lineno, node.col_offset) in at)
+    return found, calls
+
+
+def test_only_two_plain_inverses():
+    """invert_operator is the one checked inverse and the record's s_inv the one
+    inverse of S: the E-frame canonical dual is the record's at U = id."""
+    found, calls = inverse_sites()
+    assert found == {("hilbert", "invert_operator"), ("controlled", "ControlledEFrame.s_inv")}
+    assert calls == 2
+
+
+def test_only_neumann_compares_the_contraction_ratio():
+    """The series' divergence test is neumann's; cli catches its ConvergenceError."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        found |= sites(path.stem, source,
+                       lambda node: isinstance(node, ast.Compare) and reads(node, "ratio"))
+    assert {module for module, _ in found} == {"neumann"}
+
+
+def unreachable_handlers(tree) -> list[str]:
+    """Each class that an except clause lists beside one of its bases, or after
+    a handler of the same try that catches one of its bases."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Try):
+            continue
+        earlier = []
+        for handler in node.handlers:
+            names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            classes = [vars(cli).get(n.id) or getattr(builtins, n.id) for n in names]
+            for cls in classes:
+                bases = earlier + [other for other in classes if other is not cls]
+                found += [f"{cls.__name__} under {base.__name__}"
+                          for base in bases if issubclass(cls, base)]
+            earlier += classes
+    return found
+
+
+def test_main_catches_each_error_once():
+    """A handler that lists ConfigError beside ValueError, of which it is a
+    subclass, states the input-error rule twice."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert unreachable_handlers(main) == []
