@@ -95,7 +95,25 @@ def _render_machine(report: dict) -> str:
     return _BELOW_1E_4.sub(lambda m: repr(float(m[0])).encode(), data).decode()
 
 
-def cmd_analyze(cfg, strict: bool) -> tuple[dict, int]:
+def _overrides(args) -> dict:
+    """The --tol, --trials and --seed flags that were given, checked."""
+    overrides = {}
+    if args.tol is not None:
+        overrides["tol"] = require_positive(args.tol, "--tol")
+    if args.trials is not None:
+        overrides["trials"] = require_positive(args.trials, "--trials", integer=True)
+    if args.seed is not None:
+        overrides["seed"] = require_seed(args.seed, "--seed")
+    return overrides
+
+
+def _config(args):
+    """The configuration file named by args, with the flags that override it."""
+    return parse_config(args.config, _overrides(args))
+
+
+def cmd_analyze(args) -> tuple[dict, int]:
+    cfg = _config(args)
     record = controlled.controlled_bounds(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report = {
         "command": "analyze",
@@ -109,10 +127,11 @@ def cmd_analyze(cfg, strict: bool) -> tuple[dict, int]:
         record.plain.verdict != controlled.FRAME
         or record.verdict != controlled.CONTROLLED_FRAME
     )
-    return report, EXIT_VERDICT if strict and failing else EXIT_OK
+    return report, EXIT_VERDICT if args.strict and failing else EXIT_OK
 
 
-def cmd_dual(cfg, mode: str) -> tuple[dict, int]:
+def cmd_dual(args) -> tuple[dict, int]:
+    cfg, mode = _config(args), args.mode
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report: dict = {"command": "dual", "mode": mode}
     code = EXIT_OK
@@ -138,7 +157,8 @@ def cmd_dual(cfg, mode: str) -> tuple[dict, int]:
     return report, code
 
 
-def cmd_verify(cfg) -> tuple[dict, int]:
+def cmd_verify(args) -> tuple[dict, int]:
+    cfg = _config(args)
     if cfg.phi is None:
         raise ConfigError("verify requires 'phi' in the configuration")
     certs = controlled.verify_dual(
@@ -147,7 +167,13 @@ def cmd_verify(cfg) -> tuple[dict, int]:
     return report, EXIT_OK if certs[0].verdict else EXIT_VERDICT
 
 
-def cmd_neumann(cfg, rho, eps: float, max_terms: int) -> tuple[dict, int]:
+def cmd_neumann(args) -> tuple[dict, int]:
+    rho = args.rho  # the flags are checked before the config is read
+    if rho is not None and not math.isfinite(rho):
+        raise ValueError(f"--rho must be a finite number, got {rho!r}")
+    eps = require_positive(args.eps, "--eps")
+    max_terms = require_positive(args.max_terms, "--max-terms", integer=True)
+    cfg = _config(args)
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     if rho is not None:
         phi = finite(np.multiply, rho, record.canonical_dual())
@@ -207,7 +233,8 @@ def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEF
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser every main() call shares: it is built once per process."""
+    """The parser every main() call shares: it is built once per process. Each
+    command's parser names the function that runs it, as its run default."""
     parser = argparse.ArgumentParser(
         prog="eframes",
         description="Frame analysis over matrix mappings: bounds, duals, "
@@ -215,67 +242,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=None, help="override tolerance")
-        p.add_argument(
-            "--trials", type=int, default=None, help="random trial vectors per check"
-        )
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            help="report format",
-        )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=None, help="override tolerance")
+    common.add_argument("--trials", type=int, default=None, help="random trial vectors per check")
+    common.add_argument("--seed", type=int, default=None, help="random seed")
+    common.add_argument(
+        "--format", choices=("text", "machine"), default="text", help="report format")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("config")
 
-    p_analyze = sub.add_parser("analyze", help="frame and controlled-frame bounds")
-    p_analyze.add_argument("config")
-    p_analyze.add_argument(
-        "--strict", action="store_true", help="exit 2 on a failing verdict"
-    )
-    common(p_analyze)
+    def command(name: str, run, summary: str, parents=(configured,)):
+        """The subparser of one command, with the function that runs it as its run."""
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(run=run)
+        return p
 
-    p_dual = sub.add_parser("dual", help="produce and certify a dual family")
-    p_dual.add_argument("config")
-    p_dual.add_argument(
-        "--mode",
-        choices=("canonical", "right-inverse", "offset"),
-        default="canonical",
-    )
-    common(p_dual)
-
-    p_verify = sub.add_parser("verify", help="certify the configured phi as a dual")
-    p_verify.add_argument("config")
-    common(p_verify)
-
-    p_neumann = sub.add_parser("neumann", help="series-correct an approximate dual")
-    p_neumann.add_argument("config")
+    command("analyze", cmd_analyze, "frame and controlled-frame bounds").add_argument(
+        "--strict", action="store_true", help="exit 2 on a failing verdict")
+    command("dual", cmd_dual, "produce and certify a dual family").add_argument(
+        "--mode", choices=("canonical", "right-inverse", "offset"), default="canonical")
+    command("verify", cmd_verify, "certify the configured phi as a dual")
+    p_neumann = command("neumann", cmd_neumann, "series-correct an approximate dual")
     p_neumann.add_argument(
-        "--rho", type=float, default=None, help="scale the canonical dual by rho"
-    )
+        "--rho", type=float, default=None, help="scale the canonical dual by rho")
     p_neumann.add_argument("--eps", type=float, default=1e-12)
     p_neumann.add_argument("--max-terms", type=int, default=10_000)
-    common(p_neumann)
-
-    p_example = sub.add_parser(
-        "paper-example", help="reproduce the built-in worked example"
-    )
-    p_example.add_argument("--dim", type=int, required=True)
-    common(p_example)
-
+    command(
+        "paper-example",
+        lambda args: cmd_paper_example(args.dim, **_overrides(args)),
+        "reproduce the built-in worked example",
+        parents=(common,),
+    ).add_argument("--dim", type=int, required=True)
     return parser
-
-
-def _overrides(args) -> dict:
-    """The --tol, --trials and --seed flags that were given, checked."""
-    overrides = {}
-    if args.tol is not None:
-        overrides["tol"] = require_positive(args.tol, "--tol")
-    if args.trials is not None:
-        overrides["trials"] = require_positive(args.trials, "--trials", integer=True)
-    if args.seed is not None:
-        overrides["seed"] = require_seed(args.seed, "--seed")
-    return overrides
 
 
 def main(argv=None) -> int:
@@ -287,23 +285,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     start = time.perf_counter()
     try:
-        if args.command == "paper-example":
-            report, code = cmd_paper_example(args.dim, **_overrides(args))
-        else:
-            if args.command == "neumann":  # its flags are checked before the config is read
-                if args.rho is not None and not math.isfinite(args.rho):
-                    raise ValueError(f"--rho must be a finite number, got {args.rho!r}")
-                eps = require_positive(args.eps, "--eps")
-                terms = require_positive(args.max_terms, "--max-terms", integer=True)
-            cfg = parse_config(args.config, _overrides(args))
-            if args.command == "analyze":
-                report, code = cmd_analyze(cfg, args.strict)
-            elif args.command == "dual":
-                report, code = cmd_dual(cfg, args.mode)
-            elif args.command == "verify":
-                report, code = cmd_verify(cfg)
-            else:
-                report, code = cmd_neumann(cfg, args.rho, eps, terms)
+        report, code = args.run(args)
     except (NotAFrameError, DualConditionError) as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return EXIT_VERDICT

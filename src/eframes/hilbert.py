@@ -13,8 +13,9 @@ array, require_positive for every tol, eps and count and
 require_seed for every seed that configuration, CLI or library takes;
 finite for every array formed from finite input that can overflow (each
 mapping's apply and apply_inverse, S_E, S, T_u, the certificates' sums, the
-Neumann deviation and the CLI's rho times a dual), so that an overflow is
-ValueError("entries must be finite") and numpy warns of nothing;
+Neumann deviation, the CLI's rho times a dual and a norm past the double
+range), so that an overflow is ValueError("entries must be finite") and
+numpy warns of nothing;
 invert_operator is the one checked inverse. ControlledEFrame.s_inv alone
 calls the plain inv (eframe.e_canonical_dual reuses it), and
 ControlledEFrame.t_u_pinv a pinv that cuts no singular value, since the
@@ -22,8 +23,9 @@ verdict both require has already bounded S away from singular, and so T_u
 at full rank. Each tolerance rule is stated once: close (equality),
 hermitian_bounds (Hermitian), SpectralBounds.positive, require_nonsingular
 and backward_ok (duals), on scale-safe frobenius norms; no tol reaches
-numpy. Every norm the library takes is taken here but the banded mapping's
-1-norm, summed by hand for zgbcon: no other module calls numpy.linalg.norm.
+numpy. Every norm the library takes is taken here, over power_of_two where it
+could leave the double range, but the banded mapping's 1-norm, summed by hand
+for zgbcon over the same power: no other module calls numpy.linalg.norm.
 """
 
 from __future__ import annotations
@@ -139,13 +141,15 @@ def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
 def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Dense inverse from one LU, the one checked inverse: require_nonsingular on
     the exact 1-norm reciprocal condition 1 / (||a||_1 ||a^{-1}||_1), or 0 for an
-    exact zero pivot."""
+    exact zero pivot; its 1-norms are those of a and a^{-1} over and times
+    power_of_two(a), so that neither overflows for entries in the double range."""
     a, tol = validated(a, "a", square=True), require_positive(tol, "tol")
     try:
-        inv = np.linalg.inv(a)
-        a1, inv1 = float(np.linalg.norm(a, 1)), float(np.linalg.norm(inv, 1))
-        # a1 * inv1 >= 1, so dividing 1 by the larger factor first cannot overflow
-        rcond = 1.0 / a1 / inv1 if a1 >= 1.0 else 1.0 / inv1 / a1
+        inv, scale = np.linalg.inv(a), power_of_two(a)
+        with np.errstate(over="ignore"):  # an inverse past the double range: rcond 0
+            inv1 = float(np.linalg.norm(inv * scale, 1))
+        # times 1 / scale, exact and finite, is a / scale at a quarter of its cost
+        rcond = 1.0 / float(np.linalg.norm(a * (1.0 / scale), 1)) / inv1
     except np.linalg.LinAlgError:  # an exact zero pivot
         rcond = 0.0
     require_nonsingular(rcond, tol)
@@ -179,22 +183,30 @@ def backward_ok(residual: float, a, b, tol: float) -> bool:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm of a without overflow or underflow (_scaled_norm)."""
+    """Frobenius norm of a without overflow or underflow (_scaled_norm); a norm
+    past the double range is ValueError("entries must be finite")."""
     return float(_scaled_norm(a))
 
 
 def _scaled_norm(a, axis=None):
     """np.linalg.norm(a, axis=axis) when its largest value is in (1e-100, inf),
     where no square overflowed and each lost to underflow is under 1e-107 of
-    their sum, or when a is zero; else the norm of a over the power of two at
-    its largest entry (an exact scaling, part by part: a complex a / scale
-    forms 1 / scale, which overflows), times that power."""
+    their sum, or when a is zero; else the norm of a over power_of_two(a), an
+    exact scaling, times that power under the overflow rule (finite)."""
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(a, axis=axis)
     if 1e-100 < (norm if axis is None else np.max(norm)) < math.inf or not a.any():
         return norm
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1] - 1)
-    return np.linalg.norm(a.real / scale + 1j * (a.imag / scale), axis=axis) * scale
+    scale = power_of_two(a)
+    return finite(np.multiply, np.linalg.norm(a / scale, axis=axis), scale)
+
+
+def power_of_two(a) -> float:
+    """The power of two at a's largest real or imaginary part (a modulus can
+    overflow), 2^(e - 1) for one in [2^(e - 1), 2^e), but at least 2^-1022, so
+    that its reciprocal is finite: a scale that divides or multiplies exactly."""
+    part = max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))
+    return math.ldexp(1.0, max(math.frexp(float(part))[1] - 1, -1022))
 
 
 def operator_norm(m) -> float:
@@ -212,16 +224,15 @@ def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
 def trial_sums(synthesis, analysis, f) -> np.ndarray:
     """[synthesis analysis* f | synthesis analysis*]: the sums of the trial vectors,
     then those of the basis, read from the d x d mixed operator. If both maps are real,
-    from C-contiguous copies of their real parts in real GEMMs (a quarter of the flops),
-    freed before the block is formed so that the peak stays below the complex route's."""
+    from C-contiguous copies of their real parts in real GEMMs (a quarter of the flops).
+    Either route frees its copies (the real parts, or the conjugate) before the two
+    sums are joined into the block, so that the real route's peak stays below the
+    complex route's."""
     if synthesis.imag.any() or analysis.imag.any():
-        trials, conj = f.shape[1], analysis.conj()
-        block = np.empty((synthesis.shape[0], trials + f.shape[0]), dtype=np.complex128)
-        np.matmul(synthesis, conj @ f, out=block[:, :trials])
-        np.matmul(synthesis, conj, out=block[:, trials:])
-        return block
-    s, a = (np.ascontiguousarray(m.real) for m in (synthesis, analysis))
-    f = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
+        s, a = synthesis, analysis.conj()
+    else:
+        s, a = (np.ascontiguousarray(m.real) for m in (synthesis, analysis))
+        f = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
     sums = [(s @ (a @ f)).view(np.complex128), s @ a]
     del s, a
     return np.concatenate(sums, axis=1)

@@ -18,7 +18,8 @@ A mapping that cannot be inverted is a build error, as are a bad size or tol
 (hilbert.require_positive), a non-finite entry, and a banded offset that is
 not an integer (a bool, a float, or a string int() cannot read) or repeated.
 Dense and banded are singular by hilbert.require_nonsingular on the 1-norm
-reciprocal condition: exact from the one dense inverse, estimated for banded.
+reciprocal condition: exact from the one dense inverse, estimated for banded,
+each from 1-norms scaled by hilbert.power_of_two (zgbcon's own estimate aside).
 apply and apply_inverse take an (n, d) sequence and raise
 DimensionMismatchError naming `seq` for any other shape; every kind forms its
 result under hilbert.finite, the overflow rule, so an image past the double
@@ -109,13 +110,15 @@ class _Banded(MatrixMapping):
         for off, vals in diags.items():
             start = max(off, 0)
             band[kl + ku - off, start : start + vals.shape[0]] = vals
-        anorm = float(np.abs(band[kl:]).sum(axis=0).max())
+        # given the 1-norm over scale, zgbcon returns the reciprocal condition times scale
+        scale = hilbert.power_of_two(band[kl:])
+        anorm = float(np.abs(band[kl:] / scale).sum(axis=0).max())
 
         from scipy.linalg.lapack import zgbcon, zgbtrf
 
         lu, piv, info = zgbtrf(band, kl, ku)
         # info > 0 is an exact zero pivot
-        rcond = zgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
+        rcond = zgbcon(kl, ku, lu, piv, anorm)[0] / scale if info == 0 else 0.0
         hilbert.require_nonsingular(rcond, tol, "1-norm reciprocal condition estimate")
         self._diagonals = {off: hilbert.readonly(diags[off]) for off in sorted(diags)}
         self._kl, self._ku, self._lu, self._piv = kl, ku, hilbert.frozen(lu), piv

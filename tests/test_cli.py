@@ -671,6 +671,22 @@ def test_tiny_worked_example_gets_no_false_verdict(tmp_path, capsys, scale):
         assert capsys.readouterr().err == "error: entries must be finite\n"
 
 
+def test_mapping_at_the_top_of_the_double_range_gives_the_worked_report(tmp_path, capsys):
+    """E = 2^1023 (I - L), whose 1-norm 2^1024 overflows, on the worked psi times
+    2^-1023: E psi is the worked images exactly, and so is the report."""
+    e = 2.0**1023 * (np.eye(4) - np.eye(4, k=-1))
+    path = write_config(tmp_path, "big.json", mapping={"kind": "dense", "entries": pairs(e)},
+                        psi=pairs(2.0**-1023 * gallery.example_psi(3)))
+    argv = ["analyze", "--strict", "--format", "machine"]
+    assert main([*argv, path]) == 0
+    big = capsys.readouterr()
+    assert big.err == "" and run(capsys, *argv, write_config(tmp_path)) == (0, big.out)
+    report = json.loads(big.out)
+    assert [report["eframe"]["lower"], report["eframe"]["upper"]] == [1.0, 2.0]
+    assert [report["controlled"]["lower"], report["controlled"]["upper"]] == [0.5, 1.0]
+    assert set(report["identities"].values()) == {0.0}
+
+
 def test_deeply_nested_config_exits_1(tmp_path, capsys):
     """Nesting this deep skips orjson, and json.load raises RecursionError;
     a nesting of 500-900 is parsed and then fails the shape check."""

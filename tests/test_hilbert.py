@@ -130,6 +130,17 @@ def test_frobenius_of_one_subnormal_complex_entry():
     assert hilbert.frobenius(np.array([[1e-309 + 0j]])) == 1e-309
 
 
+def test_a_norm_past_the_double_range_is_an_input_error():
+    """Every entry is finite but the norm is not: the overflow rule's ValueError,
+    with no numpy warning, for frobenius and worst_residual's column norms alike."""
+    big = np.full((2, 3), 1.5e308 + 0j)
+    for a in (big, np.array([1.5e308 + 1.5e308j])):  # the second's modulus overflows
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            hilbert.frobenius(a)
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        hilbert.worst_residual(big, hilbert.trial_vectors(2, 1, 0), 0.0)
+
+
 def test_hermitian_bounds_sandwich():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -314,6 +325,20 @@ def test_real_trial_sums_peak_no_higher_than_complex():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1], peaks
+
+
+def test_complex_trial_sums_peak():
+    """At (769, 768) images the complex route holds the conjugate, its product with
+    f and the two sums while the block is joined: about 21.3 MB."""
+    images = np.random.default_rng(0).standard_normal((769, 768)) + 1e-3j
+    f = hilbert.trial_vectors(768, 100, 1)
+    tracemalloc.start()
+    try:
+        hilbert.trial_sums(images.T, images, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22e6, peak
 
 
 @settings(max_examples=150, deadline=None)

@@ -339,6 +339,28 @@ def test_dense_extreme_condition_is_rejected_without_a_warning():
             mapping.build_dense(np.diag([1e300, 1e-300]))
 
 
+def scaled_bidiagonal(kind, j, tol):
+    """2^j BIDIAG_4, built as the given kind."""
+    if kind == "dense":
+        return mapping.build_dense(2.0**j * BIDIAG_4, tol)
+    return mapping.build_banded(4, {0: [2.0**j] * 4, -1: [-(2.0**j)] * 3}, tol)
+
+
+@pytest.mark.parametrize("kind, j", [
+    *[(kind, j) for kind in ("dense", "banded") for j in (-600, 0, 600, 1023)],
+    ("dense", -1022),
+    pytest.param("banded", -1022, marks=pytest.mark.xfail(strict=True, raises=SingularOperatorError,
+                 reason="zgbcon's estimate of ||A^-1||_1 overflows: ROADMAP item 1")),
+])
+def test_rcond_reads_one_eighth_at_every_scale(kind, j):
+    """||2^j BIDIAG_4||_1 = 2^(j+1) and ||(2^j BIDIAG_4)^-1||_1 = 2^(2-j); one of the
+    two leaves the double range at j = 1023 or -1022. Both 1-norms are taken over
+    hilbert.power_of_two, so rcond reads 1/8 at every scale, with no warning."""
+    scaled_bidiagonal(kind, j, 0.124)
+    with pytest.raises(SingularOperatorError, match=r"= 1\.250e-01\)$"):
+        scaled_bidiagonal(kind, j, 0.126)
+
+
 @pytest.mark.parametrize("n", [5, 30, 120])
 def test_dense_and_banded_agree_on_a_tridiagonal(n):
     """The 1-norm reciprocal condition of tridiag(-1, 2, -1) is about 2 / n^2:

@@ -7,10 +7,11 @@ cycle, each library and test module uses every name it imports, only
 calls numpy.linalg.norm, one validator raises every array shape error,
 no tolerance reaches numpy or scipy, each rule that two modules could
 state has one owner (the plain inverses, the contraction test and the
-CLI's handlers), and no linter is assumed, so the checks read the source
-with ast.
+CLI's handlers), each CLI command is declared once, and no linter is
+assumed, so the checks read the source with ast.
 """
 
+import argparse
 import ast
 import builtins
 import importlib
@@ -303,3 +304,15 @@ def test_main_catches_each_error_once():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     assert unreachable_handlers(main) == []
+
+
+def test_each_command_is_declared_once():
+    """Each command's parser names the function that runs it, as its run default,
+    and main calls that: nothing in cli compares the command's name."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    compares = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and reads(node, "command")]
+    assert compares == []
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"analyze", "dual", "verify", "neumann", "paper-example"}
+    assert all(callable(p.get_default("run")) for p in sub.choices.values())
