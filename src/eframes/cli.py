@@ -123,11 +123,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
     }
     if record.verdict == controlled.CONTROLLED_FRAME:
         report["identities"] = asdict(record.identity_errors(cfg.trials, cfg.seed))
-    failing = (
-        record.plain.verdict != controlled.FRAME
-        or record.verdict != controlled.CONTROLLED_FRAME
-    )
-    return report, EXIT_VERDICT if args.strict and failing else EXIT_OK
+    ok = (record.plain.verdict, record.verdict) == (controlled.FRAME, controlled.CONTROLLED_FRAME)
+    return report, EXIT_VERDICT if args.strict and not ok else EXIT_OK
 
 
 def cmd_dual(args) -> tuple[dict, int]:
@@ -191,7 +188,8 @@ def cmd_neumann(args) -> tuple[dict, int]:
     except ConvergenceError:  # the ratio is >= 1: the series diverges
         report["converged"] = False
         return report, EXIT_VERDICT
-    cert_tol = max(cfg.tol, 10.0 * eps / max(1.0 - diag.ratio, 1e-12))
+    cert_tol = max(cfg.tol, 10.0 * eps / max(1.0 - diag.ratio, 1e-12))  # inf for a vast eps
+    cert_tol = require_positive(cert_tol, "certificate tolerance from --eps")
     certs = record.certify(record.images_of(corrected), cfg.trials, cfg.seed, cert_tol)
     report.update(
         {

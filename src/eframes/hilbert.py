@@ -25,7 +25,7 @@ hermitian_bounds (Hermitian), SpectralBounds.positive, require_nonsingular
 and backward_ok (duals), on scale-safe frobenius norms; no tol reaches
 numpy. Every norm the library takes is taken here, over power_of_two where it
 could leave the double range, but the banded mapping's 1-norm, summed by hand
-for zgbcon over the same power: no other module calls numpy.linalg.norm.
+for zgbcon on the band over the same power: no other module calls numpy.linalg.norm.
 """
 
 from __future__ import annotations
@@ -141,19 +141,19 @@ def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
 def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Dense inverse from one LU, the one checked inverse: require_nonsingular on
     the exact 1-norm reciprocal condition 1 / (||a||_1 ||a^{-1}||_1), or 0 for an
-    exact zero pivot; its 1-norms are those of a and a^{-1} over and times
-    power_of_two(a), so that neither overflows for entries in the double range."""
+    exact zero pivot, both read from unit = a / 2^k, 2^k = power_of_two(a), an exact
+    scaling; returns unit^{-1} / 2^k under the overflow rule."""
     a, tol = validated(a, "a", square=True), require_positive(tol, "tol")
+    unscale = 1.0 / power_of_two(a)  # exact and finite
+    unit = a * unscale  # a / 2^k at a quarter of the division's cost
     try:
-        inv, scale = np.linalg.inv(a), power_of_two(a)
+        inv = np.linalg.inv(unit)
         with np.errstate(over="ignore"):  # an inverse past the double range: rcond 0
-            inv1 = float(np.linalg.norm(inv * scale, 1))
-        # times 1 / scale, exact and finite, is a / scale at a quarter of its cost
-        rcond = 1.0 / float(np.linalg.norm(a * (1.0 / scale), 1)) / inv1
+            rcond = 1.0 / float(np.linalg.norm(unit, 1)) / float(np.linalg.norm(inv, 1))
     except np.linalg.LinAlgError:  # an exact zero pivot
         rcond = 0.0
     require_nonsingular(rcond, tol)
-    return inv
+    return finite(np.multiply, inv, unscale, inv)
 
 
 def require_nonsingular(

@@ -19,7 +19,7 @@ A mapping that cannot be inverted is a build error, as are a bad size or tol
 not an integer (a bool, a float, or a string int() cannot read) or repeated.
 Dense and banded are singular by hilbert.require_nonsingular on the 1-norm
 reciprocal condition: exact from the one dense inverse, estimated for banded,
-each from 1-norms scaled by hilbert.power_of_two (zgbcon's own estimate aside).
+each read from the factorization of E over hilbert.power_of_two, an exact scaling.
 apply and apply_inverse take an (n, d) sequence and raise
 DimensionMismatchError naming `seq` for any other shape; every kind forms its
 result under hilbert.finite, the overflow rule, so an image past the double
@@ -110,15 +110,16 @@ class _Banded(MatrixMapping):
         for off, vals in diags.items():
             start = max(off, 0)
             band[kl + ku - off, start : start + vals.shape[0]] = vals
-        # given the 1-norm over scale, zgbcon returns the reciprocal condition times scale
-        scale = hilbert.power_of_two(band[kl:])
-        anorm = float(np.abs(band[kl:] / scale).sum(axis=0).max())
+        # the LU, its rcond and the solves work on the unit band: band over power_of_two
+        self._unscale = 1.0 / hilbert.power_of_two(band[kl:])
+        band *= self._unscale
+        anorm = float(np.abs(band[kl:]).sum(axis=0).max())
 
         from scipy.linalg.lapack import zgbcon, zgbtrf
 
         lu, piv, info = zgbtrf(band, kl, ku)
         # info > 0 is an exact zero pivot
-        rcond = zgbcon(kl, ku, lu, piv, anorm)[0] / scale if info == 0 else 0.0
+        rcond = zgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
         hilbert.require_nonsingular(rcond, tol, "1-norm reciprocal condition estimate")
         self._diagonals = {off: hilbert.readonly(diags[off]) for off in sorted(diags)}
         self._kl, self._ku, self._lu, self._piv = kl, ku, hilbert.frozen(lu), piv
@@ -135,7 +136,8 @@ class _Banded(MatrixMapping):
     def _apply_inverse(self, seq):
         from scipy.linalg.lapack import zgbtrs
 
-        return zgbtrs(self._lu, self._kl, self._ku, seq, self._piv)[0]
+        rhs = np.multiply(seq, self._unscale, order="F")  # E x = seq is unit x = seq / 2^k
+        return zgbtrs(self._lu, self._kl, self._ku, rhs, self._piv, overwrite_b=True)[0]
 
 
 class _Dense(MatrixMapping):

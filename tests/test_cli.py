@@ -395,6 +395,15 @@ def test_neumann_reads_phi_from_the_config(tmp_path, capsys):
     assert report["converged"] is True
 
 
+def test_neumann_certificate_tolerance_past_the_double_range_names_eps(tmp_path, capsys):
+    """The corrected dual is certified at 10 eps / (1 - ratio), which overflows at
+    --eps 1e308: an input error that names --eps, not a tol that was never given."""
+    path = write_config(tmp_path, phi=pairs(gallery.example_psi_tilde(3)))
+    assert main(["neumann", path, "--rho", "0.9", "--eps", "1e308"]) == 1
+    want = "error: certificate tolerance from --eps must be a finite positive number, got inf\n"
+    assert capsys.readouterr() == ("", want)
+
+
 def test_neumann_without_rho_or_phi_is_input_error(tmp_path, capsys):
     assert main(["neumann", write_config(tmp_path)]) == 1
     want = "error: neumann requires --rho or 'phi' in the configuration\n"

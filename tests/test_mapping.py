@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import dense_form, dense_inverse, random_complex, random_conditioned_matrix
-from eframes import mapping
+from eframes import hilbert, mapping
 from eframes.errors import DimensionMismatchError, SingularOperatorError
 
 BIDIAG_4 = np.array(
@@ -347,18 +347,90 @@ def scaled_bidiagonal(kind, j, tol):
 
 
 @pytest.mark.parametrize("kind, j", [
-    *[(kind, j) for kind in ("dense", "banded") for j in (-600, 0, 600, 1023)],
-    ("dense", -1022),
-    pytest.param("banded", -1022, marks=pytest.mark.xfail(strict=True, raises=SingularOperatorError,
-                 reason="zgbcon's estimate of ||A^-1||_1 overflows: ROADMAP item 1")),
-])
+    (kind, j) for kind in ("dense", "banded") for j in (-1023, -1022, -600, 0, 600, 1023)])
 def test_rcond_reads_one_eighth_at_every_scale(kind, j):
     """||2^j BIDIAG_4||_1 = 2^(j+1) and ||(2^j BIDIAG_4)^-1||_1 = 2^(2-j); one of the
-    two leaves the double range at j = 1023 or -1022. Both 1-norms are taken over
-    hilbert.power_of_two, so rcond reads 1/8 at every scale, with no warning."""
+    two leaves the double range at j = 1023 or -1022. Each kind factors its matrix
+    over hilbert.power_of_two, so rcond reads 1/8 at every scale, with no warning."""
     scaled_bidiagonal(kind, j, 0.124)
     with pytest.raises(SingularOperatorError, match=r"= 1\.250e-01\)$"):
         scaled_bidiagonal(kind, j, 0.126)
+
+
+@pytest.mark.parametrize("kind, j", [
+    (kind, j) for kind in ("dense", "banded") for j in (-1060, -1030, -1023, -1022, 1023)])
+def test_inverse_at_the_ends_of_the_double_range(kind, j):
+    """(2^j BIDIAG_4)^-1 2^j 1 = [1, 2, 3, 4] exactly. The band LU and its solve work
+    at unit scale, so the banded kind returns it at every j; the dense kind stores
+    the inverse, 2^-j times the running sum, which leaves the double range below
+    2^-1023, and that is the overflow rule's input error. Neither is singular."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "dense" and j < -1023:
+            with pytest.raises(ValueError, match=r"^entries must be finite$"):
+                scaled_bidiagonal(kind, j, 0.124)
+        else:
+            x = scaled_bidiagonal(kind, j, 0.124).apply_inverse(2.0**j * np.ones((4, 1)))
+            assert np.array_equal(x, np.arange(1.0, 5.0)[:, None])
+
+
+def dense_reference(a, tol):
+    """The dense recipe that the unit-scale factorization replaced: np.linalg.inv of
+    a itself, and its rcond from the 1-norms of a over and of the inverse times
+    power_of_two(a); the inverse, or the refusal's message."""
+    inv, scale = np.linalg.inv(a), hilbert.power_of_two(a)
+    rcond = 1.0 / np.linalg.norm(a * (1.0 / scale), 1) / np.linalg.norm(inv * scale, 1)
+    return inv if rcond > tol else f"1-norm reciprocal condition = {rcond:.3e})"
+
+
+def banded_reference(n, diagonals, seq, tol):
+    """The banded recipe that the unit-scale factorization replaced: zgbtrf and
+    zgbtrs on the band itself, and zgbcon given its 1-norm over power_of_two(band),
+    its estimate divided by that power; the solution, or the refusal's message."""
+    from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
+
+    kl, ku = max([-off for off in diagonals] + [0]), max([off for off in diagonals] + [0])
+    band = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+    for off, vals in diagonals.items():
+        band[kl + ku - off, max(off, 0) : max(off, 0) + vals.shape[0]] = vals
+    scale = hilbert.power_of_two(band[kl:])
+    lu, piv, info = zgbtrf(band, kl, ku)
+    assert info == 0
+    rcond = zgbcon(kl, ku, lu, piv, np.abs(band[kl:] / scale).sum(axis=0).max())[0] / scale
+    if rcond > tol:
+        return zgbtrs(lu, kl, ku, seq, piv)[0]
+    return f"1-norm reciprocal condition estimate = {rcond:.3e})"
+
+
+def built_or_refused(build, use):
+    """use(build()), or the message's tail if the build is refused as singular."""
+    try:
+        return use(build())
+    except SingularOperatorError as exc:
+        return str(exc).partition("(")[2]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_scale_factorizations_keep_every_bit(seed):
+    """Factoring E over its power of two is exact: on seeded complex matrices and
+    bands at 2^j, |j| <= 300, the dense inverse is np.linalg.inv's, the banded solve
+    is zgbtrs's on the band itself, and a refusal reads the same rcond."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n, j = int(rng.integers(2, 40)), int(rng.integers(-300, 301))
+        tol = float(rng.choice([1e-12, 0.05, 0.5]))
+        a = 2.0**j * random_complex(rng, (n, n))
+        got = built_or_refused(lambda: mapping.build_dense(a, tol), lambda e: e.inverse)
+        want = dense_reference(a, tol)
+        assert got == want if isinstance(want, str) else np.array_equal(got, want)
+
+        offsets = set(rng.integers(-3, 4, size=3).tolist()) | {0}
+        diagonals = {off: 2.0**j * vals for off, vals in banded_diagonals(rng, n, offsets).items()}
+        seq = 2.0 ** int(rng.integers(-300, 301)) * random_complex(rng, (n, int(rng.integers(1, 17))))
+        got = built_or_refused(
+            lambda: mapping.build_banded(n, diagonals, tol), lambda e: e.apply_inverse(seq))
+        want = banded_reference(n, diagonals, seq, tol)
+        assert got == want if isinstance(want, str) else np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [5, 30, 120])
