@@ -1,10 +1,10 @@
 """Command line interface.
 
-Commands: analyze, dual, verify, neumann, paper-example. Exit codes:
-0 success, 1 input or validation error, 2 mathematical-verdict
-failure. The machine format is deterministic JSON (no timestamps),
-byte-identical to json.dumps(report, sort_keys=True, separators=(",", ":"));
-elapsed time is shown in the text format only.
+Commands: analyze, dual, verify, neumann, paper-example; main names the
+command first in each report. Exit codes: 0 success, 1 input or validation
+error, 2 mathematical-verdict failure. The machine format is deterministic
+JSON (no timestamps), byte-identical to json.dumps(report, sort_keys=True,
+separators=(",", ":")); elapsed time is shown in the text format only.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .hilbert import (
     frobenius,
     require_positive,
     require_seed,
+    require_tol,
     trial_sums,
     trial_vectors,
     worst_residual,
@@ -99,7 +100,7 @@ def _overrides(args) -> dict:
     """The --tol, --trials and --seed flags that were given, checked."""
     overrides = {}
     if args.tol is not None:
-        overrides["tol"] = require_positive(args.tol, "--tol")
+        overrides["tol"] = require_tol(args.tol, "--tol")
     if args.trials is not None:
         overrides["trials"] = require_positive(args.trials, "--trials", integer=True)
     if args.seed is not None:
@@ -116,7 +117,6 @@ def cmd_analyze(args) -> tuple[dict, int]:
     cfg = _config(args)
     record = controlled.controlled_bounds(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report = {
-        "command": "analyze",
         "eframe": _bounds_dict(record.plain),
         "controlled": _bounds_dict(record),
         "parseval": record.is_parseval(),
@@ -130,7 +130,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
 def cmd_dual(args) -> tuple[dict, int]:
     cfg, mode = _config(args), args.mode
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
-    report: dict = {"command": "dual", "mode": mode}
+    report: dict = {"mode": mode}
     code = EXIT_OK
     if mode == "canonical":
         family = record.canonical_dual()
@@ -160,7 +160,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise ConfigError("verify requires 'phi' in the configuration")
     certs = controlled.verify_dual(
         cfg.mapping, cfg.psi, cfg.phi, cfg.u, cfg.trials, cfg.seed, cfg.tol)
-    report = {"command": "verify", "certificates": [asdict(cert) for cert in certs]}
+    report = {"certificates": [asdict(cert) for cert in certs]}
     return report, EXIT_OK if certs[0].verdict else EXIT_VERDICT
 
 
@@ -178,7 +178,7 @@ def cmd_neumann(args) -> tuple[dict, int]:
         phi = cfg.phi
     else:
         raise ConfigError("neumann requires --rho or 'phi' in the configuration")
-    report: dict = {"command": "neumann", "eps": eps, "max_terms": max_terms}
+    report: dict = {"eps": eps, "max_terms": max_terms}
     if rho is not None:
         report["rho"] = float(rho)
     pair = neumann.ApproximateDual(record, phi)
@@ -218,7 +218,6 @@ def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEF
         + both_residuals(apply_mapping(mapping, gallery.example_phi(dim)), images_psi, 1.0),
     ))
     report = {
-        "command": "paper-example",
         "dim": dim,
         "count": dim + 1,
         "expected": dict(zip(residuals, ("2f", "f", "f", "f/2"))),
@@ -284,6 +283,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.run(args)
+        report = {"command": args.command, **report}
     except (NotAFrameError, DualConditionError) as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return EXIT_VERDICT

@@ -28,7 +28,7 @@ import orjson
 
 from .errors import DimensionMismatchError
 from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
-from .hilbert import require_positive, require_seed
+from .hilbert import require_positive, require_seed, require_tol
 from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
 
 _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials", "seed"}
@@ -181,7 +181,7 @@ def _problem(raw, overrides) -> ProblemConfig:
     try:
         dimension = require_positive(raw["dimension"], "'dimension'", integer=True)
         count = require_positive(raw["count"], "'count'", integer=True)
-        tol = require_positive(raw.get("tol", DEFAULT_TOL), "'tol'")
+        tol = require_tol(raw.get("tol", DEFAULT_TOL), "'tol'")
         trials = raw.get("trials", DEFAULT_TRIALS)
         trials = require_positive(trials, "'trials'", integer=True)
         seed = require_seed(raw.get("seed", DEFAULT_SEED), "'seed'")

@@ -19,15 +19,15 @@ extraction are provided for both.
 
 Everything works from one prepared record per (E, psi, U, tol),
 ControlledEFrame, the one place a family is prepared and judged: its plain
-half, an EFrameRecord, is FRAME or BESSEL_ONLY, and the record itself
-CONTROLLED_FRAME or INVALID. Its constructor validates the inputs and
-applies E to psi once. S_E, S, the bounds and verdict, T_u, pinv(T_u) and
-S^{-1} are each computed on first use and cached; all of them are d x d or
-d x N, so no N x N array is cached. The verdict is the one rank rule:
-pinv(T_u) and S^{-1} require it, and it makes S = T_u T* invertible, so T_u
-has full rank d and its pseudoinverse cuts no singular value. The
-module-level functions build a record per call; to run several operations
-on one problem, build the record once and call its methods.
+half, an EFrameRecord (images, S_E, bounds, verdict), is FRAME or BESSEL_ONLY,
+and the record CONTROLLED_FRAME or INVALID. Its constructor validates the
+inputs and applies E to psi once. S_E, S, the bounds (whose hermitian field the
+verdict reads), T_u, pinv(T_u) and S^{-1} are each computed on first use and
+cached; all are d x d or d x N, so no N x N array is cached. The verdict is the
+one rank rule: pinv(T_u) and S^{-1} require it, and it makes S = T_u T*
+invertible, so T_u has full rank d and its pseudoinverse cuts no singular
+value. The module-level functions build a record per call; to run several
+operations on one problem, build the record once and call its methods.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ INVALID = "invalid"
 
 @dataclass(frozen=True)
 class EFrameRecord:
-    """Analysis result for one (mapping, sequence) pair: ControlledEFrame.plain."""
+    """The E-frame half of a record, ControlledEFrame.plain: its own results only."""
 
-    psi: np.ndarray
-    mapping: MatrixMapping
     images: np.ndarray
     frame_op: np.ndarray
     bounds: SpectralBounds
@@ -83,7 +81,7 @@ class DualCertificate:
 class ControlledEFrame:
     """One (mapping, sequence, control operator, tolerance) problem.
 
-    Construction checks tol, psi and U (hilbert.require_positive and
+    Construction checks tol, psi and U (hilbert.require_tol and
     hilbert.validated) and applies the mapping to psi once; everything
     else is computed on first use and cached.
     """
@@ -95,7 +93,7 @@ class ControlledEFrame:
     images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tol", hilbert.require_positive(self.tol, "tol"))
+        object.__setattr__(self, "tol", hilbert.require_tol(self.tol))
         psi = hilbert.validated(self.psi, "psi", (self.mapping.n, None))
         images = hilbert.frozen(apply_mapping(self.mapping, psi))
         u = hilbert.validated(self.u, "u", (images.shape[1],) * 2)
@@ -114,7 +112,7 @@ class ControlledEFrame:
         of S_E at the record's tol, and ``frame`` iff they are positive."""
         bounds = hilbert.hermitian_bounds(self.s_e, self.tol)
         verdict = FRAME if bounds.positive(self.tol) else BESSEL_ONLY
-        return EFrameRecord(self.psi, self.mapping, self.images, self.s_e, bounds, verdict)
+        return EFrameRecord(self.images, self.s_e, bounds, verdict)
 
     @cached_property
     def s_ue(self) -> np.ndarray:
@@ -122,20 +120,17 @@ class ControlledEFrame:
         return hilbert.frozen(hilbert.finite(np.matmul, self.u, self.s_e))
 
     @cached_property
-    def _spectrum(self) -> tuple[bool, SpectralBounds]:
+    def bounds(self) -> SpectralBounds:
+        """hermitian_spectrum of S_ue: the extreme eigenvalues of its Hermitian
+        part, and whether S_ue is Hermitian to tol."""
         return hilbert.hermitian_spectrum(self.s_ue, self.tol)
 
     @property
-    def bounds(self) -> SpectralBounds:
-        """Extreme eigenvalues of the Hermitian part of S_ue."""
-        return self._spectrum[1]
-
-    @property
     def verdict(self) -> str:
-        """``controlled-frame`` iff S_ue is Hermitian to tol and positive
-        (SpectralBounds.positive), else ``invalid``."""
-        hermitian, bounds = self._spectrum
-        return CONTROLLED_FRAME if hermitian and bounds.positive(self.tol) else INVALID
+        """``controlled-frame`` iff S_ue is Hermitian to tol (bounds.hermitian) and
+        positive (SpectralBounds.positive), else ``invalid``."""
+        ok = self.bounds.hermitian and self.bounds.positive(self.tol)
+        return CONTROLLED_FRAME if ok else INVALID
 
     def require_valid(self) -> None:
         if self.verdict != CONTROLLED_FRAME:
@@ -227,7 +222,7 @@ class ControlledEFrame:
         synthesis and analysis maps of the sum (hilbert.backward_ok).
         """
         trials = hilbert.require_positive(trials, "trials", integer=True)
-        tol = self.tol if tol is None else hilbert.require_positive(tol, "tol")
+        tol = self.tol if tol is None else hilbert.require_tol(tol)
         images_phi = hilbert.validated(images_phi, "images_phi", self.images.shape)
         f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
 

@@ -9,8 +9,8 @@ worst_residual are pure and never mutate their arguments, so values
 can be shared freely between threads.
 
 Input is checked here, once: validated (shape, then entries) for every
-array, require_positive for every tol, eps and count and
-require_seed for every seed that configuration, CLI or library takes;
+array, require_tol for every tol, require_positive for every eps and count
+and require_seed for every seed that configuration, CLI or library takes;
 finite for every array formed from finite input that can overflow (each
 mapping's apply and apply_inverse, S_E, S, T_u, the certificates' sums, the
 Neumann deviation, the CLI's rho times a dual and a norm past the double
@@ -21,7 +21,7 @@ calls the plain inv (eframe.e_canonical_dual reuses it), and
 ControlledEFrame.t_u_pinv a pinv that cuts no singular value, since the
 verdict both require has already bounded S away from singular, and so T_u
 at full rank. Each tolerance rule is stated once: close (equality),
-hermitian_bounds (Hermitian), SpectralBounds.positive, require_nonsingular
+hermitian_spectrum (Hermitian), SpectralBounds.positive, require_nonsingular
 and backward_ok (duals), on scale-safe frobenius norms; no tol reaches
 numpy. Every norm the library takes is taken here, over power_of_two where it
 could leave the double range, but the banded mapping's 1-norm, summed by hand
@@ -40,6 +40,7 @@ from .errors import DimensionMismatchError, NotHermitianError, SingularOperatorE
 
 #: default tolerance: relative to the scale of each check (see backward_ok)
 DEFAULT_TOL = 1e-10
+TOL_FLOOR = 2.0**-48  # the smallest tol admitted, 16 eps: below it rounding alone fails
 #: default number of random unit trial vectors per check, and their seed
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
@@ -90,6 +91,14 @@ def require_positive(raw, name: str, integer: bool = False):
     return int(raw) if integer else float(raw)
 
 
+def require_tol(raw, name: str = "tol") -> float:
+    """require_positive(raw, name) if at least TOL_FLOOR, else ValueError naming both."""
+    tol = require_positive(raw, name)
+    if tol < TOL_FLOOR:
+        raise ValueError(f"{name} must be at least 2^-48 = {TOL_FLOOR:.3e}, got {raw!r}")
+    return tol
+
+
 def require_seed(raw, name: str) -> int:
     """raw as an int if it is a non-negative integer, not a bool; else ValueError."""
     if isinstance(raw, bool) or not isinstance(raw, numbers.Integral) or raw < 0:
@@ -110,30 +119,31 @@ def frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Extreme eigenvalues (lo, hi) of a Hermitian operator."""
+    """Extreme eigenvalues (lo, hi) of a Hermitian part, and whether the operator is Hermitian."""
 
     lo: float
     hi: float
+    hermitian: bool = True
 
     def positive(self, tol: float) -> bool:
         """True iff lo > tol * max(|lo|, |hi|): positive, away from zero."""
         return bool(self.lo > tol * max(abs(self.lo), abs(self.hi)))
 
 
-def hermitian_spectrum(a: np.ndarray, tol: float) -> tuple[bool, SpectralBounds]:
-    """Whether a is Hermitian to tol (close(a*, a, tol)), and the extreme
-    eigenvalues of its Hermitian part (a + a*) / 2 either way."""
+def hermitian_spectrum(a: np.ndarray, tol: float) -> SpectralBounds:
+    """The extreme eigenvalues of a's Hermitian part (a + a*) / 2, with whether a
+    is Hermitian to tol (close(a*, a, tol)) as their hermitian field."""
     hermitian = close(a.conj().T, a, tol)
     w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return hermitian, SpectralBounds(float(w[0]), float(w[-1]))
+    return SpectralBounds(float(w[0]), float(w[-1]), hermitian)
 
 
 def hermitian_bounds(a, tol: float = DEFAULT_TOL) -> SpectralBounds:
     """Smallest and largest eigenvalue of a Hermitian operator: the Hermitian
     precondition, which raises NotHermitianError unless a is Hermitian to tol."""
-    tol = require_positive(tol, "tol")
-    hermitian, bounds = hermitian_spectrum(validated(a, "a", square=True), tol)
-    if not hermitian:
+    tol = require_tol(tol)
+    bounds = hermitian_spectrum(validated(a, "a", square=True), tol)
+    if not bounds.hermitian:
         raise NotHermitianError(f"operator is not Hermitian to tolerance {tol:g}")
     return bounds
 
@@ -143,7 +153,7 @@ def invert_operator(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     the exact 1-norm reciprocal condition 1 / (||a||_1 ||a^{-1}||_1), or 0 for an
     exact zero pivot, both read from unit = a / 2^k, 2^k = power_of_two(a), an exact
     scaling; returns unit^{-1} / 2^k under the overflow rule."""
-    a, tol = validated(a, "a", square=True), require_positive(tol, "tol")
+    a, tol = validated(a, "a", square=True), require_tol(tol)
     unscale = 1.0 / power_of_two(a)  # exact and finite
     unit = a * unscale  # a / 2^k at a quarter of the division's cost
     try:

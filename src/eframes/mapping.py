@@ -15,8 +15,8 @@ N x N arrays:
     dense        E @ seq and E^{-1} @ seq             O(N^2 d)
 
 A mapping that cannot be inverted is a build error, as are a bad size or tol
-(hilbert.require_positive), a non-finite entry, and a banded offset that is
-not an integer (a bool, a float, or a string int() cannot read) or repeated.
+(hilbert.require_positive, require_tol), a non-finite entry, and a banded
+offset that is repeated or not an integer (a bool, a float, a str int() rejects).
 Dense and banded are singular by hilbert.require_nonsingular on the 1-norm
 reciprocal condition: exact from the one dense inverse, estimated for banded,
 each read from the factorization of E over hilbert.power_of_two, an exact scaling.
@@ -173,7 +173,7 @@ def build_banded(n: int, diagonals, tol: float = DEFAULT_TOL) -> MatrixMapping:
     every inverse apply. LAPACK's estimate of their 1-norm reciprocal condition
     goes to hilbert.require_nonsingular, which raises SingularOperatorError.
     """
-    return _Banded(n, diagonals, hilbert.require_positive(tol, "tol"))
+    return _Banded(n, diagonals, hilbert.require_tol(tol))
 
 
 def identity_mapping(n: int) -> MatrixMapping:

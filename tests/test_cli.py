@@ -661,6 +661,67 @@ def test_config_tol_beyond_double_range_exits_1(tmp_path, capsys):
     )
 
 
+def gaussian_config(tmp_path, n, d, seed):
+    """A complex Gaussian family over paper_bidiagonal with U = I/2."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return write_config(tmp_path, f"g{n}x{d}s{seed}.json", dimension=d, count=n, psi=pairs(psi))
+
+
+@pytest.mark.parametrize(
+    "family, argv, tol",
+    [
+        ("worked", ["dual", "--mode", "offset"], "1e-17"),
+        ("worked", ["dual", "--mode", "offset"], "2e-16"),
+        ("worked", ["dual", "--mode", "right-inverse"], "1e-17"),
+        ((4, 3, 0), ["dual"], "2e-16"),
+        ((4, 3, 0), ["analyze", "--strict"], "1e-17"),
+        ((1025, 16, 0), ["dual", "--mode", "offset"], "1e-15"),
+        (None, ["paper-example", "--dim", "3"], "1e-17"),
+        (None, ["paper-example", "--dim", "3"], "1e-300"),
+    ],
+)
+def test_tol_below_the_floor_exits_1_and_writes_no_report(tmp_path, capsys, family, argv, tol):
+    """A --tol that rounding alone fails is an input error, not a verdict: each
+    of these exited 2 before the floor (the last with a report of residuals)."""
+    if family is not None:
+        path = write_config(tmp_path) if family == "worked" else gaussian_config(tmp_path, *family)
+        argv = [argv[0], path, *argv[1:]]
+    assert main([*argv, "--tol", tol, "--format", "machine"]) == 1
+    assert capsys.readouterr() == ("", f"error: --tol must be at least 2^-48 = 3.553e-15, got {tol}\n")
+
+
+def test_every_family_exits_0_at_the_floor(tmp_path, capsys):
+    """At --tol 2^-48 itself, analyze --strict and every dual mode exit 0 on the
+    worked example and on Gaussian families at (4, 3), (40, 8) and (1025, 16),
+    and paper-example does at dims 3, 16 and 64."""
+    floor = repr(2.0**-48)
+    paths = [write_config(tmp_path)] + [
+        gaussian_config(tmp_path, n, d, seed)
+        for (n, d), seeds in (((4, 3), range(10)), ((40, 8), range(4)), ((1025, 16), range(4)))
+        for seed in seeds
+    ]
+    argvs = [["paper-example", "--dim", str(dim)] for dim in (3, 16, 64)]
+    for path in paths:
+        argvs += [["analyze", path, "--strict"]]
+        argvs += [["dual", path, "--mode", mode] for mode in ("canonical", "right-inverse", "offset")]
+    for argv in argvs:
+        assert (main([*argv, "--tol", floor]), capsys.readouterr().err) == (0, ""), argv
+
+
+def test_config_tol_floor(tmp_path, capsys):
+    """The config key 'tol' is held to the same floor as the flag."""
+    below = float(np.nextafter(2.0**-48, 0.0))
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_config(tmp_path, tol=below))
+    assert str(info.value) == f"'tol' must be at least 2^-48 = 3.553e-15, got {below!r}"
+    path = write_config(tmp_path, tol=2.0**-48)
+    assert parse_config(path).tol == 2.0**-48
+    assert main(["analyze", path, "--strict"]) == 0
+    assert main(["paper-example", "--dim", "3", "--tol", repr(below)]) == 1
+    assert capsys.readouterr().err.endswith(f"--tol must be at least 2^-48 = 3.553e-15, got {below!r}\n")
+
+
 @pytest.mark.parametrize("scale", [1e-155, 1e-160])
 def test_tiny_worked_example_gets_no_false_verdict(tmp_path, capsys, scale):
     """S_E has entries near 1e-320 at scale 1e-160. The rules see its subnormal
@@ -852,7 +913,7 @@ def test_every_machine_report_is_written_as_the_stdlib_writes_it(tmp_path, capsy
     monkeypatch.setattr(cli, "_render_machine", lambda report: reports.append(report) or render(report))
     phi = pairs(0.5 * gallery.example_psi_tilde(3))
     diagonals = {"0": [[4, 0]] * 4, "-1": [[1, 0.5]] * 3, "2": [[0.25, -1]] * 2}
-    argvs = [["paper-example", "--dim", "8"], ["paper-example", "--dim", "3", "--tol", "1e-300"]]
+    argvs = [["paper-example", "--dim", "8"]]
     for name, spec in (("bidiagonal", {"kind": "paper_bidiagonal"}),
                        ("banded", {"kind": "banded", "diagonals": diagonals})):
         path = write_config(tmp_path, f"{name}.json", mapping=spec, phi=phi)

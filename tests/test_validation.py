@@ -253,6 +253,18 @@ def test_bad_tol_is_an_input_error(label, value):
         TOL_CALLS[label](value)
 
 
+@pytest.mark.parametrize("label", sorted(TOL_CALLS))
+def test_tol_below_the_floor_is_an_input_error(label):
+    """2^-48 = 16 eps is the smallest tol admitted; the next double below it is
+    refused with the floor in the message."""
+    assert hilbert.TOL_FLOOR == 2.0**-48
+    TOL_CALLS[label](2.0**-48)
+    below = float(np.nextafter(2.0**-48, 0.0))
+    with pytest.raises(ValueError) as info:
+        TOL_CALLS[label](below)
+    assert str(info.value) == f"tol must be at least 2^-48 = 3.553e-15, got {below!r}"
+
+
 @pytest.mark.parametrize("value", BAD_NUMBERS)
 @pytest.mark.parametrize("label", sorted(STOP_CALLS))
 def test_bad_eps_and_max_terms_are_input_errors(label, value):
