@@ -189,7 +189,7 @@ def cmd_neumann(args) -> tuple[dict, int]:
         report["converged"] = False
         return report, EXIT_VERDICT
     cert_tol = max(cfg.tol, 10.0 * eps / max(1.0 - diag.ratio, 1e-12))  # inf for a vast eps
-    cert_tol = require_positive(cert_tol, "certificate tolerance from --eps")
+    cert_tol = require_tol(cert_tol, "certificate tolerance from --eps")
     certs = record.certify(record.images_of(corrected), cfg.trials, cfg.seed, cert_tol)
     report.update(
         {

@@ -26,8 +26,9 @@ verdict reads), T_u, pinv(T_u) and S^{-1} are each computed on first use and
 cached; all are d x d or d x N, so no N x N array is cached. The verdict is the
 one rank rule: pinv(T_u) and S^{-1} require it, and it makes S = T_u T*
 invertible, so T_u has full rank d and its pseudoinverse cuts no singular
-value. The module-level functions build a record per call; to run several
-operations on one problem, build the record once and call its methods.
+value. The module-level functions build a record per call at the default tol,
+trials and seed (controlled_bounds takes a tol, verify_dual all three); to set
+them, or to run several operations on one problem, build the record once.
 """
 
 from __future__ import annotations
@@ -314,27 +315,24 @@ def controlled_bounds(
     return ControlledEFrame(e, psi, u, tol)
 
 
-def identity_errors(
-    e: MatrixMapping, psi, u, trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
-) -> IdentityReport:
+def identity_errors(e: MatrixMapping, psi, u) -> IdentityReport:
     """See ControlledEFrame.identity_errors."""
-    return ControlledEFrame(e, psi, u, tol).identity_errors(trials, seed)
+    return ControlledEFrame(e, psi, u).identity_errors()
 
 
-def commutation_criterion(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> bool:
+def commutation_criterion(e: MatrixMapping, psi, u) -> bool:
     """See ControlledEFrame.commutation_criterion."""
-    return ControlledEFrame(e, psi, u, tol).commutation_criterion()
+    return ControlledEFrame(e, psi, u).commutation_criterion()
 
 
-def is_parseval(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> bool:
+def is_parseval(e: MatrixMapping, psi, u) -> bool:
     """See ControlledEFrame.is_parseval."""
-    return ControlledEFrame(e, psi, u, tol).is_parseval()
+    return ControlledEFrame(e, psi, u).is_parseval()
 
 
-def canonical_dual(e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL) -> np.ndarray:
+def canonical_dual(e: MatrixMapping, psi, u) -> np.ndarray:
     """See ControlledEFrame.canonical_dual."""
-    return ControlledEFrame(e, psi, u, tol).canonical_dual()
+    return ControlledEFrame(e, psi, u).canonical_dual()
 
 
 def verify_dual(
@@ -347,46 +345,32 @@ def verify_dual(
     return record.certify(record.images_of(phi), trials, seed)
 
 
-def dual_from_right_inverse(
-    e: MatrixMapping, psi, u, v, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def dual_from_right_inverse(e: MatrixMapping, psi, u, v) -> np.ndarray:
     """See ControlledEFrame.dual_from_right_inverse."""
-    return ControlledEFrame(e, psi, u, tol).dual_from_right_inverse(v)
+    return ControlledEFrame(e, psi, u).dual_from_right_inverse(v)
 
 
-def dual_with_offset(
-    e: MatrixMapping, psi, u, v, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def dual_with_offset(e: MatrixMapping, psi, u, v) -> np.ndarray:
     """See ControlledEFrame.dual_with_offset."""
-    return ControlledEFrame(e, psi, u, tol).dual_with_offset(v)
+    return ControlledEFrame(e, psi, u).dual_with_offset(v)
 
 
-def random_null_map(
-    e: MatrixMapping, psi, u, seed: int = 0, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def random_null_map(e: MatrixMapping, psi, u, seed: int = 0) -> np.ndarray:
     """See ControlledEFrame.random_null_map."""
-    return ControlledEFrame(e, psi, u, tol).random_null_map(seed)
+    return ControlledEFrame(e, psi, u).random_null_map(seed)
 
 
-def random_right_inverse(
-    e: MatrixMapping, psi, u, seed: int = 0, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def random_right_inverse(e: MatrixMapping, psi, u, seed: int = 0) -> np.ndarray:
     """See ControlledEFrame.random_right_inverse."""
-    return ControlledEFrame(e, psi, u, tol).random_right_inverse(seed)
+    return ControlledEFrame(e, psi, u).random_right_inverse(seed)
 
 
-def extract_null_map(
-    e: MatrixMapping, psi, phi, u, trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def extract_null_map(e: MatrixMapping, psi, phi, u) -> np.ndarray:
     """Recover the null map generating a given dual: V = T_phi* - T_psi* S^{-1}.
 
     Requires phi to verify as a controlled dual in the definitional
-    orientation at tol; dual_with_offset applied to the result
-    reproduces phi.
+    orientation; dual_with_offset applied to the result reproduces phi.
     """
-    record = ControlledEFrame(e, psi, u, tol)
+    record = ControlledEFrame(e, psi, u)
     images_phi = record.images_of(phi)
-    cert, _ = record.certify(images_phi, trials, seed)
-    return record.null_map(images_phi, cert)
-
+    return record.null_map(images_phi, record.certify(images_phi)[0])

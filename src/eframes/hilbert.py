@@ -9,18 +9,17 @@ worst_residual are pure and never mutate their arguments, so values
 can be shared freely between threads.
 
 Input is checked here, once: validated (shape, then entries) for every
-array, require_tol for every tol, require_positive for every eps and count
-and require_seed for every seed that configuration, CLI or library takes;
-finite for every array formed from finite input that can overflow (each
-mapping's apply and apply_inverse, S_E, S, T_u, the certificates' sums, the
-Neumann deviation, the CLI's rho times a dual and a norm past the double
-range), so that an overflow is ValueError("entries must be finite") and
-numpy warns of nothing;
-invert_operator is the one checked inverse. ControlledEFrame.s_inv alone
-calls the plain inv (eframe.e_canonical_dual reuses it), and
-ControlledEFrame.t_u_pinv a pinv that cuts no singular value, since the
-verdict both require has already bounded S away from singular, and so T_u
-at full rank. Each tolerance rule is stated once: close (equality),
+array, require_tol for every tol, which it holds to [2^-48, 1), require_positive
+for every eps and count and require_seed for every seed that configuration, CLI
+or library takes; finite for every array formed from finite input that can
+overflow (each mapping's apply and apply_inverse, S_E, S, T_u, the certificates'
+sums, the Neumann deviation, the CLI's rho times a dual and a norm past the
+double range), so that an overflow is ValueError("entries must be finite") and
+numpy warns of nothing; invert_operator is the one checked inverse.
+ControlledEFrame.s_inv alone calls the plain inv (eframe.e_canonical_dual
+reuses it), and ControlledEFrame.t_u_pinv a pinv that cuts no singular value,
+since the verdict both require has already bounded S away from singular, and
+so T_u at full rank. Each tolerance rule is stated once: close (equality),
 hermitian_spectrum (Hermitian), SpectralBounds.positive, require_nonsingular
 and backward_ok (duals), on scale-safe frobenius norms; no tol reaches
 numpy. Every norm the library takes is taken here, over power_of_two where it
@@ -92,10 +91,13 @@ def require_positive(raw, name: str, integer: bool = False):
 
 
 def require_tol(raw, name: str = "tol") -> float:
-    """require_positive(raw, name) if at least TOL_FLOOR, else ValueError naming both."""
+    """require_positive(raw, name) if in [TOL_FLOOR, 1), else ValueError naming it: at 1
+    or more no positivity or singularity test can pass, so tol alone would decide."""
     tol = require_positive(raw, name)
     if tol < TOL_FLOOR:
         raise ValueError(f"{name} must be at least 2^-48 = {TOL_FLOOR:.3e}, got {raw!r}")
+    if tol >= 1.0:
+        raise ValueError(f"{name} must be below 1, got {raw!r}")
     return tol
 
 

@@ -722,6 +722,41 @@ def test_config_tol_floor(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(f"--tol must be at least 2^-48 = 3.553e-15, got {below!r}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, tol",
+    [
+        (["dual", None], "1"),
+        (["analyze", None, "--strict"], "1"),
+        (["analyze", None], "1e300"),
+        (["analyze", "dense"], "1"),
+        (["paper-example", "--dim", "3"], "1"),
+    ],
+)
+def test_tol_of_1_or_more_exits_1_and_writes_no_report(tmp_path, capsys, argv, tol):
+    """At --tol 1 or more no positivity or singularity test can pass, so tol alone
+    would decide: on the worked example these exited 2 with "not a controlled
+    frame" or a bessel-only verdict, or 0, and the dense E = I - L was "singular"."""
+    dense = {"kind": "dense", "entries": pairs(np.eye(4) - np.eye(4, k=-1))}
+    configs = {None: write_config(tmp_path), "dense": write_config(tmp_path, mapping=dense)}
+    argv = [configs.get(arg) if arg in configs else arg for arg in argv]
+    assert main([*argv, "--tol", tol, "--format", "machine"]) == 1
+    assert capsys.readouterr() == ("", f"error: --tol must be below 1, got {float(tol)!r}\n")
+
+
+def test_config_tol_of_1_exits_1(tmp_path, capsys):
+    assert main(["analyze", write_config(tmp_path, tol=1)]) == 1
+    assert capsys.readouterr() == ("", "error: 'tol' must be below 1, got 1\n")
+
+
+def test_neumann_certificate_tolerance_of_1_or_more_exits_1(tmp_path, capsys):
+    """--eps 0.5 at ratio 0.1 widens the certificate's tol to 10 eps / (1 - ratio),
+    about 5.6, at which a family 1% off the dual passed: an input error."""
+    assert main(["neumann", write_config(tmp_path), "--rho", "0.9", "--eps", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: certificate tolerance from --eps must be below 1, got ")
+
+
 @pytest.mark.parametrize("scale", [1e-155, 1e-160])
 def test_tiny_worked_example_gets_no_false_verdict(tmp_path, capsys, scale):
     """S_E has entries near 1e-320 at scale 1e-160. The rules see its subnormal

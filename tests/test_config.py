@@ -281,7 +281,7 @@ READER_CASES = {
     "integer-beyond-double": ("0.125", "1" + "0" * 400, "range"),
     "seed-2**64": ('"seed": 42', '"seed": 18446744073709551616', None),
     "seed-below-int64": ('"seed": 42', '"seed": -9223372036854775809', "'seed'"),
-    "24-digit-tol": ('"tol": 1e-10', '"tol": 123456789012345678901234', "singular"),
+    "24-digit-tol": ('"tol": 1e-10', '"tol": 123456789012345678901234', "below 1"),
     "20-digit-trials": ('"trials": 7', '"trials": 99999999999999999999', None),
     "20-digit-trials-negative": ('"trials": 7', '"trials": -99999999999999999999', "'trials'"),
     "escaped-quote-in-key": ('"phi"', '"p\\"hi"', "unknown configuration keys"),

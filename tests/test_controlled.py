@@ -614,9 +614,8 @@ def test_extract_null_map_passes_tol_to_its_record(worked):
     assert controlled.ControlledEFrame(worked.mapping, worked.psi, u).verdict == (
         controlled.INVALID
     )
-    v = controlled.extract_null_map(
-        worked.mapping, worked.psi, record.canonical_dual(), u, tol=1e-3
-    )
+    images = record.images_of(record.canonical_dual())
+    v = record.null_map(images, record.certify(images)[0])
     assert np.linalg.norm(v) <= 1e-5
 
 

@@ -7,21 +7,23 @@ cycle, each library and test module uses every name it imports, only
 calls numpy.linalg.norm, one validator raises every array shape error,
 no tolerance reaches numpy or scipy, each rule that two modules could
 state has one owner (the plain inverses, the contraction test and the
-CLI's handlers), each CLI command is declared once, and no linter is
-assumed, so the checks read the source with ast.
+CLI's handlers), each CLI command is declared once, a problem's settings
+are set on its record, and no linter is assumed, so the checks read the
+source with ast.
 """
 
 import argparse
 import ast
 import builtins
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import eframes
-from eframes import cli
+from eframes import cli, controlled
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "eframes"
@@ -316,3 +318,25 @@ def test_each_command_is_declared_once():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == {"analyze", "dual", "verify", "neumann", "paper-example"}
     assert all(callable(p.get_default("run")) for p in sub.choices.values())
+
+
+#: the module-level functions of controlled that still take a setting: cli passes
+#: its config through these two, and a generator's seed picks the member it draws
+SETTINGS_KEPT = {
+    "controlled_bounds": {"tol"},
+    "verify_dual": {"tol", "trials", "seed"},
+    "random_null_map": {"seed"},
+    "random_right_inverse": {"seed"},
+}
+
+
+def test_settings_live_on_the_record():
+    """A tol, trials or seed set on a one-shot function would be a second path to
+    what ControlledEFrame(e, psi, u, tol) and its methods' arguments set."""
+    found = {}
+    for name, fn in vars(controlled).items():
+        if inspect.isfunction(fn) and fn.__module__ == controlled.__name__:
+            settings = {"tol", "trials", "seed"} & set(inspect.signature(fn).parameters)
+            if settings:
+                found[name] = settings
+    assert found == SETTINGS_KEPT

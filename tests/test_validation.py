@@ -5,10 +5,12 @@ mis-shaped one raises DimensionMismatchError whose message starts with
 the argument's name, and a non-finite entry raises ValueError("entries
 must be finite"). Every tol, eps and max_terms goes through
 hilbert.require_positive: NaN, an infinity, 0 or a negative value
-raises ValueError naming it, before any verdict is reached. So does every
-trials count, which must also be an integer.
+raises ValueError naming it, before any verdict is reached, as does a tol
+outside [2^-48, 1) (hilbert.require_tol). So does every trials count, which
+must also be an integer.
 """
 
+import math
 import re
 
 import numpy as np
@@ -18,7 +20,7 @@ from conftest import dense_form
 from eframes import controlled, eframe, gallery, hilbert, mapping, neumann
 from eframes.cli import main
 from eframes.config import ConfigError, parse_config
-from eframes.errors import DimensionMismatchError
+from eframes.errors import DimensionMismatchError, NotAFrameError
 from test_cli import write_config
 
 E = gallery.example_mapping(3)
@@ -193,8 +195,21 @@ def test_non_finite_entry_is_an_input_error(label, key, value):
     assert type(info.value) is ValueError and str(info.value) == "entries must be finite"
 
 
+def frame(tol=hilbert.DEFAULT_TOL):
+    return controlled.ControlledEFrame(E, PSI, U, tol)
+
+
+def extract_null_map(tol=hilbert.DEFAULT_TOL, trials=hilbert.DEFAULT_TRIALS,
+                     seed=hilbert.DEFAULT_SEED):
+    """controlled.extract_null_map(E, PSI, PHI, U) with its settings on the record."""
+    record = frame(tol)
+    images_phi = record.images_of(PHI)
+    return record.null_map(images_phi, record.certify(images_phi, trials, seed)[0])
+
+
 #: public entry point -> call with the given tolerance; as in CALLS, a row
-#: named after a removed function calls its replacement
+#: named after a removed function, or after one that no longer takes the
+#: setting, calls its replacement on the record
 TOL_CALLS = {
     "hilbert.hermitian_bounds": lambda tol: hilbert.hermitian_bounds(np.eye(3), tol),
     "hilbert.invert_operator": lambda tol: hilbert.invert_operator(np.eye(3), tol),
@@ -209,19 +224,18 @@ TOL_CALLS = {
     "ControlledEFrame": lambda tol: controlled.ControlledEFrame(E, PSI, U, tol),
     "ControlledEFrame.certify": lambda tol: RECORD.certify(RECORD.images, tol=tol),
     "controlled_bounds": lambda tol: controlled.controlled_bounds(E, PSI, U, tol),
-    "identity_errors": lambda tol: controlled.identity_errors(E, PSI, U, tol=tol),
-    "commutation_criterion": lambda tol: controlled.commutation_criterion(E, PSI, U, tol),
-    "is_parseval": lambda tol: controlled.is_parseval(E, PSI, U, tol),
+    "identity_errors": lambda tol: frame(tol).identity_errors(),
+    "commutation_criterion": lambda tol: frame(tol).commutation_criterion(),
+    "is_parseval": lambda tol: frame(tol).is_parseval(),
     "canonical_reconstruct": (
         lambda tol: controlled.ControlledEFrame(E, PSI, U, tol).canonical_reconstruct(F)),
-    "canonical_dual": lambda tol: controlled.canonical_dual(E, PSI, U, tol),
+    "canonical_dual": lambda tol: frame(tol).canonical_dual(),
     "verify_dual": lambda tol: controlled.verify_dual(E, PSI, PHI, U, tol=tol),
-    "dual_from_right_inverse": lambda tol: controlled.dual_from_right_inverse(
-        E, PSI, U, GOOD["v:right"], tol),
-    "dual_with_offset": lambda tol: controlled.dual_with_offset(E, PSI, U, GOOD["v:null"], tol),
-    "random_null_map": lambda tol: controlled.random_null_map(E, PSI, U, tol=tol),
-    "random_right_inverse": lambda tol: controlled.random_right_inverse(E, PSI, U, tol=tol),
-    "extract_null_map": lambda tol: controlled.extract_null_map(E, PSI, PHI, U, tol=tol),
+    "dual_from_right_inverse": lambda tol: frame(tol).dual_from_right_inverse(GOOD["v:right"]),
+    "dual_with_offset": lambda tol: frame(tol).dual_with_offset(GOOD["v:null"]),
+    "random_null_map": lambda tol: frame(tol).random_null_map(),
+    "random_right_inverse": lambda tol: frame(tol).random_right_inverse(),
+    "extract_null_map": lambda tol: extract_null_map(tol=tol),
     "riesz_equivalence": lambda tol: eframe.riesz_equivalence(
         np.eye(3), np.eye(3), E3, U, tol),
 }
@@ -265,6 +279,20 @@ def test_tol_below_the_floor_is_an_input_error(label):
     assert str(info.value) == f"tol must be at least 2^-48 = 3.553e-15, got {below!r}"
 
 
+@pytest.mark.parametrize("label", sorted(TOL_CALLS))
+def test_tol_of_1_or_more_is_an_input_error(label):
+    """At tol >= 1 no positivity or singularity test can pass, so tol alone
+    would decide: 1 is refused, and the next double below is admitted. There
+    no family is a controlled frame, so a call that needs one gives that verdict."""
+    try:
+        TOL_CALLS[label](math.nextafter(1.0, 0.0))
+    except NotAFrameError:
+        pass
+    with pytest.raises(ValueError) as info:
+        TOL_CALLS[label](1.0)
+    assert type(info.value) is ValueError and str(info.value) == "tol must be below 1, got 1.0"
+
+
 @pytest.mark.parametrize("value", BAD_NUMBERS)
 @pytest.mark.parametrize("label", sorted(STOP_CALLS))
 def test_bad_eps_and_max_terms_are_input_errors(label, value):
@@ -275,13 +303,13 @@ def test_bad_eps_and_max_terms_are_input_errors(label, value):
         STOP_CALLS[label](max_terms=value)
 
 
-#: entry point -> call with the given trials
+#: entry point -> call with the given trials; a row as in TOL_CALLS
 TRIALS_CALLS = {
     "ControlledEFrame.certify": lambda trials: RECORD.certify(RECORD.images, trials),
     "ControlledEFrame.identity_errors": lambda trials: RECORD.identity_errors(trials),
-    "identity_errors": lambda trials: controlled.identity_errors(E, PSI, U, trials),
+    "identity_errors": lambda trials: frame().identity_errors(trials),
     "verify_dual": lambda trials: controlled.verify_dual(E, PSI, PHI, U, trials),
-    "extract_null_map": lambda trials: controlled.extract_null_map(E, PSI, PHI, U, trials),
+    "extract_null_map": lambda trials: extract_null_map(trials=trials),
 }
 
 
@@ -300,9 +328,11 @@ def test_numpy_scalars_are_numbers():
 
 
 def test_negative_definite_operator_is_no_frame_at_any_tol():
-    """lo > tol * hi held for S = -S_E / 2 (spectrum [-1, -1/2]) at tol = 3."""
-    record = controlled.ControlledEFrame(E, PSI, -U, tol=3.0)
+    """lo > tol * hi held for S = -S_E / 2 (spectrum [-1, -1/2]) at tol = 3. A
+    record admits no tol of 1 or more, so the rule is also asked at 3 directly."""
+    record = controlled.ControlledEFrame(E, PSI, -U, tol=math.nextafter(1.0, 0.0))
     assert record.verdict == controlled.INVALID
+    assert not record.bounds.positive(3.0)
 
 
 def test_config_and_cli_keep_their_messages(tmp_path, capsys):
@@ -400,15 +430,15 @@ def test_paper_example_dim_below_2_keeps_its_message(capsys):
     assert capsys.readouterr().err == want
 
 
-#: library call -> the call with a given seed
+#: library call -> the call with a given seed; a row as in TOL_CALLS
 SEEDED = {
     "hilbert.trial_vectors": lambda seed: hilbert.trial_vectors(3, 5, seed),
     "random_null_map": lambda seed: controlled.random_null_map(E, PSI, U, seed=seed),
     "random_right_inverse": lambda seed: controlled.random_right_inverse(E, PSI, U, seed=seed),
     "ControlledEFrame.certify": lambda seed: RECORD.certify(RECORD.images_of(PHI), seed=seed),
-    "identity_errors": lambda seed: controlled.identity_errors(E, PSI, U, seed=seed),
+    "identity_errors": lambda seed: frame().identity_errors(seed=seed),
     "verify_dual": lambda seed: controlled.verify_dual(E, PSI, PHI, U, seed=seed),
-    "extract_null_map": lambda seed: controlled.extract_null_map(E, PSI, PHI, U, seed=seed),
+    "extract_null_map": lambda seed: extract_null_map(seed=seed),
 }
 
 
