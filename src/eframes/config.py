@@ -35,6 +35,9 @@ _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials"
 _NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
 _DEPTH_STEPS = bytes.maketrans(b'[{]}"', b"\x01\x01\xff\xff\x00")  # read as int8
 _FAST_DEPTH = 8  # the schema nests 5 deep; orjson itself recurses without a limit
+_CUT = re.compile(rb'"(psi|phi)"[ \t\r\n]*:[ \t\r\n]*(?=\[)')  # a key, an array value
+_ROW_END = re.compile(rb"\][ \t\r\n]*\][ \t\r\n]*,")  # a pair's end, its row's, a comma
+_NUMBER_TEXT, _SLICE = b"[],0123456789.eE+- \t\r\n", 1 << 16  # _SLICE: bytes per orjson call
 
 
 class ConfigError(ValueError):
@@ -53,25 +56,36 @@ class ProblemConfig:
 
 
 def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
-    """raw, an array of the given shape of [re, im] pairs, as complex128.
-
-    Raises ConfigError for a part that is not an int or a float (a bool,
-    string or null, say) and for an integer beyond the range of a double.
+    """raw, an array of the given shape of [re, im] pairs or a span of text that
+    _fast_json cut out, as complex128. ConfigError for a part that is not an int or
+    a float (a bool, string or null, say) and for an integer beyond double range.
     """
     full = (*shape, 2)
     expected = f"expected [re, im] pairs of JSON numbers, shape {full}"
-    arr = np.array(raw, dtype=object)
+    arr = _read_rows(*raw) if isinstance(raw, tuple) else np.array(raw, dtype=object)
     if arr.shape != full:
         raise ConfigError(f"{where}: {expected}, got shape {arr.shape}")
-    if not set(map(type, arr.flat)) <= {int, float}:
+    if arr.dtype == object and not set(map(type, arr.flat)) <= {int, float}:
         index = next(i for i in np.ndindex(full) if type(arr[i]) not in (int, float))
         at = "".join(f"[{i}]" for i in index[:-1])
         raise ConfigError(f"{where}{at}: {expected}, got {arr[index[:-1]].tolist()!r}")
     try:
-        parts = arr.astype(np.float64)
+        parts = arr.astype(np.float64, copy=False)
     except OverflowError:
         raise ConfigError(f"{where}: an integer is beyond double range") from None
     return parts.view(np.complex128).reshape(shape)
+
+
+def _read_rows(data: bytes, start: int, stop: int) -> np.ndarray:
+    """The float64 array in data[start:stop], read by orjson _SLICE bytes of whole rows
+    at a time; ValueError unless every slice parses, to rows of one shape."""
+    blocks, at = [], start + 1
+    while at < stop - 1:
+        cut = _ROW_END.search(data, at + _SLICE, stop - 1)
+        end = cut.end() - 1 if cut else stop - 1  # the comma after a row, or the last "]"
+        blocks.append(np.array(orjson.loads(b"[%b]" % data[at:end]), np.float64))
+        at = end + 1
+    return np.concatenate(blocks)
 
 
 def _kind(spec, key: str):
@@ -120,10 +134,11 @@ def _build_u(spec, dim: int) -> np.ndarray:
 
 
 def _fast_json(path):
-    """The regular file at path as orjson reads it, or None where the stdlib
-    reader must decide: a pipe (it reads once), a string escape, nesting beyond
-    _FAST_DEPTH and whatever orjson refuses (NaN, 1e400, a BOM, a syntax error).
-    """
+    """The regular file at path as orjson reads it, or None where the stdlib reader
+    must decide: a pipe (it reads once), a string escape, nesting beyond _FAST_DEPTH,
+    whatever orjson refuses (NaN, a BOM, a syntax error), a root that is no object,
+    or a 'psi' or 'phi' given twice or nested. Their top-level arrays of number text
+    are cut out first and given as (data, start, stop), for _read_rows."""
     if not os.path.isfile(path):
         return None
     try:
@@ -135,10 +150,19 @@ def _fast_json(path):
     steps = re.sub(rb'"[^"]*"', b"", marks).translate(_DEPTH_STEPS)
     if b"\\" in marks or np.frombuffer(steps, np.int8).cumsum().max(initial=0) > _FAST_DEPTH:
         return None
+    cuts, parts, at = {}, [], 0
+    for key in _CUT.finditer(data):  # no string holds a quote, so none holds a key
+        start, name = key.end(), key[1].decode()
+        stop = data.rfind(b"]", start, data.find(b'"', start)) + 1  # find's -1: to a last "}"
+        if stop <= start or name in cuts or data[start:stop].translate(None, _NUMBER_TEXT):
+            return None
+        cuts[name], parts, at = (data, start, stop), [*parts, data[at:start], b'"\\""'], stop
     try:
-        return orjson.loads(data)
+        raw = orjson.loads(b"".join([*parts, data[at:]]))  # each cut is '"', which no file holds
     except orjson.JSONDecodeError:
         return None
+    top_level = isinstance(raw, dict) and all(raw.get(key) == '"' for key in cuts)
+    return {**raw, **cuts} if top_level else None
 
 
 def parse_config(path, overrides=None) -> ProblemConfig:
@@ -182,8 +206,7 @@ def _problem(raw, overrides) -> ProblemConfig:
         dimension = require_positive(raw["dimension"], "'dimension'", integer=True)
         count = require_positive(raw["count"], "'count'", integer=True)
         tol = require_tol(raw.get("tol", DEFAULT_TOL), "'tol'")
-        trials = raw.get("trials", DEFAULT_TRIALS)
-        trials = require_positive(trials, "'trials'", integer=True)
+        trials = require_positive(raw.get("trials", DEFAULT_TRIALS), "'trials'", integer=True)
         seed = require_seed(raw.get("seed", DEFAULT_SEED), "'seed'")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -191,10 +214,6 @@ def _problem(raw, overrides) -> ProblemConfig:
 
     mapping = _build_mapping(raw["mapping"], count, tol)
     u = _build_u(raw["u"], dimension)
-    phi = None
-    if raw.get("phi") is not None:
-        phi = _complex_array(raw["phi"], (count, dimension), "phi")
-
-    return ProblemConfig(
-        psi=psi, mapping=mapping, u=u, phi=phi, tol=tol, trials=trials, seed=seed
-    )
+    phi = raw.get("phi")
+    phi = None if phi is None else _complex_array(phi, (count, dimension), "phi")
+    return ProblemConfig(psi, mapping, u, phi, tol, trials, seed)

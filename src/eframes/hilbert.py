@@ -234,20 +234,15 @@ def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
 
 
 def trial_sums(synthesis, analysis, f) -> np.ndarray:
-    """[synthesis analysis* f | synthesis analysis*]: the sums of the trial vectors,
-    then those of the basis, read from the d x d mixed operator. If both maps are real,
-    from C-contiguous copies of their real parts in real GEMMs (a quarter of the flops).
-    Either route frees its copies (the real parts, or the conjugate) before the two
-    sums are joined into the block, so that the real route's peak stays below the
-    complex route's."""
+    """[M f | M] for the d x d mixed operator M = synthesis analysis*: the sums of the
+    trial vectors, then those of the basis, with no block of N rows. If both maps are
+    real, M and M f are real GEMMs, on C-contiguous copies of the real parts."""
     if synthesis.imag.any() or analysis.imag.any():
-        s, a = synthesis, analysis.conj()
+        mixed = synthesis @ analysis.conj()
     else:
-        s, a = (np.ascontiguousarray(m.real) for m in (synthesis, analysis))
+        mixed = np.ascontiguousarray(synthesis.real) @ np.ascontiguousarray(analysis.real)
         f = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
-    sums = [(s @ (a @ f)).view(np.complex128), s @ a]
-    del s, a
-    return np.concatenate(sums, axis=1)
+    return np.concatenate([(mixed @ f).view(np.complex128), mixed], axis=1)
 
 
 def worst_residual(block: np.ndarray, f: np.ndarray, target: float) -> float:

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,7 +250,8 @@ def outcome(path) -> tuple:
     try:
         cfg = parse_config(path)
         arrays = (cfg.psi, cfg.phi, dense_form(cfg.mapping), cfg.u)
-        parsed = (cfg.tol, cfg.trials, cfg.seed, *(bits(a).tobytes() for a in arrays))
+        parsed = (cfg.tol, cfg.trials, cfg.seed,
+                  *(None if a is None else bits(a).tobytes() for a in arrays))
     except Exception as exc:  # the two readers must raise alike
         parsed = (type(exc), str(exc))
     if len(parsed) > 2 and parsed[1] > 1000:
@@ -289,8 +291,11 @@ READER_CASES = {
     "lone-surrogate": ('"banded"', '"\\ud800"', "unknown mapping kind"),
     "nested-9-deep": ("[0.125, 0]", "[[[[[[0.125, 0]]]]]]", "shape"),
 }
-FALLS_BACK = ("nan", "infinity", "1e400", "integer-beyond-double", "escaped-quote-in-key",
-              "escaped-offset", "lone-surrogate", "nested-9-deep")
+FALLS_BACK = {  # where the stdlib reader takes over: _fast_json, or reading a cut-out psi
+    "nan": "scan", "infinity": "scan", "1e400": "read", "integer-beyond-double": "read",
+    "escaped-quote-in-key": "scan", "escaped-offset": "scan", "lone-surrogate": "scan",
+    "nested-9-deep": "scan",
+}
 
 
 def case_config(name) -> str:
@@ -329,13 +334,111 @@ def test_readers_agree_on_crlf_bom_and_bad_utf8(tmp_path):
     assert errors["crlf"] == errors["lf"]  # placed by text-mode lines and columns
 
 
+def fast_stage(path) -> str:
+    """Where orjson-first reading of path hands over to the stdlib reader: 'scan' when
+    _fast_json gives None, 'read' when a psi or phi it cut out reads as no array of
+    the declared shape, else 'fast'."""
+    raw = config._fast_json(path)
+    if raw is None:
+        return "scan"
+    try:
+        for key in {"psi", "phi"} & set(raw):
+            assert isinstance(raw[key], tuple), key
+            config._complex_array(raw[key], (raw["count"], raw["dimension"]), key)
+    except ValueError:
+        return "read"
+    return "fast"
+
+
 def test_orjson_reads_plain_configs_only(tmp_path):
+    """psi and phi come back as (data, start, stop) spans of the file's text, each
+    other key as json.loads reads it; each FALLS_BACK case leaves at its stage."""
     path = tmp_path / "config.json"
     path.write_text(reader_config())
-    assert config._fast_json(str(path)) == json.loads(reader_config())
+    raw, want = config._fast_json(str(path)), json.loads(reader_config())
+    for key in ("psi", "phi"):
+        data, start, stop = raw.pop(key)
+        assert data == reader_config().encode()
+        assert json.loads(data[start:stop]) == want.pop(key)
+    assert raw == want
     for name in READER_CASES:
         path.write_text(case_config(name))
-        assert (config._fast_json(str(path)) is None) == (name in FALLS_BACK), name
+        assert fast_stage(str(path)) == FALLS_BACK.get(name, "fast"), name
+
+
+def tall_config(count, dim=3, **layout) -> str:
+    """Gaussian (count, dim) psi and phi on the bidiagonal mapping, as json.dumps
+    writes them with the layout keywords."""
+    rng = np.random.default_rng(count)
+    psi, phi = (rng.standard_normal((count, dim, 2)).tolist() for _ in "ab")
+    return json.dumps({
+        "dimension": dim, "count": count, "psi": psi, "phi": phi, "trials": 3,
+        "mapping": {"kind": "paper_bidiagonal"}, "u": {"kind": "scalar", "value": 0.5},
+    }, **layout)
+
+
+def edited(old, new) -> str:
+    assert old in reader_config()
+    return reader_config().replace(old, new)
+
+
+def nested(key, keep) -> str:
+    """The reader config with key's array copied into mapping; keep=False drops the
+    top-level one, so that only the nested one is left."""
+    spec = json.loads(reader_config())
+    spec["mapping"][key] = spec[key] if keep else spec.pop(key)
+    return json.dumps(spec)
+
+
+TWICE = '"psi": %s, "psi"' % json.dumps([[[9.0, 0.0]] * 3] * 4)  # the last one counts
+CUT_CASES = {  # name: (config text, stage)
+    "indent-1": (lambda: json.dumps(json.loads(reader_config()), indent=1), "fast"),
+    "spaced-row-brackets": (lambda: edited("]], [[", "] ]\t,\r\n [ ["), "fast"),
+    "rows-across-slices": (lambda: tall_config(2049), "fast"),
+    "stray-number-after-pair": (lambda: edited("[0.125, 0]", "[0.125, 0]5"), "read"),
+    "empty-slot": (lambda: edited("[0.125, 0]", "[, 0]"), "read"),
+    "ragged-row": (lambda: edited("[0.125, 0], ", ""), "read"),
+    "depth-2-psi-at-d-2": (lambda: json.dumps({
+        "dimension": 2, "count": 3, "psi": [[1, 0], [0, 1], [1, 1]],
+        "mapping": {"kind": "paper_bidiagonal"}, "u": {"kind": "identity"},
+    }), "read"),
+    "psi-nested-in-mapping": (lambda: nested("psi", keep=True), "scan"),
+    "phi-only-nested-in-mapping": (lambda: nested("phi", keep=False), "scan"),
+    "psi-twice": (lambda: edited('"psi"', TWICE), "scan"),
+    "entries-beyond-64-bits": (
+        lambda: edited("[2.0, 0.0]", "[18446744073709551617, -18446744073709551617]"), "fast"
+    ),
+}
+
+
+@pytest.mark.parametrize("slice_bytes", [config._SLICE, 1])
+@pytest.mark.parametrize("name", CUT_CASES)
+def test_readers_agree_on_cut_out_arrays(tmp_path, monkeypatch, name, slice_bytes):
+    """Each layout, and each fault a slice of rows can hold, gives the stdlib
+    reader's values, error and verify run, bit for bit; with 1-byte slices, each
+    row is a slice of its own."""
+    monkeypatch.setattr(config, "_SLICE", slice_bytes)
+    text, stage = CUT_CASES[name]
+    path = tmp_path / "config.json"
+    path.write_text(text())
+    assert fast_stage(str(path)) == stage
+    parsed, *_ = assert_readers_agree(str(path))
+    assert len(parsed) > 2 or stage == "read", parsed  # values, unless a slice is refused
+
+
+def test_parse_config_holds_one_slice_of_python_numbers(tmp_path):
+    """A (4097, 16) psi and phi, 5.75 MB of text: the file, the prescan and the two
+    arrays, about 11.9 MB at the peak, where every pair as Python objects took 23.6 MB."""
+    path = tmp_path / "tall.json"
+    path.write_text(tall_config(4097, 16))
+    tracemalloc.start()
+    try:
+        cfg = parse_config(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.phi.shape == (4097, 16)
+    assert peak <= 13e6, peak
 
 
 def test_a_pipe_is_read_once_by_the_stdlib_reader():

@@ -335,8 +335,8 @@ def test_real_trial_sums_peak_no_higher_than_complex():
 
 
 def test_complex_trial_sums_peak():
-    """At (769, 768) images the complex route holds the conjugate, its product with
-    f and the two sums while the block is joined: about 21.3 MB."""
+    """At (769, 768) images the complex route holds the mixed operator, its product
+    with f and the block while the block is joined: about 21.3 MB."""
     images = np.random.default_rng(0).standard_normal((769, 768)) + 1e-3j
     f = hilbert.trial_vectors(768, 100, 1)
     tracemalloc.start()
@@ -346,6 +346,21 @@ def test_complex_trial_sums_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 22e6, peak
+
+
+def test_tall_trial_sums_hold_no_block_of_n_rows():
+    """At (N, d, trials) = (4097, 16, 100) the sums come from the d x d mixed operator:
+    the conjugate, 1.05 MB, is the largest array, where an N x trials block took the
+    peak to 7.63 MB."""
+    images = np.random.default_rng(0).standard_normal((4097, 16)) + 1e-3j
+    f = hilbert.trial_vectors(16, 100, 1)
+    tracemalloc.start()
+    try:
+        hilbert.trial_sums(images.T, images, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
 
 
 @settings(max_examples=150, deadline=None)
