@@ -1,4 +1,4 @@
-"""Problem configuration: JSON ingestion with [re, im] complex pairs.
+"""Problem configuration: JSON with [re, im] complex pairs, each array read in slices.
 
 Schema (each complex entry is an [re, im] pair of JSON numbers: not
 booleans, strings or null; an integer beyond double range is an error):
@@ -32,12 +32,10 @@ from .hilbert import require_positive, require_seed, require_tol
 from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
 
 _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials", "seed"}
-_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
-_DEPTH_STEPS = bytes.maketrans(b'[{]}"', b"\x01\x01\xff\xff\x00")  # read as int8
-_FAST_DEPTH = 8  # the schema nests 5 deep; orjson itself recurses without a limit
-_CUT = re.compile(rb'"(psi|phi)"[ \t\r\n]*:[ \t\r\n]*(?=\[)')  # a key, an array value
-_ROW_END = re.compile(rb"\][ \t\r\n]*\][ \t\r\n]*,")  # a pair's end, its row's, a comma
-_NUMBER_TEXT, _SLICE = b"[],0123456789.eE+- \t\r\n", 1 << 16  # _SLICE: bytes per orjson call
+_ARRAY = re.compile(rb":[ \t\r\n]*(?=\[)")  # a member's colon, before an array value
+_ROW_END = re.compile(rb"\][ \t\r\n]*\][ \t\r\n]*,(?=[ \t\r\n]*\[)")  # pair, row, comma, row
+_STEPS = bytes({ord("["): 1, ord("]"): 255}.get(byte, 0) for byte in range(256))  # int8 steps
+_NUMBER_TEXT, _SLICE = b",0123456789.eE+- \t\r\n", 1 << 16  # _SLICE: bytes per orjson call
 
 
 class ConfigError(ValueError):
@@ -56,13 +54,12 @@ class ProblemConfig:
 
 
 def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
-    """raw, an array of the given shape of [re, im] pairs or a span of text that
-    _fast_json cut out, as complex128. ConfigError for a part that is not an int or
-    a float (a bool, string or null, say) and for an integer beyond double range.
-    """
+    """raw, [re, im] pairs of the given shape as the stdlib or _read_rows reads them, as
+    complex128. ConfigError for a part that is not an int or a float (a bool, string
+    or null, say) and for an integer beyond double range."""
     full = (*shape, 2)
     expected = f"expected [re, im] pairs of JSON numbers, shape {full}"
-    arr = _read_rows(*raw) if isinstance(raw, tuple) else np.array(raw, dtype=object)
+    arr = raw if isinstance(raw, np.ndarray) else np.array(raw, dtype=object)
     if arr.shape != full:
         raise ConfigError(f"{where}: {expected}, got shape {arr.shape}")
     if arr.dtype == object and not set(map(type, arr.flat)) <= {int, float}:
@@ -78,12 +75,17 @@ def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
 
 def _read_rows(data: bytes, start: int, stop: int) -> np.ndarray:
     """The float64 array in data[start:stop], read by orjson _SLICE bytes of whole rows
-    at a time; ValueError unless every slice parses, to rows of one shape."""
+    at a time; ValueError unless it is not empty and every slice is number text, at
+    most 3 deep (orjson recurses without a limit), that parses to rows of one shape."""
     blocks, at = [], start + 1
     while at < stop - 1:
         cut = _ROW_END.search(data, at + _SLICE, stop - 1)
         end = cut.end() - 1 if cut else stop - 1  # the comma after a row, or the last "]"
-        blocks.append(np.array(orjson.loads(b"[%b]" % data[at:end]), np.float64))
+        text = b"[%b]" % data[at:end]
+        steps = np.frombuffer(text.translate(_STEPS, _NUMBER_TEXT), np.int8)  # 0: other text
+        if not steps.all() or steps.cumsum(dtype=np.int8).max() > 3:
+            raise ValueError("not number text at most 3 deep")  # 4 shows before int8 wraps
+        blocks.append(np.array(orjson.loads(text), np.float64))
         at = end + 1
     return np.concatenate(blocks)
 
@@ -109,7 +111,7 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
                 raise ConfigError("mapping.diagonals must be an object")
             parsed = {}
             for off, vals in diagonals.items():
-                if not isinstance(vals, list):
+                if not isinstance(vals, (list, np.ndarray)):
                     raise ConfigError(f"diagonal {off} must be a list of pairs")
                 where = f"mapping.diagonals[{off}]"
                 parsed[off] = _complex_array(vals, (len(vals),), where)
@@ -134,35 +136,31 @@ def _build_u(spec, dim: int) -> np.ndarray:
 
 
 def _fast_json(path):
-    """The regular file at path as orjson reads it, or None where the stdlib reader
-    must decide: a pipe (it reads once), a string escape, nesting beyond _FAST_DEPTH,
-    whatever orjson refuses (NaN, a BOM, a syntax error), a root that is no object,
-    or a 'psi' or 'phi' given twice or nested. Their top-level arrays of number text
-    are cut out first and given as (data, start, stop), for _read_rows."""
+    """The regular file at path as the stdlib reads it, with each member array a
+    float64 array, or None where the stdlib reader must decide: a pipe (it reads
+    once), a string escape, or anything _read_rows or json.loads refuses. Each
+    member array is cut out and read by _read_rows; json.loads reads the few hundred
+    bytes left, where the object hook puts the k-th array back for "\\u0000<k>"."""
     if not os.path.isfile(path):
         return None
+    arrays, parts, at = [], [], 0
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-    except OSError:
-        return None
-    marks = data.translate(None, _NOT_MARKS)  # an escape would hide a string's end
-    steps = re.sub(rb'"[^"]*"', b"", marks).translate(_DEPTH_STEPS)
-    if b"\\" in marks or np.frombuffer(steps, np.int8).cumsum().max(initial=0) > _FAST_DEPTH:
-        return None
-    cuts, parts, at = {}, [], 0
-    for key in _CUT.finditer(data):  # no string holds a quote, so none holds a key
-        start, name = key.end(), key[1].decode()
-        stop = data.rfind(b"]", start, data.find(b'"', start)) + 1  # find's -1: to a last "}"
-        if stop <= start or name in cuts or data[start:stop].translate(None, _NUMBER_TEXT):
+        if b"\\" in data:  # so no string in the file equals a placeholder
             return None
-        cuts[name], parts, at = (data, start, stop), [*parts, data[at:start], b'"\\""'], stop
-    try:
-        raw = orjson.loads(b"".join([*parts, data[at:]]))  # each cut is '"', which no file holds
-    except orjson.JSONDecodeError:
+        for colon in _ARRAY.finditer(data):  # a cut array holds no ":", so none starts in one
+            start = colon.end()
+            stop = data.rfind(b"]", start, data.find(b'"', start)) + 1  # find's -1: to a last "}"
+            parts += data[at:start], b'"\\u0000%d"' % len(arrays)
+            arrays.append(_read_rows(data, start, stop))
+            at = stop
+        parts.append(data[at:])
+        return json.loads(b"".join(parts).decode(), object_hook=lambda obj: {
+            key: arrays[int(value[1:])] if isinstance(value, str) and value[:1] == "\0" else value
+            for key, value in obj.items()})
+    except (OSError, ValueError, RecursionError):
         return None
-    top_level = isinstance(raw, dict) and all(raw.get(key) == '"' for key in cuts)
-    return {**raw, **cuts} if top_level else None
 
 
 def parse_config(path, overrides=None) -> ProblemConfig:
@@ -170,8 +168,9 @@ def parse_config(path, overrides=None) -> ProblemConfig:
     --tol, --trials and --seed flags, replace the file's values before anything
     is parsed or built. Raises ConfigError on malformed input and
     SingularOperatorError when the declared mapping cannot be inverted.
-    orjson reads the file when it can, but the stdlib reader decides every
-    error: orjson reads an integer beyond 64 bits as a float, for one.
+    orjson reads the file's arrays when it can, and the stdlib reader the rest, but
+    the stdlib reader alone decides every error: orjson reads an integer beyond
+    64 bits as a float, for one.
     """
     raw = _fast_json(path)
     if raw is not None:

@@ -4,8 +4,9 @@ Six fields hold complex data: psi, phi, mapping.entries, each banded
 diagonal, u.entries and u.value. Each must be an array of JSON-number
 pairs of the declared shape; anything else is a ConfigError (exit 1),
 and every accepted value equals complex(re, im) bit for bit. orjson
-reads a file first where it can; the stdlib reader alone must give the
-same values, errors and exit codes.
+reads each array of a file first where it can, in slices, and json.loads
+the rest; the stdlib reader alone must give the same values, errors and
+exit codes.
 """
 
 import contextlib
@@ -291,8 +292,9 @@ READER_CASES = {
     "lone-surrogate": ('"banded"', '"\\ud800"', "unknown mapping kind"),
     "nested-9-deep": ("[0.125, 0]", "[[[[[[0.125, 0]]]]]]", "shape"),
 }
-FALLS_BACK = {  # where the stdlib reader takes over: _fast_json, or reading a cut-out psi
-    "nan": "scan", "infinity": "scan", "1e400": "read", "integer-beyond-double": "read",
+FALLS_BACK = {  # where the stdlib reader takes over: _fast_json, or a check of its values
+    "nan": "scan", "infinity": "scan", "1e400": "scan", "integer-beyond-double": "scan",
+    "seed-below-int64": "check", "24-digit-tol": "check", "20-digit-trials-negative": "check",
     "escaped-quote-in-key": "scan", "escaped-offset": "scan", "lone-surrogate": "scan",
     "nested-9-deep": "scan",
 }
@@ -336,31 +338,39 @@ def test_readers_agree_on_crlf_bom_and_bad_utf8(tmp_path):
 
 def fast_stage(path) -> str:
     """Where orjson-first reading of path hands over to the stdlib reader: 'scan' when
-    _fast_json gives None, 'read' when a psi or phi it cut out reads as no array of
-    the declared shape, else 'fast'."""
+    _fast_json gives None, 'check' when the values it gives fail a check, else 'fast'."""
     raw = config._fast_json(path)
     if raw is None:
         return "scan"
     try:
-        for key in {"psi", "phi"} & set(raw):
-            assert isinstance(raw[key], tuple), key
-            config._complex_array(raw[key], (raw["count"], raw["dimension"]), key)
+        config._problem(raw, None)
     except ValueError:
-        return "read"
+        return "check"
     return "fast"
 
 
+def arrays_cut(raw, want) -> int:
+    """How many float64 arrays raw, as _fast_json reads a file, holds where want, as
+    json.loads reads it, holds a list, each one equal to the list bit for bit; every
+    other value must equal want's."""
+    if isinstance(raw, np.ndarray):
+        assert raw.dtype == np.float64
+        assert raw.tobytes() == np.array(want, np.float64).tobytes() and raw.shape == np.shape(want)
+        return 1
+    if isinstance(raw, dict):
+        assert raw.keys() == want.keys()
+        return sum(arrays_cut(raw[key], want[key]) for key in raw)
+    assert not isinstance(raw, list) and type(raw) is type(want) and raw == want
+    return 0
+
+
 def test_orjson_reads_plain_configs_only(tmp_path):
-    """psi and phi come back as (data, start, stop) spans of the file's text, each
-    other key as json.loads reads it; each FALLS_BACK case leaves at its stage."""
+    """Each member array (psi, phi, two diagonals and u.entries) comes back as a
+    float64 array, each other value as json.loads reads it; each FALLS_BACK case
+    leaves at its stage."""
     path = tmp_path / "config.json"
     path.write_text(reader_config())
-    raw, want = config._fast_json(str(path)), json.loads(reader_config())
-    for key in ("psi", "phi"):
-        data, start, stop = raw.pop(key)
-        assert data == reader_config().encode()
-        assert json.loads(data[start:stop]) == want.pop(key)
-    assert raw == want
+    assert arrays_cut(config._fast_json(str(path)), json.loads(reader_config())) == 5
     for name in READER_CASES:
         path.write_text(case_config(name))
         assert fast_stage(str(path)) == FALLS_BACK.get(name, "fast"), name
@@ -390,24 +400,56 @@ def nested(key, keep) -> str:
     return json.dumps(spec)
 
 
+def changed(**keys) -> str:
+    """The reader config with keys set, u and mapping last, as json.dumps writes it compactly."""
+    spec = json.loads(reader_config())
+    mapping, u = spec.pop("mapping"), spec.pop("u")
+    return json.dumps({**spec, "mapping": mapping, "u": u, **keys}, separators=(",", ":"))
+
+
+def mapping_config(count, kind) -> str:
+    """Gaussian (count, 3) psi on a Gaussian dense or tridiagonal mapping, diagonally
+    dominant, as json.dumps writes them."""
+    rng = np.random.default_rng(count)
+    psi = rng.standard_normal((count, 3, 2)).tolist()
+    if kind == "dense":
+        mapping = {"entries": pairs(np.eye(count) + rng.standard_normal((count, count)) / count)}
+    else:
+        bands = {k: rng.standard_normal(count - abs(k)) + 4 * (k == 0) for k in (-1, 0, 1)}
+        mapping = {"diagonals": {str(k): pairs([band])[0] for k, band in bands.items()}}
+    return json.dumps({
+        "dimension": 3, "count": count, "psi": psi,
+        "mapping": {"kind": kind, **mapping}, "u": {"kind": "identity"},
+    })
+
+
 TWICE = '"psi": %s, "psi"' % json.dumps([[[9.0, 0.0]] * 3] * 4)  # the last one counts
 CUT_CASES = {  # name: (config text, stage)
     "indent-1": (lambda: json.dumps(json.loads(reader_config()), indent=1), "fast"),
     "spaced-row-brackets": (lambda: edited("]], [[", "] ]\t,\r\n [ ["), "fast"),
     "rows-across-slices": (lambda: tall_config(2049), "fast"),
-    "stray-number-after-pair": (lambda: edited("[0.125, 0]", "[0.125, 0]5"), "read"),
-    "empty-slot": (lambda: edited("[0.125, 0]", "[, 0]"), "read"),
-    "ragged-row": (lambda: edited("[0.125, 0], ", ""), "read"),
+    "stray-number-after-pair": (lambda: edited("[0.125, 0]", "[0.125, 0]5"), "scan"),
+    "empty-slot": (lambda: edited("[0.125, 0]", "[, 0]"), "scan"),
+    "ragged-row": (lambda: edited("[0.125, 0], ", ""), "scan"),
     "depth-2-psi-at-d-2": (lambda: json.dumps({
         "dimension": 2, "count": 3, "psi": [[1, 0], [0, 1], [1, 1]],
         "mapping": {"kind": "paper_bidiagonal"}, "u": {"kind": "identity"},
-    }), "read"),
-    "psi-nested-in-mapping": (lambda: nested("psi", keep=True), "scan"),
-    "phi-only-nested-in-mapping": (lambda: nested("phi", keep=False), "scan"),
-    "psi-twice": (lambda: edited('"psi"', TWICE), "scan"),
+    }), "check"),
+    "psi-nested-in-mapping": (lambda: nested("psi", keep=True), "fast"),
+    "phi-only-nested-in-mapping": (lambda: nested("phi", keep=False), "fast"),
+    "psi-twice": (lambda: edited('"psi"', TWICE), "fast"),
     "entries-beyond-64-bits": (
         lambda: edited("[2.0, 0.0]", "[18446744073709551617, -18446744073709551617]"), "fast"
     ),
+    "trailing-comma-after-last-row": (lambda: edited(']]], "phi"', ']],], "phi"'), "scan"),
+    "dense-entries-across-slices": (lambda: mapping_config(65, "dense"), "fast"),
+    "diagonal-twice": (lambda: edited('"-1": ', '"-1": [[7, 0]], "-1": '), "fast"),
+    "u-value-pair": (lambda: changed(u={"kind": "scalar", "value": [0.5, 0.25]}), "fast"),
+    "member-array-in-a-string": (lambda: edited('"banded"', '"banded", "note": "a:[1, 0]"'), "scan"),
+    "unknown-key-with-an-array": (lambda: changed(extra=[[1, 0]]), "check"),
+    "last-member-closes-into-brace": (changed, "fast"),
+    "entries-4-deep": (lambda: edited("[0.5, 0.0]", "[[0.5, 0.0]]"), "scan"),
+    "diagonal-200-deep": (lambda: edited('"-1": ', '"-2": %s1, 0%s, "-1": ' % ("[" * 200, "]" * 200)), "scan"),
 }
 
 
@@ -423,12 +465,13 @@ def test_readers_agree_on_cut_out_arrays(tmp_path, monkeypatch, name, slice_byte
     path.write_text(text())
     assert fast_stage(str(path)) == stage
     parsed, *_ = assert_readers_agree(str(path))
-    assert len(parsed) > 2 or stage == "read", parsed  # values, unless a slice is refused
+    assert stage == "scan" or (len(parsed) > 2) == (stage == "fast"), parsed
 
 
 def test_parse_config_holds_one_slice_of_python_numbers(tmp_path):
-    """A (4097, 16) psi and phi, 5.75 MB of text: the file, the prescan and the two
-    arrays, about 11.9 MB at the peak, where every pair as Python objects took 23.6 MB."""
+    """A (4097, 16) psi and phi, 5.75 MB of text: the file and the two arrays, one of
+    them twice while its blocks are joined, about 8.9 MB at the peak, where every pair
+    as Python objects took 23.6 MB."""
     path = tmp_path / "tall.json"
     path.write_text(tall_config(4097, 16))
     tracemalloc.start()
@@ -439,6 +482,24 @@ def test_parse_config_holds_one_slice_of_python_numbers(tmp_path):
         tracemalloc.stop()
     assert cfg.phi.shape == (4097, 16)
     assert peak <= 13e6, peak
+
+
+@pytest.mark.parametrize("count, kind, bound", [(257, "dense", 6e6), (16385, "banded", 11e6)],
+                         ids=["dense-257", "banded-16385"])
+def test_parse_config_reads_mappings_in_slices(tmp_path, count, kind, bound):
+    """A dense N = 257 config (2.0 MB of text) peaked at 14.2 MB and a banded
+    N = 16385 one (3.5 MB) at 14.3 MB while orjson read each mapping whole, as
+    Python objects; read in slices of rows, they peak at about 4.2 and 8.2 MB."""
+    path = tmp_path / "mapping.json"
+    path.write_text(mapping_config(count, kind))
+    parse_config(str(path))  # the first banded build imports from scipy
+    tracemalloc.start()
+    try:
+        parse_config(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 def test_a_pipe_is_read_once_by_the_stdlib_reader():
@@ -507,19 +568,23 @@ def test_readers_agree_on_mutated_configs(tmp_path_factory, edits):
 
 
 def test_deep_nesting_never_reaches_orjson(tmp_path):
-    """orjson recurses without a depth limit: this nesting overflows a 1 MiB
-    thread stack and kills the process unless the depth scan sends the file to
-    the stdlib reader, whose recursion limit turns it into a ConfigError."""
+    """orjson recurses without a depth limit: this nesting, in phi, u.entries or a
+    diagonal, overflows a 1 MiB thread stack and kills the process unless the
+    depth check sends the file to the stdlib reader, whose recursion limit turns
+    it into a ConfigError."""
     depth = 50_000
-    path = tmp_path / "deep.json"
-    path.write_text(reader_config().replace('"phi": ', '"phi": ' + "[" * depth + "]" * depth + ", \"p\": ", 1))
+    paths = []
+    for key in ('"phi": ', '"entries": ', '"-1": '):
+        paths.append(tmp_path / f"deep-{len(paths)}.json")
+        paths[-1].write_text(reader_config().replace(key, key + "[" * depth + "]" * depth + ", \"p\": ", 1))
     errors = []
 
     def target():
-        try:
-            parse_config(str(path))
-        except ConfigError as exc:
-            errors.append(str(exc))
+        for path in paths:
+            try:
+                parse_config(str(path))
+            except ConfigError as exc:
+                errors.append(str(exc))
 
     previous = threading.stack_size(1 << 20)
     try:
@@ -529,4 +594,4 @@ def test_deep_nesting_never_reaches_orjson(tmp_path):
         threading.stack_size(previous)
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert errors == ["configuration is nested too deeply to parse"]
+    assert errors == ["configuration is nested too deeply to parse"] * 3
