@@ -1,10 +1,10 @@
 """Command line interface.
 
-Commands: analyze, dual, verify, neumann, paper-example; main names the
-command first in each report. Exit codes: 0 success, 1 input or validation
-error, 2 mathematical-verdict failure. The machine format is deterministic
-JSON (no timestamps), byte-identical to json.dumps(report, sort_keys=True,
-separators=(",", ":")); elapsed time is shown in the text format only.
+Commands: analyze, dual, verify, neumann, paper-example; main names the command
+first in each report. Exit codes: 0 success, 1 input or validation error or a closed
+stdout, 2 mathematical-verdict failure. The machine format is deterministic JSON,
+byte-identical to json.dumps(report, sort_keys=True, separators=(",", ":")) and
+rewritten from orjson's text about 64 KiB at a time; elapsed time is text-only.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ _NULL_TOKEN = re.compile(rb"null(?<=[:,\[]null)")  # NaN and +-inf; not a key's 
 _EXPONENT_SIGN = re.compile(rb"e(?<=[0-9]e)(?=[0-9])")
 _EXPONENT_PAD = re.compile(rb"e-(?<=[0-9]e-)(?=[0-9](?![0-9]))")
 _BELOW_1E_4 = re.compile(rb"0\.0000(?<![0-9]0\.0000)[0-9]+")
+_WINDOW = re.compile(rb".{65536}[^,]*,?|.+", re.S)  # about 64 KiB, cut just after a comma
 
 
 def _sequence_pairs(seq) -> np.ndarray:
@@ -84,16 +85,20 @@ def _render_text(report: dict, elapsed: float) -> str:
 
 
 def _render_machine(report: dict) -> str:
-    """orjson's text with its floats in repr's layout, or the stdlib's where
-    orjson cannot write the same bytes: a non-finite float, an int beyond 64 bits."""
+    """orjson's text with its floats put in repr's layout one window at a time, joined once
+    its bytes are freed; or the stdlib's for a non-finite float or an int beyond 64 bits."""
     try:
         data = orjson.dumps(report, option=_ORJSON_OPTIONS)
     except orjson.JSONEncodeError:
         data = None
     if data is None or _NULL_TOKEN.search(data):
         return json.dumps(report, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
-    data = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", data))
-    return _BELOW_1E_4.sub(lambda m: repr(float(m[0])).encode(), data).decode()
+    windows = []
+    for window in _WINDOW.finditer(data):
+        window = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", window[0]))
+        windows.append(_BELOW_1E_4.sub(lambda m: repr(float(m[0])).encode(), window).decode())
+    del data  # free orjson's bytes before the join; the loop rebinds each Match away
+    return "".join(windows)
 
 
 def _overrides(args) -> dict:
@@ -108,13 +113,8 @@ def _overrides(args) -> dict:
     return overrides
 
 
-def _config(args):
-    """The configuration file named by args, with the flags that override it."""
-    return parse_config(args.config, _overrides(args))
-
-
 def cmd_analyze(args) -> tuple[dict, int]:
-    cfg = _config(args)
+    cfg = parse_config(args.config, _overrides(args))
     record = controlled.controlled_bounds(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report = {
         "eframe": _bounds_dict(record.plain),
@@ -128,7 +128,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
 
 def cmd_dual(args) -> tuple[dict, int]:
-    cfg, mode = _config(args), args.mode
+    cfg, mode = parse_config(args.config, _overrides(args)), args.mode
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report: dict = {"mode": mode}
     code = EXIT_OK
@@ -155,7 +155,7 @@ def cmd_dual(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    cfg = _config(args)
+    cfg = parse_config(args.config, _overrides(args))
     if cfg.phi is None:
         raise ConfigError("verify requires 'phi' in the configuration")
     certs = controlled.verify_dual(
@@ -170,7 +170,7 @@ def cmd_neumann(args) -> tuple[dict, int]:
         raise ValueError(f"--rho must be a finite number, got {rho!r}")
     eps = require_positive(args.eps, "--eps")
     max_terms = require_positive(args.max_terms, "--max-terms", integer=True)
-    cfg = _config(args)
+    cfg = parse_config(args.config, _overrides(args))
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     if rho is not None:
         phi = finite(np.multiply, rho, record.canonical_dual())
@@ -291,8 +291,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     elapsed = time.perf_counter() - start
-    if args.format == "machine":
-        print(_render_machine(report))
-    else:
-        print(_render_text(report, elapsed))
+    text = _render_machine(report) if args.format == "machine" else _render_text(report, elapsed)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout; stop the exit-time flush from failing too
+        sys.stdout = None
+        return EXIT_INPUT
     return code

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -967,23 +968,137 @@ def test_every_machine_report_is_written_as_the_stdlib_writes_it(tmp_path, capsy
     assert [report["max_terms"] for report in reports if report.get("max_terms", 0) > 2**64] == [10**20] * 2
 
 
+def command_peak(argv):
+    """Exit code and tracemalloc peak of main(argv), with stdout kept in memory. An
+    untraced first call keeps the one-off state of a process's first command (about
+    1 MB) out."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, peak
+
+
+def tall_config(tmp_path, n, mapping=None):
+    """A Gaussian (n, 16) psi under the bidiagonal mapping, or the given one."""
+    psi = np.random.default_rng(0).standard_normal((n, 16, 2))
+    return write_config(tmp_path, f"tall-{n}.json", dimension=16, count=n, psi=psi.tolist(),
+                        mapping=mapping or {"kind": "paper_bidiagonal"})
+
+
 def test_machine_dual_peak_memory(tmp_path):
-    """The dual goes to orjson as a float64 view of the family, with no list
-    of Python floats. At (1025, 16) the peak, 4.0-4.4 MB, is then set by the
-    command's own work: writing the dual adds at most 0.2 MB. Through tolist()
-    and json.dumps the writing raised it to 6.1-6.3 MB. An untraced first call
-    keeps the one-off state of a process's first command (about 1 MB) out."""
-    psi = np.random.default_rng(0).standard_normal((1025, 16, 2))
-    path = write_config(tmp_path, dimension=16, count=1025, psi=psi.tolist())
+    """The dual goes to orjson as a float64 view of the family, with no list of
+    Python floats, and the writer holds under three copies of its text. At (1025,
+    16) the canonical dual peaks at about 2.3 MB, right-inverse at 2.4 MB and offset
+    at 2.9 MB. A writer that rewrote orjson's whole text at once held four copies
+    and raised the canonical dual, whose entries reach the [1e-5, 1e-4) band, to
+    3.7 MB; through tolist() and json.dumps it was 6.1-6.3 MB."""
+    path = tall_config(tmp_path, 1025)
     for mode in ("canonical", "right-inverse", "offset"):
-        argv = ["dual", path, "--mode", mode, "--format", "machine"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            main(argv)
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        code, peak = command_peak(["dual", path, "--mode", mode, "--format", "machine"])
         assert code == 0
-        assert peak <= 5e6, (mode, peak)
+        assert peak <= 3.2e6, (mode, peak)
+
+
+def test_canonical_dual_peak_grows_like_its_output(tmp_path):
+    """The canonical dual's entries scale like 1/N, so at N = 4097 many land in
+    the [1e-5, 1e-4) band, where orjson's text is rewritten number by number. A 4x
+    larger N may raise the peak at most 4.5x: it reads about 3.8x; a writer that
+    rewrote the whole text at once read 7.2x."""
+    argv = ["dual", "--format", "machine"]
+    small = command_peak([*argv, tall_config(tmp_path, 1025)])
+    large = command_peak([*argv, tall_config(tmp_path, 4097)])
+    assert small[0] == large[0] == 0
+    assert large[1] <= 4.5 * small[1], (small, large)
+
+
+def test_banded_canonical_dual_peak_memory(tmp_path):
+    """A banded mapping's canonical dual puts most of its entries in the [1e-5,
+    1e-4) band; it peaks at about 2.7 MB at (1025, 16), where a writer that
+    rewrote the whole text at once held 8.7 MB."""
+    rng = np.random.default_rng(1)
+    diagonals = {str(k): (rng.standard_normal((1025 - abs(k), 2)) + [4 * (k == 0), 0]).tolist()
+                 for k in (-2, -1, 0, 1, 2)}
+    path = tall_config(tmp_path, 1025, {"kind": "banded", "diagonals": diagonals})
+    code, peak = command_peak(["dual", path, "--format", "machine"])
+    assert code == 0
+    assert peak <= 3.5e6, peak
+
+
+def test_machine_writer_holds_under_three_copies_of_its_text_at_any_scale():
+    """A (4097, 16) dual peaks at about 2.6 times its text's length, at scale 1
+    and at scale 3e-5, where most entries are in the [1e-5, 1e-4) band: orjson's
+    bytes are freed before the windows are joined, and one window of the band's
+    rewrite is held at a time. The scale-3e-5 peak stays within 1.2x of the
+    scale-1 one (about 1.13x). Rewriting the whole text at once read 3.5 and 10.3
+    times the length, and 3.4x between the scales; joining with orjson's bytes
+    still held read 3.6 times the length."""
+    family = np.random.default_rng(0).standard_normal((4097, 16, 2))
+    peaks = []
+    for scale in (1.0, 3e-5):
+        report = {"dual": scale * family}
+        cli._render_machine(report)
+        tracemalloc.start()
+        try:
+            text = cli._render_machine(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (scale, peak, len(text))
+        peaks.append(peak)
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_machine_writer_matches_the_stdlib_across_a_window_seam():
+    """The writer rewrites orjson's text in windows of 64 KiB, each extended to
+    just after the next comma. Band numbers, exponents and negative numbers are
+    written as the stdlib writes them wherever the first cut falls among them,
+    and so are texts one byte under, at and over one window."""
+    window = 65536
+    specials = [1.234e-05, -1e-07, 1e16, -9.87e-05, -2.5, 3e-05, -1e-300]
+    text = orjson.dumps(specials)[1:-1]  # as it sits between the fillers
+    filler = [0.5] * ((window - 100) // 4)  # "0.5," is 4 bytes
+    start = len(orjson.dumps({"pad": "", "x": filler})) - 1  # the specials' offset at pad ""
+    for offset in range(-8, len(text) + 8):  # where the window's last byte falls in text
+        report = {"pad": "a" * (window - 1 - offset - start), "x": filler + specials + filler}
+        assert orjson.dumps(report)[window - 1 - offset:].startswith(text)
+        assert cli._render_machine(report) == stdlib(report), offset
+    values = filler + specials
+    base = len(orjson.dumps({"pad": "", "x": values}))
+    for size in (window - 1, window, window + 1):
+        report = {"pad": "a" * (size - base), "x": values}
+        assert len(orjson.dumps(report)) == size
+        assert cli._render_machine(report) == stdlib(report), size
+
+
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path):
+    """A reader that stops early, as `eframes dual tall.json --format machine |
+    head -c 1` does, closes the pipe while the report is written; a reader gone
+    before the command starts meets a short report, which waits in stdout's
+    buffer, only at the flush. Either way the command exits 1 and writes no
+    traceback, neither from its print nor from the interpreter's exit."""
+    src = str(Path(controlled.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is block-buffered, as from a shell
+    command = [sys.executable, "-m", "eframes"]
+    argv = [*command, "dual", tall_config(tmp_path, 1025), "--format", "machine"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(1) == b"{"  # the report is far larger than a pipe's buffer
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        for fmt in ("text", "machine"):
+            done = subprocess.run([*command, "paper-example", "--dim", "3", "--format", fmt],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+            assert (done.returncode, done.stderr) == (1, b""), fmt
+    finally:
+        os.close(write)
