@@ -30,6 +30,7 @@ from .hilbert import (
     DEFAULT_TRIALS,
     finite,
     frobenius,
+    frozen,
     require_positive,
     require_seed,
     require_tol,
@@ -56,12 +57,6 @@ _WINDOW = re.compile(rb".{65536}[^,]*,?|.+", re.S)  # about 64 KiB, cut just aft
 def _sequence_pairs(seq) -> np.ndarray:
     """seq as a C-contiguous (N, d, 2) float64 array of [re, im] pairs."""
     return np.ascontiguousarray(seq, dtype=complex).view(np.float64).reshape(*seq.shape, 2)
-
-
-def _bounds_dict(record) -> dict:
-    """Bounds and verdict of an E-frame or controlled E-frame record."""
-    bounds = record.bounds
-    return {"lower": bounds.lo, "upper": bounds.hi, "verdict": record.verdict}
 
 
 def _render_text(report: dict, elapsed: float) -> str:
@@ -116,11 +111,9 @@ def _overrides(args) -> dict:
 def cmd_analyze(args) -> tuple[dict, int]:
     cfg = parse_config(args.config, _overrides(args))
     record = controlled.controlled_bounds(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
-    report = {
-        "eframe": _bounds_dict(record.plain),
-        "controlled": _bounds_dict(record),
-        "parseval": record.is_parseval(),
-    }
+    report = {key: {"lower": r.bounds.lo, "upper": r.bounds.hi, "verdict": r.verdict}
+              for key, r in (("eframe", record.plain), ("controlled", record))}
+    report["parseval"] = record.is_parseval()
     if record.verdict == controlled.CONTROLLED_FRAME:
         report["identities"] = asdict(record.identity_errors(cfg.trials, cfg.seed))
     ok = (record.plain.verdict, record.verdict) == (controlled.FRAME, controlled.CONTROLLED_FRAME)
@@ -131,7 +124,6 @@ def cmd_dual(args) -> tuple[dict, int]:
     cfg, mode = parse_config(args.config, _overrides(args)), args.mode
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
     report: dict = {"mode": mode}
-    code = EXIT_OK
     if mode == "canonical":
         family = record.canonical_dual()
     elif mode == "right-inverse":
@@ -145,13 +137,10 @@ def cmd_dual(args) -> tuple[dict, int]:
         recovered = record.null_map(images, certs[0])
         roundtrip = frobenius(recovered - v) / frobenius(images)  # at the family's scale
         report["null_map_roundtrip"] = roundtrip
-        if roundtrip > cfg.tol:
-            code = EXIT_VERDICT
     report["dual"] = _sequence_pairs(family)
     report["certificates"] = [asdict(cert) for cert in certs]
-    if not certs[0].verdict:
-        code = EXIT_VERDICT
-    return report, code
+    ok = certs[0].verdict and not report.get("null_map_roundtrip", 0.0) > cfg.tol
+    return report, EXIT_OK if ok else EXIT_VERDICT
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -172,15 +161,14 @@ def cmd_neumann(args) -> tuple[dict, int]:
     max_terms = require_positive(args.max_terms, "--max-terms", integer=True)
     cfg = parse_config(args.config, _overrides(args))
     record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
-    if rho is not None:
-        phi = finite(np.multiply, rho, record.canonical_dual())
+    report: dict = {"eps": eps, "max_terms": max_terms}
+    if rho is not None:  # frozen, so the pair keeps phi without a copy (hilbert.readonly)
+        phi = frozen(finite(np.multiply, rho, record.canonical_dual()))
+        report["rho"] = float(rho)
     elif cfg.phi is not None:
         phi = cfg.phi
     else:
         raise ConfigError("neumann requires --rho or 'phi' in the configuration")
-    report: dict = {"eps": eps, "max_terms": max_terms}
-    if rho is not None:
-        report["rho"] = float(rho)
     pair = neumann.ApproximateDual(record, phi)
     report["ratio"] = pair.ratio
     try:

@@ -1,4 +1,5 @@
-"""Problem configuration: JSON with [re, im] complex pairs, each array read in slices.
+"""Problem configuration: JSON with [re, im] complex pairs, each array read in slices
+into a read-only array, which a record keeps without a copy (hilbert.readonly).
 
 Schema (each complex entry is an [re, im] pair of JSON numbers: not
 booleans, strings or null; an integer beyond double range is an error):
@@ -28,7 +29,7 @@ import orjson
 
 from .errors import DimensionMismatchError
 from .hilbert import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
-from .hilbert import require_positive, require_seed, require_tol
+from .hilbert import frozen, require_positive, require_seed, require_tol
 from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
 
 _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials", "seed"}
@@ -55,8 +56,8 @@ class ProblemConfig:
 
 def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
     """raw, [re, im] pairs of the given shape as the stdlib or _read_rows reads them, as
-    complex128. ConfigError for a part that is not an int or a float (a bool, string
-    or null, say) and for an integer beyond double range."""
+    complex128, read-only down to its owner. ConfigError for a part that is not an int or
+    a float (a bool, string or null, say) and for an integer beyond double range."""
     full = (*shape, 2)
     expected = f"expected [re, im] pairs of JSON numbers, shape {full}"
     arr = raw if isinstance(raw, np.ndarray) else np.array(raw, dtype=object)
@@ -70,7 +71,7 @@ def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
         parts = arr.astype(np.float64, copy=False)
     except OverflowError:
         raise ConfigError(f"{where}: an integer is beyond double range") from None
-    return parts.view(np.complex128).reshape(shape)
+    return frozen(parts).view(np.complex128).reshape(shape)
 
 
 def _read_rows(data: bytes, start: int, stop: int) -> np.ndarray:
@@ -124,12 +125,12 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
 def _build_u(spec, dim: int) -> np.ndarray:
     kind = _kind(spec, "u")
     if kind == "identity":
-        return np.eye(dim, dtype=np.complex128)
+        return frozen(np.eye(dim, dtype=np.complex128))
     if kind == "scalar":
         value = spec.get("value")
         pair = [value, 0] if type(value) in (int, float) else value
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0; spurious overflow
-            return _complex_array(pair, (), "u.value") * np.eye(dim, dtype=np.complex128)
+            return frozen(_complex_array(pair, (), "u.value") * np.eye(dim, dtype=np.complex128))
     if kind == "dense":
         return _complex_array(spec.get("entries"), (dim, dim), "u.entries")
     raise ConfigError(f"unknown control operator kind {kind!r}")

@@ -305,7 +305,8 @@ class ControlledEFrame:
                 f"family is not a controlled dual: residual {cert.max_residual:.3e}",
                 deviation=cert.max_residual,
             )
-        return images_phi.conj() - self.images.conj() @ self.s_inv
+        out = self.images.conj() @ self.s_inv
+        return np.subtract(images_phi.conj(), out, out=out)
 
 
 def controlled_bounds(

@@ -6,7 +6,8 @@ arrays are synthesis and analysis maps between coefficient space C^N
 and the vector space. The inner product is linear in its first
 argument and conjugate-linear in the second. All functions but
 worst_residual are pure and never mutate their arguments, so values
-can be shared freely between threads.
+can be shared freely between threads. readonly is the one rule by which an
+array enters a record: kept when nobody can write it, else a frozen copy.
 
 Input is checked here, once: validated (shape, then entries) for every
 array, require_tol for every tol, which it holds to [2^-48, 1), require_positive
@@ -109,7 +110,14 @@ def require_seed(raw, name: str) -> int:
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
-    """Copy and freeze an array for storage in an immutable record."""
+    """The one rule by which an array enters a record: arr itself if nobody can write it,
+    a complex128 ndarray read-only down to the ndarray that owns its memory (arr.base, to
+    which numpy collapses a chain of views, or arr); else a frozen complex128 copy, so a
+    caller's array, or a read-only view of one, is never frozen in place."""
+    owner = arr if getattr(arr, "base", None) is None else arr.base
+    if type(arr) is type(owner) is np.ndarray and arr.dtype == np.complex128:
+        if owner.flags.owndata and not (arr.flags.writeable or owner.flags.writeable):
+            return arr
     return frozen(np.array(arr, dtype=np.complex128, copy=True))
 
 

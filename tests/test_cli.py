@@ -993,8 +993,9 @@ def tall_config(tmp_path, n, mapping=None):
 def test_machine_dual_peak_memory(tmp_path):
     """The dual goes to orjson as a float64 view of the family, with no list of
     Python floats, and the writer holds under three copies of its text. At (1025,
-    16) the canonical dual peaks at about 2.3 MB, right-inverse at 2.4 MB and offset
-    at 2.9 MB. A writer that rewrote orjson's whole text at once held four copies
+    16) the canonical dual peaks at about 2.3 MB, right-inverse at 2.2 MB and offset
+    at 2.4 MB; a record that copied the config's psi read 2.4 and 2.9 MB for the
+    last two. A writer that rewrote orjson's whole text at once held four copies
     and raised the canonical dual, whose entries reach the [1e-5, 1e-4) band, to
     3.7 MB; through tolist() and json.dumps it was 6.1-6.3 MB."""
     path = tall_config(tmp_path, 1025)
@@ -1002,6 +1003,27 @@ def test_machine_dual_peak_memory(tmp_path):
         code, peak = command_peak(["dual", path, "--mode", mode, "--format", "machine"])
         assert code == 0
         assert peak <= 3.2e6, (mode, peak)
+
+
+def test_every_tall_command_peak_memory(tmp_path):
+    """At (1025, 16) no configured command peaks above 2.6 MB: the record keeps the
+    config's read-only psi and phi, and neumann's frozen rho * canonical dual, without
+    a copy, and null_map subtracts in place. They read about 1.30 (analyze), 2.33 /
+    2.16 / 2.43 (canonical, right-inverse, offset), 2.35 (verify, set by the config
+    parse), 2.43 (neumann --rho) and 2.42 MB (neumann on phi). Copying them into the
+    record took offset to 2.92, neumann --rho to 2.96 and neumann on phi to 2.94 MB."""
+    path = tall_config(tmp_path, 1025)
+    cfg = parse_config(path)
+    dual = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u).canonical_dual()
+    raw = json.loads(Path(path).read_text())
+    with_phi = write_config(tmp_path, "tall-phi.json", **raw, phi=pairs(dual))
+    argvs = [["analyze", path], ["verify", with_phi], ["neumann", path, "--rho", "0.9"],
+             ["neumann", with_phi]]
+    argvs += [["dual", path, "--mode", mode] for mode in ("canonical", "right-inverse", "offset")]
+    for argv in argvs:
+        code, peak = command_peak([*argv, "--format", "machine"])
+        assert code == 0, argv
+        assert peak <= 2.6e6, (argv, peak)
 
 
 def test_canonical_dual_peak_grows_like_its_output(tmp_path):

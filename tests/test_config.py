@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_form
-from eframes import config, gallery
+from eframes import config, gallery, hilbert
 from eframes.cli import main
 from eframes.config import ConfigError, parse_config
 from eframes.mapping import build_banded, build_dense
@@ -140,6 +140,27 @@ def bits(z) -> np.ndarray:
 
 def complex_grid(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+@pytest.mark.parametrize("reader", ["fast", "stdlib"])
+@pytest.mark.parametrize("field", [*GOOD, "u.identity"])
+def test_every_config_array_is_read_only(tmp_path, monkeypatch, reader, field):
+    """Either reader returns each array read-only down to the array that owns its
+    memory, so hilbert.readonly keeps it as it is: a record shares it, not a copy."""
+    if reader == "stdlib":
+        monkeypatch.setattr(config, "_fast_json", lambda path: None)
+    if field == "u.identity":
+        overrides = {"u": {"kind": "identity"}}
+    else:
+        overrides = field_config(field, GOOD[field])
+    cfg = parse_config(write_config(tmp_path, **overrides))
+    if field in ("psi", "phi"):
+        arr = getattr(cfg, field)
+    elif field.startswith("mapping"):
+        arr = cfg.mapping.entries if field == "mapping.entries" else cfg.mapping._diagonals[0]
+    else:
+        arr = cfg.u
+    assert not arr.flags.writeable and hilbert.readonly(arr) is arr
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import inner, random_complex, random_conditioned_matrix, random_unit_vector
-from eframes import controlled, eframe, hilbert, mapping
+from eframes import controlled, eframe, gallery, hilbert, mapping, neumann
+from eframes.config import parse_config
+from test_cli import pairs, write_config
+from test_hilbert import CALLER_HELD, caller_held
 from test_mapping import build_kind
 from eframes.errors import (
     DualConditionError,
@@ -404,6 +407,52 @@ def test_generate_extract_roundtrip_random():
         dual = controlled.dual_with_offset(e, psi, u, v)
         recovered = controlled.extract_null_map(e, psi, dual, u)
         assert np.linalg.norm(recovered - v) <= 1e-9 * max(np.linalg.norm(v), 1.0)
+
+
+@pytest.mark.parametrize("family", ["worked", "gaussian"])
+def test_null_map_is_bit_exact(worked, family):
+    """null_map subtracts into the buffer of T_psi* S^{-1}: its bits are those of
+    images_phi* - T_psi* S^{-1}, and dual_with_offset of it gives the family back."""
+    if family == "worked":
+        e, psi, u = worked.mapping, worked.psi, worked.u
+    else:
+        psi = random_complex(np.random.default_rng(65), (65, 8))
+        e, u = mapping.build_bidiagonal(65), 0.5 * np.eye(8)
+    record = controlled.ControlledEFrame(e, psi, u)
+    dual = record.dual_with_offset(record.random_null_map(3))
+    images = record.images_of(dual)
+    recovered = record.null_map(images, record.certify(images)[0])
+    assert np.array_equal(recovered, images.conj() - record.images.conj() @ record.s_inv)
+    again = record.dual_with_offset(recovered)
+    assert np.linalg.norm(again - dual) <= 1e-9 * max(np.linalg.norm(dual), 1.0)
+
+
+@pytest.mark.parametrize("kind", CALLER_HELD)
+def test_record_copies_a_psi_someone_can_write(worked, kind):
+    """A psi someone can still write, or one not complex128, enters the record as a
+    copy: a write through the caller's reference after construction changes neither
+    psi, the images nor the verdict and bounds computed afterwards."""
+    arr, write = caller_held(kind, worked.psi)
+    reference = controlled.ControlledEFrame(worked.mapping, np.array(arr, complex), worked.u)
+    record = controlled.ControlledEFrame(worked.mapping, arr, worked.u)
+    write()
+    assert np.array_equal(record.psi, reference.psi)
+    assert np.array_equal(record.images, reference.images)
+    assert (record.verdict, record.bounds) == (reference.verdict, reference.bounds)
+    assert not record.psi.flags.writeable and not record.images.flags.writeable
+
+
+def test_record_shares_the_read_only_arrays_of_a_config(tmp_path):
+    """parse_config's arrays are read-only down to the array that owns their memory,
+    so the record and the approximate dual keep them without a copy, and nobody can
+    make psi or phi writeable again."""
+    cfg = parse_config(write_config(tmp_path, phi=pairs(0.5 * gallery.example_psi_tilde(3))))
+    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+    assert record.psi is cfg.psi and record.u is cfg.u
+    assert neumann.ApproximateDual(record, cfg.phi).phi is cfg.phi
+    for arr in (cfg.psi, cfg.phi):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
 
 
 def test_right_inverse_family_duals_pass(worked):

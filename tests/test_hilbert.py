@@ -375,3 +375,58 @@ def test_worst_residual_is_the_largest_column_norm(d, trials, scale, seed, targe
     explicit = np.max(np.linalg.norm(block - target * np.hstack([f, np.eye(d)]), axis=0))
     worst = hilbert.worst_residual(block, f, target)
     assert abs(worst - explicit) <= 16 * np.finfo(float).eps * scale
+
+
+CALLER_HELD = ("writeable", "read-only view", "writeable view", "bytearray", "read-only float64")
+
+
+def caller_held(kind, values):
+    """values as a caller may hold them, and a function that writes 99 at their first
+    entry through what the caller still holds. Each is an array someone can write, or
+    one not complex128, so hilbert.readonly must copy it: a writeable array, a
+    read-only view of one, a writeable view of an array made read-only after it, a
+    read-only array over a bytearray, or a read-only float64 array (its owner, which
+    may be made writeable again)."""
+    if kind == "bytearray":  # read-only down to an ndarray that does not own its memory
+        buf = bytearray(values.tobytes())
+        arr = hilbert.frozen(np.frombuffer(buf, np.complex128)).reshape(values.shape)
+        writable = np.frombuffer(buf, np.complex128)
+    else:
+        writable = values.real.copy() if kind == "read-only float64" else values.copy()
+        arr = writable[:] if kind.endswith("view") else writable
+    if kind == "writeable view":
+        writable.setflags(write=False)  # the owner, after its view was taken
+    elif kind != "writeable":
+        arr.setflags(write=False)
+
+    def write():
+        writable.setflags(write=True)
+        writable.flat[0] = 99
+
+    return arr, write
+
+
+def test_readonly_keeps_an_array_nobody_can_write():
+    """A complex128 array read-only down to the ndarray that owns its memory, as
+    config reads it (a view of frozen float64 parts) or as frozen leaves it, enters a
+    record as itself."""
+    parts = hilbert.frozen(np.arange(12.0).reshape(6, 2).copy())  # reshape alone is a view
+    for arr in (parts.view(np.complex128).reshape(3, 2), hilbert.frozen(np.ones((3, 2), complex))):
+        assert hilbert.readonly(arr) is arr
+
+
+@pytest.mark.parametrize("kind", CALLER_HELD)
+def test_readonly_copies_an_array_someone_can_write(kind):
+    """Anything else is copied, and never frozen in place: a write through the
+    caller's reference afterwards does not reach the copy."""
+    values = (np.arange(6.0) + 1j * np.arange(6.0, 12.0)).reshape(3, 2)
+    arr, write = caller_held(kind, values)
+    writeable = arr.flags.writeable
+    kept = hilbert.readonly(arr)
+    assert kept is not arr and not np.shares_memory(kept, arr)
+    assert kept.dtype == np.complex128 and not kept.flags.writeable
+    assert arr.flags.writeable == writeable
+    expected = np.array(arr, dtype=np.complex128)
+    write()
+    assert arr.flat[0] == 99  # the write reached the caller's array
+    assert np.array_equal(kept, expected)
