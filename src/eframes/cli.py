@@ -110,29 +110,30 @@ def _overrides(args) -> dict:
 
 def cmd_analyze(args) -> tuple[dict, int]:
     cfg = parse_config(args.config, _overrides(args))
-    record = controlled.controlled_bounds(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+    record = controlled.controlled_bounds(
+        cfg.mapping, cfg.psi, cfg.u, cfg.tol, cfg.trials, cfg.seed)
     report = {key: {"lower": r.bounds.lo, "upper": r.bounds.hi, "verdict": r.verdict}
               for key, r in (("eframe", record.plain), ("controlled", record))}
     report["parseval"] = record.is_parseval()
     if record.verdict == controlled.CONTROLLED_FRAME:
-        report["identities"] = asdict(record.identity_errors(cfg.trials, cfg.seed))
+        report["identities"] = asdict(record.identity_errors())
     ok = (record.plain.verdict, record.verdict) == (controlled.FRAME, controlled.CONTROLLED_FRAME)
     return report, EXIT_VERDICT if args.strict and not ok else EXIT_OK
 
 
 def cmd_dual(args) -> tuple[dict, int]:
     cfg, mode = parse_config(args.config, _overrides(args)), args.mode
-    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+    record = controlled.ControlledEFrame(
+        cfg.mapping, cfg.psi, cfg.u, cfg.tol, cfg.trials, cfg.seed)
     report: dict = {"mode": mode}
     if mode == "canonical":
         family = record.canonical_dual()
     elif mode == "right-inverse":
-        family = record.dual_from_right_inverse(record.random_right_inverse(cfg.seed))
+        family = record.dual_from_right_inverse(record.random_right_inverse())
     else:  # offset; argparse restricts the choices
-        v = record.random_null_map(cfg.seed)
-        family = record.dual_with_offset(v)
+        family = record.dual_with_offset(v := record.random_null_map())
     images = record.images_of(family)
-    certs = record.certify(images, cfg.trials, cfg.seed)
+    certs = record.certify(images)
     if mode == "offset":
         recovered = record.null_map(images, certs[0])
         roundtrip = frobenius(recovered - v) / frobenius(images)  # at the family's scale
@@ -160,7 +161,8 @@ def cmd_neumann(args) -> tuple[dict, int]:
     eps = require_positive(args.eps, "--eps")
     max_terms = require_positive(args.max_terms, "--max-terms", integer=True)
     cfg = parse_config(args.config, _overrides(args))
-    record = controlled.ControlledEFrame(cfg.mapping, cfg.psi, cfg.u, cfg.tol)
+    record = controlled.ControlledEFrame(
+        cfg.mapping, cfg.psi, cfg.u, cfg.tol, cfg.trials, cfg.seed)
     report: dict = {"eps": eps, "max_terms": max_terms}
     if rho is not None:  # frozen, so the pair keeps phi without a copy (hilbert.readonly)
         phi = frozen(finite(np.multiply, rho, record.canonical_dual()))
@@ -169,16 +171,16 @@ def cmd_neumann(args) -> tuple[dict, int]:
         phi = cfg.phi
     else:
         raise ConfigError("neumann requires --rho or 'phi' in the configuration")
-    pair = neumann.ApproximateDual(record, phi)
+    pair = neumann.ApproximateDual(record, phi, eps, max_terms)
     report["ratio"] = pair.ratio
     try:
-        corrected, diag = pair.corrected_dual(eps, max_terms)
+        corrected, diag = pair.corrected_dual()
     except ConvergenceError:  # the ratio is >= 1: the series diverges
         report["converged"] = False
         return report, EXIT_VERDICT
     cert_tol = max(cfg.tol, 10.0 * eps / max(1.0 - diag.ratio, 1e-12))  # inf for a vast eps
     cert_tol = require_tol(cert_tol, "certificate tolerance from --eps")
-    certs = record.certify(record.images_of(corrected), cfg.trials, cfg.seed, cert_tol)
+    certs = record.certify(record.images_of(corrected), cert_tol)
     report.update(
         {
             "terms_used": diag.terms_used,

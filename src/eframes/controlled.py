@@ -17,7 +17,7 @@ Dual families come in two complete parametrizations: right inverses
 T_u V = 0 added to the canonical dual). Generators and the inverse
 extraction are provided for both.
 
-Everything works from one prepared record per (E, psi, U, tol),
+Everything works from one prepared record per (E, psi, U, settings),
 ControlledEFrame, the one place a family is prepared and judged: its plain
 half, an EFrameRecord (images, S_E, bounds, verdict), is FRAME or BESSEL_ONLY,
 and the record CONTROLLED_FRAME or INVALID. Its constructor validates the
@@ -26,9 +26,10 @@ verdict reads), T_u, pinv(T_u) and S^{-1} are each computed on first use and
 cached; all are d x d or d x N, so no N x N array is cached. The verdict is the
 one rank rule: pinv(T_u) and S^{-1} require it, and it makes S = T_u T*
 invertible, so T_u has full rank d and its pseudoinverse cuts no singular
-value. The module-level functions build a record per call at the default tol,
-trials and seed (controlled_bounds takes a tol, verify_dual all three); to set
-them, or to run several operations on one problem, build the record once.
+value. Its settings (tol, trials, seed) are fields checked once at construction;
+its methods take data only, bar certify's derived tol. The module-level functions
+build a record per call (controlled_bounds and verify_dual take all three settings,
+the generators a seed); to run several operations on one problem, build it once.
 """
 
 from __future__ import annotations
@@ -80,21 +81,26 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class ControlledEFrame:
-    """One (mapping, sequence, control operator, tolerance) problem.
+    """One (mapping, sequence, control operator) problem and its settings.
 
-    Construction checks tol, psi and U (hilbert.require_tol and
-    hilbert.validated) and applies the mapping to psi once; everything
-    else is computed on first use and cached.
+    Construction checks tol, trials, seed, psi and U (hilbert.require_tol,
+    require_positive, require_seed and validated) and applies the mapping to
+    psi once; everything else is computed on first use and cached.
     """
 
     mapping: MatrixMapping
     psi: np.ndarray
     u: np.ndarray
     tol: float = DEFAULT_TOL
+    trials: int = DEFAULT_TRIALS
+    seed: int = DEFAULT_SEED
     images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tol", hilbert.require_tol(self.tol))
+        trials = hilbert.require_positive(self.trials, "trials", integer=True)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", hilbert.require_seed(self.seed, "seed"))
         psi = hilbert.validated(self.psi, "psi", (self.mapping.n, None))
         images = hilbert.frozen(apply_mapping(self.mapping, psi))
         u = hilbert.validated(self.u, "u", (images.shape[1],) * 2)
@@ -161,9 +167,7 @@ class ControlledEFrame:
         """True iff S_ue is the identity to tol (hilbert.close)."""
         return hilbert.close(self.s_ue, np.eye(self.s_ue.shape[0]), self.tol)
 
-    def identity_errors(
-        self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
-    ) -> IdentityReport:
+    def identity_errors(self) -> IdentityReport:
         """Measure the structural identities behind a valid controlled frame.
 
         err_sue_use compares the summation route for the controlled frame
@@ -172,14 +176,12 @@ class ControlledEFrame:
         the worst residual, over unit trial vectors, between the sum and its
         switched counterpart with U moved to the coefficient side.
         """
-        trials = hilbert.require_positive(trials, "trials", integer=True)
-        f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
+        f = hilbert.trial_vectors(self.images.shape[1], self.trials, self.seed)
         self.require_valid()
-        images, t_u = self.images, self.t_u
-        lhs = hilbert.trial_sums(t_u, images, f)  # last d columns: summed S
-        rhs = hilbert.trial_sums(images.T, t_u.T, f)
+        lhs = hilbert.trial_sums(self.t_u, self.images, f)  # last d columns: summed S
+        rhs = hilbert.trial_sums(self.images.T, self.t_u.T, f)
         scale = hilbert.frobenius(self.s_ue)
-        err_sue_use = hilbert.frobenius(lhs[:, trials:] - self.s_ue) / scale
+        err_sue_use = hilbert.frobenius(lhs[:, self.trials:] - self.s_ue) / scale
         err_commute = hilbert.frobenius(self.s_ue - self.s_e @ self.u.conj().T) / scale
         err_switched = hilbert.worst_residual(lhs - rhs, f, 0.0)
         return IdentityReport(err_sue_use, err_commute, err_switched)
@@ -210,22 +212,20 @@ class ControlledEFrame:
         return apply_mapping(self.mapping, phi)
 
     def certify(
-        self, images_phi, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-        tol: float | None = None,
+        self, images_phi, tol: float | None = None
     ) -> tuple[DualCertificate, DualCertificate]:
         """Certify the family with images images_phi as a controlled dual.
 
         Definitional orientation: f = sum_n <f, (E phi)_n> U (E psi)_n.
         Switched orientation exchanges the roles of psi and phi. Residuals
-        are evaluated on `trials` random unit vectors plus the standard
-        basis; a certificate passes when the worst residual is at most
-        tol (by default the record's) times the Frobenius norms of the
+        are evaluated on the record's trials random unit vectors plus the
+        standard basis; a certificate passes when the worst residual is at
+        most tol (by default the record's) times the Frobenius norms of the
         synthesis and analysis maps of the sum (hilbert.backward_ok).
         """
-        trials = hilbert.require_positive(trials, "trials", integer=True)
         tol = self.tol if tol is None else hilbert.require_tol(tol)
         images_phi = hilbert.validated(images_phi, "images_phi", self.images.shape)
-        f = hilbert.trial_vectors(self.images.shape[1], trials, seed)
+        f = hilbert.trial_vectors(self.images.shape[1], self.trials, self.seed)
 
         def certificate(orientation, synthesis, analysis):
             block = hilbert.finite(hilbert.trial_sums, synthesis, analysis, f)
@@ -272,10 +272,10 @@ class ControlledEFrame:
             dev = hilbert.operator_norm(residual)
             raise DualConditionError(f"{quantity} = {dev:.3e}", deviation=dev)
 
-    def random_null_map(self, seed: int = 0) -> np.ndarray:
-        """Seeded member of the null-map family: G - pinv(T_u) (T_u G), the
-        projection of a random (N, d) map G onto the kernel of T_u, {0} at N = d."""
-        rng = np.random.default_rng(hilbert.require_seed(seed, "seed"))
+    def random_null_map(self) -> np.ndarray:
+        """Member of the null-map family: G - pinv(T_u) (T_u G), the projection of a random
+        (N, d) map G, drawn from the record's seed, onto the kernel of T_u, {0} at N = d."""
+        rng = np.random.default_rng(self.seed)
         self.require_valid()
         n, d = self.images.shape
         if n == d:  # exact: the projection would leave rounding noise alone
@@ -283,13 +283,13 @@ class ControlledEFrame:
         g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         return g - self.t_u_pinv @ (self.t_u @ g)
 
-    def random_right_inverse(self, seed: int = 0) -> np.ndarray:
+    def random_right_inverse(self) -> np.ndarray:
         """Seeded right inverse V with T_u V* = id.
 
         V* = pinv(T_u) + (id - pinv(T_u) T_u) G over random G runs through
-        every solution as G varies, so seeding G samples the whole family.
+        every solution as G varies, so the record's seed samples the whole family.
         """
-        null = self.random_null_map(seed)
+        null = self.random_null_map()
         return (self.t_u_pinv + null).conj().T
 
     def null_map(self, images_phi, cert: DualCertificate) -> np.ndarray:
@@ -310,10 +310,11 @@ class ControlledEFrame:
 
 
 def controlled_bounds(
-    e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL
+    e: MatrixMapping, psi, u, tol: float = DEFAULT_TOL, trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
 ) -> ControlledEFrame:
     """Controlled frame bounds and verdict: the prepared record itself."""
-    return ControlledEFrame(e, psi, u, tol)
+    return ControlledEFrame(e, psi, u, tol, trials, seed)
 
 
 def identity_errors(e: MatrixMapping, psi, u) -> IdentityReport:
@@ -342,8 +343,8 @@ def verify_dual(
 ) -> tuple[DualCertificate, DualCertificate]:
     """Certify phi as a controlled dual of psi in both orientations; see
     ControlledEFrame.certify."""
-    record = ControlledEFrame(e, psi, u, tol)
-    return record.certify(record.images_of(phi), trials, seed)
+    record = ControlledEFrame(e, psi, u, tol, trials, seed)
+    return record.certify(record.images_of(phi))
 
 
 def dual_from_right_inverse(e: MatrixMapping, psi, u, v) -> np.ndarray:
@@ -358,12 +359,12 @@ def dual_with_offset(e: MatrixMapping, psi, u, v) -> np.ndarray:
 
 def random_null_map(e: MatrixMapping, psi, u, seed: int = 0) -> np.ndarray:
     """See ControlledEFrame.random_null_map."""
-    return ControlledEFrame(e, psi, u).random_null_map(seed)
+    return ControlledEFrame(e, psi, u, seed=seed).random_null_map()
 
 
 def random_right_inverse(e: MatrixMapping, psi, u, seed: int = 0) -> np.ndarray:
     """See ControlledEFrame.random_right_inverse."""
-    return ControlledEFrame(e, psi, u).random_right_inverse(seed)
+    return ControlledEFrame(e, psi, u, seed=seed).random_right_inverse()
 
 
 def extract_null_map(e: MatrixMapping, psi, phi, u) -> np.ndarray:

@@ -39,18 +39,24 @@ class NeumannReport:
 
 @dataclass(frozen=True)
 class ApproximateDual:
-    """A candidate dual phi of a prepared controlled frame.
+    """A candidate dual phi of a prepared controlled frame, and its series' settings.
 
-    Construction applies the mapping to phi once; the deviation
-    id - T_u D* is formed once, on first use, and the contraction ratio,
-    the dual correction and the iterative reconstruction all read it.
+    Construction checks eps and max_terms (hilbert.require_positive) and
+    applies the mapping to phi once; the deviation id - T_u D* is formed
+    once, on first use, and the contraction ratio, the dual correction and
+    the iterative reconstruction all read it.
     """
 
     frame: ControlledEFrame
     phi: np.ndarray
+    eps: float = 1e-12
+    max_terms: int = 10_000
     images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "eps", hilbert.require_positive(self.eps, "eps"))
+        max_terms = hilbert.require_positive(self.max_terms, "max_terms", integer=True)
+        object.__setattr__(self, "max_terms", max_terms)
         images = self.frame.images_of(self.phi)
         object.__setattr__(self, "phi", hilbert.readonly(self.phi))
         object.__setattr__(self, "images", hilbert.frozen(images))
@@ -66,57 +72,49 @@ class ApproximateDual:
         """Spectral norm of the deviation id - T_u D*."""
         return hilbert.operator_norm(self.deviation)
 
-    def _series_args(self, eps, max_terms) -> tuple[float, int]:
-        """eps and max_terms checked (hilbert.require_positive); ConvergenceError at ratio >= 1."""
-        eps = hilbert.require_positive(eps, "eps")
-        max_terms = hilbert.require_positive(max_terms, "max_terms", integer=True)
+    def _require_contraction(self) -> None:
+        """ConvergenceError at ratio >= 1, raised by a series run, not by construction."""
         if self.ratio >= 1.0:
             raise ConvergenceError(f"contraction ratio {self.ratio:.6g} >= 1: the series diverges")
-        return eps, max_terms
 
-    def corrected_dual(
-        self, eps: float = 1e-12, max_terms: int = 10_000
-    ) -> tuple[np.ndarray, NeumannReport]:
+    def corrected_dual(self) -> tuple[np.ndarray, NeumannReport]:
         """Correct phi into an exact dual by summing the deviation series.
 
-        Terms are added until the latest term norm falls to eps times the
-        accumulated norm; terms_used is the index of that final term, so an
-        already-exact dual reports 1. The corrected family reconstructs to
-        eps / (1 - ratio). Raises ConvergenceError when the ratio is >= 1;
-        an exhausted max_terms returns converged=False. eps and max_terms
-        must be finite and > 0 (hilbert.require_positive).
+        Terms are added until the latest term norm falls to the pair's eps
+        times the accumulated norm; terms_used is the index of that final
+        term, so an already-exact dual reports 1. The corrected family
+        reconstructs to eps / (1 - ratio). Raises ConvergenceError when the
+        ratio is >= 1; an exhausted max_terms returns converged=False.
         """
-        eps, max_terms = self._series_args(eps, max_terms)
+        self._require_contraction()
         step = self.deviation.conj()  # term @ step applies id - D T_u* to each member
         term = acc = self.phi
         history = [hilbert.frobenius(term)]
         converged = False
-        for n in range(1, max_terms + 1):
+        for n in range(1, self.max_terms + 1):
             term = term @ step
             acc = acc + term
             history.append(hilbert.frobenius(term))
-            if history[-1] <= eps * hilbert.frobenius(acc):
+            if history[-1] <= self.eps * hilbert.frobenius(acc):
                 converged = True
                 break
         return acc, NeumannReport(self.ratio, n, tuple(history), converged)
 
-    def iterative_reconstruct(
-        self, f, eps: float = 1e-10, max_terms: int = 10_000
-    ) -> tuple[np.ndarray, NeumannReport]:
+    def iterative_reconstruct(self, f) -> tuple[np.ndarray, NeumannReport]:
         """Reconstruct f from the approximate pair by geometric iteration.
 
         Accumulates partial sums of (id - T_u D*)^n applied to the one-step
         reconstruction of f and stops once the true residual drops below
-        eps times the norm of f. Raises ConvergenceError when the ratio is
-        >= 1; an exhausted max_terms returns converged=False. eps and
-        max_terms must be finite and > 0 (hilbert.require_positive).
+        the pair's eps times the norm of f, or after its max_terms. Raises
+        ConvergenceError when the ratio is >= 1; an exhausted max_terms
+        returns converged=False.
         """
         f = hilbert.validated(f, "f", self.images.shape[1:])
-        eps, max_terms = self._series_args(eps, max_terms)
-        goal = eps * hilbert.frobenius(f)
+        self._require_contraction()
+        goal = self.eps * hilbert.frobenius(f)
         term = approx = f - self.deviation @ f  # one-step reconstruction T_u D* f
         history = [hilbert.frobenius(f - approx)]
-        while not history[-1] <= goal and len(history) < max_terms:
+        while not history[-1] <= goal and len(history) < self.max_terms:
             term = self.deviation @ term
             approx = approx + term
             history.append(hilbert.frobenius(f - approx))
@@ -133,13 +131,12 @@ def corrected_dual(
     e: MatrixMapping, psi, phi, u, eps: float = 1e-12, max_terms: int = 10_000
 ) -> tuple[np.ndarray, NeumannReport]:
     """See ApproximateDual.corrected_dual."""
-    pair = ApproximateDual(ControlledEFrame(e, psi, u), phi)
-    return pair.corrected_dual(eps, max_terms)
+    return ApproximateDual(ControlledEFrame(e, psi, u), phi, eps, max_terms).corrected_dual()
 
 
 def iterative_reconstruct(
     e: MatrixMapping, psi, phi, u, f, eps: float = 1e-10, max_terms: int = 10_000
 ) -> tuple[np.ndarray, NeumannReport]:
     """See ApproximateDual.iterative_reconstruct."""
-    pair = ApproximateDual(ControlledEFrame(e, psi, u), phi)
-    return pair.iterative_reconstruct(f, eps, max_terms)
+    pair = ApproximateDual(ControlledEFrame(e, psi, u), phi, eps, max_terms)
+    return pair.iterative_reconstruct(f)

@@ -93,11 +93,11 @@ def test_criterion_4_identity_suite():
         d = int(rng.integers(2, 7))
         n = int(rng.integers(d, 11))
         e, psi, u = _commuting_instance(rng, d, n)
-        record = controlled.controlled_bounds(e, psi, u)
+        record = controlled.controlled_bounds(e, psi, u, trials=100, seed=done + 1)
         if record.verdict != controlled.CONTROLLED_FRAME:
             continue  # rank-deficient draw; redraw
         done += 1
-        report = record.identity_errors(trials=100, seed=done)
+        report = record.identity_errors()
         assert report.err_sue_use <= 1e-12
         assert report.err_commute <= 1e-9
         assert report.err_switched_sum <= 1e-9
@@ -132,9 +132,9 @@ def test_criterion_5_dual_family_roundtrips(worked):
         cert, _ = controlled.verify_dual(e, psi, dual, u, trials=50, seed=trial, tol=1e-9)
         assert cert.verdict, f"offset dual {trial} residual {cert.max_residual:.2e}"
         worst_residual = max(worst_residual, cert.max_residual)
-        record = controlled.ControlledEFrame(e, psi, u)
+        record = controlled.ControlledEFrame(e, psi, u, trials=50, seed=trial)
         images = record.images_of(dual)
-        recovered = record.null_map(images, record.certify(images, trials=50, seed=trial)[0])
+        recovered = record.null_map(images, record.certify(images)[0])
         recovery = float(np.linalg.norm(recovered - v) / max(np.linalg.norm(v), 1.0))
         assert recovery <= 1e-8
         worst_recovery = max(worst_recovery, recovery)

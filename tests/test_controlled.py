@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,8 +344,9 @@ def test_dual_with_offset_accepts_a_null_map_with_subnormal_products():
     parts of a subnormal array apart, where a complex division overflows."""
     rng = np.random.default_rng(0)
     psi = random_complex(rng, (40, 8))
-    record = controlled.ControlledEFrame(mapping.build_bidiagonal(40), psi, 0.5 * np.eye(8))
-    v = 1e-300 * record.random_null_map(0)
+    record = controlled.ControlledEFrame(
+        mapping.build_bidiagonal(40), psi, 0.5 * np.eye(8), seed=0)
+    v = 1e-300 * record.random_null_map()
     assert_allclose(record.dual_with_offset(v), record.canonical_dual(), rtol=0, atol=1e-290)
 
 
@@ -374,6 +376,52 @@ def test_random_null_map_duals_pass(worked):
         dual = controlled.dual_with_offset(worked.mapping, worked.psi, worked.u, v)
         cert_def, _ = controlled.verify_dual(worked.mapping, worked.psi, dual, worked.u)
         assert cert_def.verdict and cert_def.max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+def test_one_seed_drives_a_records_generators_and_certificates(seed):
+    """A record's seed is the one seed of its draws: its null map and right inverse
+    are the one-shot generators' at that seed, and its certificates and identity
+    errors are verify_dual's and the trial vectors' at that seed, bit for bit."""
+    psi = random_complex(np.random.default_rng(65), (65, 8))
+    e, u = mapping.build_bidiagonal(65), 0.5 * np.eye(8)
+    record = controlled.ControlledEFrame(e, psi, u, trials=7, seed=seed)
+    assert np.array_equal(record.random_null_map(), controlled.random_null_map(e, psi, u, seed))
+    assert np.array_equal(
+        record.random_right_inverse(), controlled.random_right_inverse(e, psi, u, seed))
+    phi = record.dual_with_offset(record.random_null_map())
+    certs = controlled.verify_dual(e, psi, phi, u, trials=7, seed=seed)
+    assert record.certify(record.images_of(phi)) == certs
+    f = hilbert.trial_vectors(8, 7, seed)
+    lhs = hilbert.trial_sums(record.t_u, record.images, f)
+    rhs = hilbert.trial_sums(record.images.T, record.t_u.T, f)
+    assert record.identity_errors().err_switched_sum == hilbert.worst_residual(lhs - rhs, f, 0.0)
+
+
+def test_record_and_one_shot_generators_keep_their_own_default_seeds(worked):
+    """A record's generators draw from its seed, whose default is DEFAULT_SEED (42),
+    the seed of its checks; the one-shot generators keep their default of 0."""
+    args = (worked.mapping, worked.psi, worked.u)
+    record = controlled.ControlledEFrame(*args)
+    assert record.seed == hilbert.DEFAULT_SEED == 42
+    assert np.array_equal(record.random_null_map(), controlled.random_null_map(*args, 42))
+    zero = controlled.ControlledEFrame(*args, seed=0)
+    assert np.array_equal(controlled.random_null_map(*args), zero.random_null_map())
+    assert np.array_equal(controlled.random_right_inverse(*args), zero.random_right_inverse())
+
+
+def test_a_record_checks_its_trials_and_seed_at_construction(worked):
+    """trials and seed are fields, checked once when the record is built with the
+    messages of hilbert.require_positive and require_seed; numpy integers are
+    stored as Python ints."""
+    args = (worked.mapping, worked.psi, worked.u)
+    with pytest.raises(ValueError, match=r"^trials must be a finite positive integer, got 0$"):
+        controlled.ControlledEFrame(*args, trials=0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        controlled.ControlledEFrame(*args, seed=-1)
+    record = controlled.ControlledEFrame(*args, trials=np.int64(5), seed=np.int64(3))
+    assert (record.trials, record.seed) == (5, 3)
+    assert type(record.trials) is int and type(record.seed) is int
 
 
 def test_extract_null_map_canonical_is_zero(worked):
@@ -419,7 +467,7 @@ def test_null_map_is_bit_exact(worked, family):
         psi = random_complex(np.random.default_rng(65), (65, 8))
         e, u = mapping.build_bidiagonal(65), 0.5 * np.eye(8)
     record = controlled.ControlledEFrame(e, psi, u)
-    dual = record.dual_with_offset(record.random_null_map(3))
+    dual = record.dual_with_offset(replace(record, seed=3).random_null_map())
     images = record.images_of(dual)
     recovered = record.null_map(images, record.certify(images)[0])
     assert np.array_equal(recovered, images.conj() - record.images.conj() @ record.s_inv)
@@ -608,7 +656,7 @@ def test_a_valid_record_inverts_every_singular_value_of_t_u(tol, k):
     assert record.is_parseval() and record.verdict == controlled.CONTROLLED_FRAME
     assert np.linalg.norm(record.t_u_pinv, 2) == pytest.approx(10.0 ** (k / 2))
     for seed in range(5):
-        dual = record.dual_from_right_inverse(record.random_right_inverse(seed))
+        dual = record.dual_from_right_inverse(replace(record, seed=seed).random_right_inverse())
         definitional, _ = record.certify(record.images_of(dual))
         assert definitional.verdict
 
@@ -638,7 +686,7 @@ def test_certify_counts_the_basis_and_matches_the_chain(d, n, trials):
     its residual is that of the product chain through [f | I]."""
     rng = np.random.default_rng(d + n)
     e, psi, u = random_commuting_instance(rng, d, n)
-    record = controlled.ControlledEFrame(e, psi, u)
+    record = controlled.ControlledEFrame(e, psi, u, trials=trials, seed=5)
     f = np.concatenate([hilbert.trial_vectors(d, trials, 5), np.eye(d)], axis=1)
     for phi in (record.canonical_dual(), 0.5 * record.canonical_dual()):
         images_phi = record.images_of(phi)
@@ -646,7 +694,7 @@ def test_certify_counts_the_basis_and_matches_the_chain(d, n, trials):
             record.t_u @ (images_phi.conj() @ f),
             (u @ images_phi.T) @ (record.images.conj() @ f),
         )
-        for cert, chain in zip(record.certify(images_phi, trials, 5), chains):
+        for cert, chain in zip(record.certify(images_phi), chains):
             assert cert.trials == trials + d
             old = np.max(np.linalg.norm(chain - f, axis=0))
             assert abs(cert.max_residual - old) <= 16 * np.finfo(float).eps
@@ -691,7 +739,7 @@ def test_square_gaussian_problem_accepts_its_own_duals():
     certs = record.certify(record.images_of(record.canonical_dual()))
     assert all(cert.verdict for cert in certs)
     assert max(cert.max_residual for cert in certs) > 1e-10
-    family = record.dual_from_right_inverse(record.random_right_inverse(1))
+    family = record.dual_from_right_inverse(replace(record, seed=1).random_right_inverse())
     assert all(cert.verdict for cert in record.certify(record.images_of(family)))
 
 
@@ -705,9 +753,10 @@ def test_scaled_sequence_keeps_its_generated_duals():
     psi = random_complex(rng, (n, d))
     for scale in (1.0, 1e3):
         record = controlled.ControlledEFrame(e, scale * psi, 0.5 * np.eye(d))
+        seeded = replace(record, seed=1)
         for family in (
-            record.dual_from_right_inverse(record.random_right_inverse(1)),
-            record.dual_with_offset(record.random_null_map(1)),
+            record.dual_from_right_inverse(seeded.random_right_inverse()),
+            record.dual_with_offset(seeded.random_null_map()),
         ):
             assert all(c.verdict for c in record.certify(record.images_of(family)))
 
@@ -718,11 +767,12 @@ def test_generators_peak_memory_is_linear_in_n_d(generator):
     n, d = 4097, 16
     rng = np.random.default_rng(7)
     e = mapping.build_bidiagonal(n)
-    record = controlled.ControlledEFrame(e, random_complex(rng, (n, d)), 0.5 * np.eye(d))
+    record = controlled.ControlledEFrame(
+        e, random_complex(rng, (n, d)), 0.5 * np.eye(d), seed=3)
     assert record.verdict == controlled.CONTROLLED_FRAME
     tracemalloc.start()
     try:
-        getattr(record, generator)(3)
+        getattr(record, generator)()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -792,11 +842,11 @@ def test_dual_verdicts_invariant_under_scaling_and_unitary_basis_change(
     (phi -> phi W^T / c, V -> W V / c), null maps become V W* / c."""
     n = d + extra
     e, psi, u = make_problem(seed, n, d, 1e3, u_kind, mapping_kind == "bidiagonal")
-    record = controlled.ControlledEFrame(e, psi, u)
+    record = controlled.ControlledEFrame(e, psi, u, seed=seed)
     assume(record.verdict == controlled.CONTROLLED_FRAME)
     rng = np.random.default_rng([seed, 1])
-    null = record.random_null_map(seed)
-    right = record.random_right_inverse(seed)
+    null = record.random_null_map()
+    right = record.random_right_inverse()
     can = record.canonical_dual()
     families = (can, 0.5 * can, record.dual_with_offset(null))
     rights = (right, 0.9 * right)
@@ -838,10 +888,11 @@ def test_generated_duals_pass_their_own_certificate(seed, d, n, u_kind, log_cond
     e, psi, u = make_problem(seed, n, d, 10.0**log_cond, u_kind)
     record = controlled.ControlledEFrame(e, 10.0**log_c * psi, u)
     assume(record.verdict == controlled.CONTROLLED_FRAME)
+    seeded = replace(record, seed=seed)
     families = (
         record.canonical_dual(),
-        record.dual_from_right_inverse(record.random_right_inverse(seed)),
-        record.dual_with_offset(record.random_null_map(seed)),
+        record.dual_from_right_inverse(seeded.random_right_inverse()),
+        record.dual_with_offset(seeded.random_null_map()),
     )
     for phi in families:
         assert all(cert.verdict for cert in record.certify(record.images_of(phi)))
@@ -854,8 +905,8 @@ def test_square_family_null_map_is_exactly_zero(n):
     rounding noise, which the null condition rejected for every seed)."""
     for seed in range(5):
         e, psi, u = make_problem(seed, n, n, 1.0, "half")
-        record = controlled.ControlledEFrame(e, psi, u)
-        null = record.random_null_map(seed)
+        record = controlled.ControlledEFrame(e, psi, u, seed=seed)
+        null = record.random_null_map()
         assert null.shape == (n, n) and not null.any()
         assert np.array_equal(record.dual_with_offset(null), record.canonical_dual())
 

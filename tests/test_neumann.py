@@ -202,3 +202,47 @@ def test_overflowing_deviation_is_an_input_error():
     frame = controlled.ControlledEFrame(e, 1e150 * b, 1e50 * np.eye(2))
     with pytest.raises(ValueError, match="^entries must be finite$"):
         neumann.ApproximateDual(frame, 1e200 * b).deviation
+
+
+def test_a_pair_checks_its_settings_at_construction(worked):
+    """eps and max_terms are fields, checked once when the pair is built, with the
+    messages of hilbert.require_positive; numpy scalars are stored as Python numbers."""
+    record = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u)
+    phi = 0.9 * worked.psi_tilde
+    with pytest.raises(ValueError, match=r"^eps must be a finite positive number, got 0$"):
+        neumann.ApproximateDual(record, phi, eps=0)
+    with pytest.raises(ValueError, match=r"^max_terms must be a finite positive integer, got 2.5$"):
+        neumann.ApproximateDual(record, phi, max_terms=2.5)
+    pair = neumann.ApproximateDual(record, phi, np.float64(1e-9), np.int64(50))
+    assert (pair.eps, pair.max_terms) == (1e-9, 50)
+    assert type(pair.eps) is float and type(pair.max_terms) is int
+
+
+def test_a_divergent_pair_is_built_and_its_first_series_raises(worked):
+    """The ratio test runs with each series, not at construction, so a pair with
+    ratio >= 1 is built and reports its ratio before ConvergenceError."""
+    record = controlled.ControlledEFrame(worked.mapping, worked.psi, worked.u)
+    pair = neumann.ApproximateDual(record, 2.5 * worked.psi_tilde)
+    assert pair.ratio == pytest.approx(1.5, abs=1e-12)
+    with pytest.raises(ConvergenceError, match=r"^contraction ratio 1\.5 >= 1"):
+        pair.corrected_dual()
+    with pytest.raises(ConvergenceError, match=r"^contraction ratio 1\.5 >= 1"):
+        pair.iterative_reconstruct(np.ones(3, dtype=complex))
+
+
+def test_pair_defaults_and_the_module_functions_defaults(worked):
+    """A pair's eps is 1e-12 for both series; neumann.iterative_reconstruct keeps
+    its 1e-10 and passes it to the pair, and corrected_dual its 1e-12."""
+    e, psi, u, phi = worked.mapping, worked.psi, worked.u, 0.9 * worked.psi_tilde
+    record = controlled.ControlledEFrame(e, psi, u)
+    f = np.array([1.0, 2.0j, -1.0])
+    pair = neumann.ApproximateDual(record, phi)
+    assert (pair.eps, pair.max_terms) == (1e-12, 10_000)
+    got, report = neumann.iterative_reconstruct(e, psi, phi, u, f)
+    loose = neumann.ApproximateDual(record, phi, eps=1e-10)
+    want, want_report = loose.iterative_reconstruct(f)
+    assert np.array_equal(got, want) and report == want_report
+    assert pair.iterative_reconstruct(f)[1].terms_used > report.terms_used
+    corrected, report = neumann.corrected_dual(e, psi, phi, u)
+    want, want_report = pair.corrected_dual()
+    assert np.array_equal(corrected, want) and report == want_report

@@ -8,7 +8,8 @@ calls numpy.linalg.norm, one validator raises every array shape error,
 no tolerance reaches numpy or scipy, each rule that two modules could
 state has one owner (the plain inverses, the contraction test and the
 CLI's handlers), each CLI command is declared once, a problem's settings
-are set on its record, and no linter is assumed, so the checks read the
+are set on its record or Neumann pair and never on their methods, and no
+linter is assumed, so the checks read the
 source with ast.
 """
 
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import eframes
-from eframes import cli, controlled
+from eframes import cli, controlled, neumann
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "eframes"
@@ -323,20 +324,44 @@ def test_each_command_is_declared_once():
 #: the module-level functions of controlled that still take a setting: cli passes
 #: its config through these two, and a generator's seed picks the member it draws
 SETTINGS_KEPT = {
-    "controlled_bounds": {"tol"},
+    "controlled_bounds": {"tol", "trials", "seed"},
     "verify_dual": {"tol", "trials", "seed"},
     "random_null_map": {"seed"},
     "random_right_inverse": {"seed"},
 }
 
+#: every setting of a prepared object: the record's three and the Neumann pair's two
+SETTINGS = {"tol", "trials", "seed", "eps", "max_terms"}
+
 
 def test_settings_live_on_the_record():
     """A tol, trials or seed set on a one-shot function would be a second path to
-    what ControlledEFrame(e, psi, u, tol) and its methods' arguments set."""
+    what ControlledEFrame(e, psi, u, tol, trials, seed) sets; the functions in
+    SETTINGS_KEPT pass theirs to that constructor."""
     found = {}
     for name, fn in vars(controlled).items():
         if inspect.isfunction(fn) and fn.__module__ == controlled.__name__:
-            settings = {"tol", "trials", "seed"} & set(inspect.signature(fn).parameters)
+            settings = SETTINGS & set(inspect.signature(fn).parameters)
             if settings:
                 found[name] = settings
     assert found == SETTINGS_KEPT
+
+
+def test_methods_of_the_prepared_objects_take_data_only():
+    """ControlledEFrame and ApproximateDual take their settings at construction
+    and check them once there, so no method takes a tol, trials, seed, eps or
+    max_terms: a method's own would be a second value of a setting on one object.
+    certify alone keeps a tol, which cli's neumann derives from --eps and the ratio."""
+    found = {}
+    for cls in (controlled.ControlledEFrame, neumann.ApproximateDual):
+        for name, fn in vars(cls).items():
+            fn = getattr(fn, "func", fn)  # a cached_property's function
+            if inspect.isfunction(fn) and name != "__init__":
+                settings = SETTINGS & set(inspect.signature(fn).parameters)
+                if settings:
+                    found[f"{cls.__name__}.{name}"] = settings
+    assert found == {"ControlledEFrame.certify": {"tol"}}
+    for cls, fields in ((controlled.ControlledEFrame, ["tol", "trials", "seed"]),
+                        (neumann.ApproximateDual, ["eps", "max_terms"])):
+        init = inspect.signature(cls.__init__).parameters
+        assert [name for name in init if name in SETTINGS] == fields

@@ -46,8 +46,8 @@ GOOD = {
     "m": np.ones((3, 4), dtype=complex),
     "entries": dense_form(E),
     "diagonals": np.ones(3, dtype=complex),
-    "v:right": RECORD.random_right_inverse(1),
-    "v:null": RECORD.random_null_map(1),
+    "v:right": controlled.ControlledEFrame(E, PSI, U, seed=1).random_right_inverse(),
+    "v:null": controlled.ControlledEFrame(E, PSI, U, seed=1).random_null_map(),
     "v:riesz": 2.0 * np.eye(3, dtype=complex),
     "basis": np.eye(3, dtype=complex),
     "images_phi": RECORD.images_of(PHI),
@@ -195,16 +195,16 @@ def test_non_finite_entry_is_an_input_error(label, key, value):
     assert type(info.value) is ValueError and str(info.value) == "entries must be finite"
 
 
-def frame(tol=hilbert.DEFAULT_TOL):
-    return controlled.ControlledEFrame(E, PSI, U, tol)
+def frame(tol=hilbert.DEFAULT_TOL, trials=hilbert.DEFAULT_TRIALS, seed=hilbert.DEFAULT_SEED):
+    return controlled.ControlledEFrame(E, PSI, U, tol, trials, seed)
 
 
 def extract_null_map(tol=hilbert.DEFAULT_TOL, trials=hilbert.DEFAULT_TRIALS,
                      seed=hilbert.DEFAULT_SEED):
     """controlled.extract_null_map(E, PSI, PHI, U) with its settings on the record."""
-    record = frame(tol)
+    record = frame(tol, trials, seed)
     images_phi = record.images_of(PHI)
-    return record.null_map(images_phi, record.certify(images_phi, trials, seed)[0])
+    return record.null_map(images_phi, record.certify(images_phi)[0])
 
 
 #: public entry point -> call with the given tolerance; as in CALLS, a row
@@ -240,15 +240,16 @@ TOL_CALLS = {
         np.eye(3), np.eye(3), E3, U, tol),
 }
 
-#: entry point -> call with the given eps and max_terms
+#: entry point -> call with the given eps and max_terms; a pair takes them
+#: at construction, so its rows build the pair with them
 STOP_CALLS = {
     "corrected_dual": lambda **kw: neumann.corrected_dual(E, PSI, 0.9 * PHI, U, **kw),
     "iterative_reconstruct": lambda **kw: neumann.iterative_reconstruct(
         E, PSI, 0.9 * PHI, U, F, **kw),
     "ApproximateDual.corrected_dual": lambda **kw: neumann.ApproximateDual(
-        RECORD, 0.9 * PHI).corrected_dual(**kw),
+        RECORD, 0.9 * PHI, **kw).corrected_dual(),
     "ApproximateDual.iterative_reconstruct": lambda **kw: neumann.ApproximateDual(
-        RECORD, 0.9 * PHI).iterative_reconstruct(F, **kw),
+        RECORD, 0.9 * PHI, **kw).iterative_reconstruct(F),
 }
 
 #: 10**400 is finite and positive as an integer but beyond double range
@@ -303,11 +304,14 @@ def test_bad_eps_and_max_terms_are_input_errors(label, value):
         STOP_CALLS[label](max_terms=value)
 
 
-#: entry point -> call with the given trials; a row as in TOL_CALLS
+#: entry point -> call with the given trials; a row as in TOL_CALLS. A record
+#: takes its trials at construction, so a row named after a method builds one.
 TRIALS_CALLS = {
-    "ControlledEFrame.certify": lambda trials: RECORD.certify(RECORD.images, trials),
-    "ControlledEFrame.identity_errors": lambda trials: RECORD.identity_errors(trials),
-    "identity_errors": lambda trials: frame().identity_errors(trials),
+    "ControlledEFrame": lambda trials: controlled.ControlledEFrame(E, PSI, U, trials=trials),
+    "ControlledEFrame.certify": lambda trials: frame(trials=trials).certify(RECORD.images),
+    "ControlledEFrame.identity_errors": lambda trials: frame(trials=trials).identity_errors(),
+    "controlled_bounds": lambda trials: controlled.controlled_bounds(E, PSI, U, trials=trials),
+    "identity_errors": lambda trials: frame(trials=trials).identity_errors(),
     "verify_dual": lambda trials: controlled.verify_dual(E, PSI, PHI, U, trials),
     "extract_null_map": lambda trials: extract_null_map(trials=trials),
 }
@@ -430,13 +434,18 @@ def test_paper_example_dim_below_2_keeps_its_message(capsys):
     assert capsys.readouterr().err == want
 
 
-#: library call -> the call with a given seed; a row as in TOL_CALLS
+#: library call -> the call with a given seed; a row as in TOL_CALLS and
+#: TRIALS_CALLS
 SEEDED = {
     "hilbert.trial_vectors": lambda seed: hilbert.trial_vectors(3, 5, seed),
     "random_null_map": lambda seed: controlled.random_null_map(E, PSI, U, seed=seed),
     "random_right_inverse": lambda seed: controlled.random_right_inverse(E, PSI, U, seed=seed),
-    "ControlledEFrame.certify": lambda seed: RECORD.certify(RECORD.images_of(PHI), seed=seed),
-    "identity_errors": lambda seed: frame().identity_errors(seed=seed),
+    "ControlledEFrame.random_null_map": lambda seed: frame(seed=seed).random_null_map(),
+    "ControlledEFrame.random_right_inverse": lambda seed: frame(seed=seed).random_right_inverse(),
+    "ControlledEFrame.certify": lambda seed: frame(seed=seed).certify(RECORD.images_of(PHI)),
+    "controlled_bounds": lambda seed: controlled.controlled_bounds(
+        E, PSI, U, seed=seed).identity_errors(),
+    "identity_errors": lambda seed: frame(seed=seed).identity_errors(),
     "verify_dual": lambda seed: controlled.verify_dual(E, PSI, PHI, U, seed=seed),
     "extract_null_map": lambda seed: extract_null_map(seed=seed),
 }
@@ -451,8 +460,12 @@ def test_library_seed_must_be_a_non_negative_integer(name, seed):
 
 
 def test_library_seed_is_checked_before_the_frame_verdict():
-    record = controlled.ControlledEFrame(E, np.zeros_like(PSI), U)
-    for call in (record.random_null_map, lambda seed: record.identity_errors(seed=seed)):
+    """A record checks its seed at construction, so a family that is no controlled
+    frame still gets the seed's message, from the record and from the generators."""
+    zeros = np.zeros_like(PSI)
+    calls = (lambda seed: controlled.ControlledEFrame(E, zeros, U, seed=seed),
+             lambda seed: controlled.random_null_map(E, zeros, U, seed))
+    for call in calls:
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer"):
             call(-1)
 
