@@ -31,6 +31,7 @@ from .hilbert import (
     finite,
     frobenius,
     frozen,
+    real_part,
     require_positive,
     require_seed,
     require_tol,
@@ -194,18 +195,20 @@ def cmd_neumann(args) -> tuple[dict, int]:
 
 
 def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    mapping = gallery.example_mapping(dim)
-    images_psi = apply_mapping(mapping, gallery.example_psi(dim))
-    f = trial_vectors(dim, trials, seed)
+    mapping, f = gallery.example_mapping(dim), trial_vectors(dim, trials, seed)
+
+    def images(family):  # held real, as the mapping and every family are real
+        return real_part(apply_mapping(mapping, family(dim)))
 
     def both_residuals(analysis, synthesis, target):
         plain = worst_residual(trial_sums(synthesis.T, analysis, f), f, target)
         return plain, gallery.CONTROL_SCALE * plain  # exact: see README's paper-example
 
+    images_psi = images(gallery.example_psi)
     residuals = dict(zip(
         ("plain_psi_tilde", "controlled_psi_tilde", "plain_phi", "controlled_phi"),
-        both_residuals(images_psi, apply_mapping(mapping, gallery.example_psi_tilde(dim)), 2.0)
-        + both_residuals(apply_mapping(mapping, gallery.example_phi(dim)), images_psi, 1.0),
+        both_residuals(images_psi, images(gallery.example_psi_tilde), 2.0)
+        + both_residuals(images(gallery.example_phi), images_psi, 1.0),
     ))
     report = {
         "dim": dim,

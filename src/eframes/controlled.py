@@ -178,12 +178,12 @@ class ControlledEFrame:
         """
         f = hilbert.trial_vectors(self.images.shape[1], self.trials, self.seed)
         self.require_valid()
-        lhs = hilbert.trial_sums(self.t_u, self.images, f)  # last d columns: summed S
+        lhs = hilbert.trial_sums(self.t_u, self.images, f)  # (sums of f, summed S)
         rhs = hilbert.trial_sums(self.images.T, self.t_u.T, f)
         scale = hilbert.frobenius(self.s_ue)
-        err_sue_use = hilbert.frobenius(lhs[:, self.trials:] - self.s_ue) / scale
+        err_sue_use = hilbert.frobenius(lhs[1] - self.s_ue) / scale
         err_commute = hilbert.frobenius(self.s_ue - self.s_e @ self.u.conj().T) / scale
-        err_switched = hilbert.worst_residual(lhs - rhs, f, 0.0)
+        err_switched = hilbert.worst_residual([a - b for a, b in zip(lhs, rhs)], f, 0.0)
         return IdentityReport(err_sue_use, err_commute, err_switched)
 
     def commutation_criterion(self) -> bool:
@@ -228,10 +228,10 @@ class ControlledEFrame:
         f = hilbert.trial_vectors(self.images.shape[1], self.trials, self.seed)
 
         def certificate(orientation, synthesis, analysis):
-            block = hilbert.finite(hilbert.trial_sums, synthesis, analysis, f)
-            res = hilbert.worst_residual(block, f, 1.0)
+            sums = hilbert.finite(hilbert.trial_sums, synthesis, analysis, f)
+            res = hilbert.worst_residual(sums, f, 1.0)
             ok = hilbert.backward_ok(res, synthesis, analysis, tol)
-            return DualCertificate(orientation, res, block.shape[1], ok)
+            return DualCertificate(orientation, res, self.trials + f.shape[0], ok)
 
         switched = hilbert.finite(np.matmul, self.u, images_phi.T)
         return (

@@ -29,34 +29,29 @@ def example_mapping(dim: int) -> MatrixMapping:
     return build_bidiagonal(dim + 1)
 
 
-def _strictly_lower(dim: int) -> np.ndarray:
-    """(dim + 1, dim) array whose row k, counted from 0, is e1 + ... + e_k."""
-    return np.tril(np.ones((dim + 1, dim), dtype=np.complex128), -1)
+def _family(dim: int, first: float, lead: float, rest: float) -> np.ndarray:
+    """(dim + 1, dim) array whose row 0 is first e1 and whose row k >= 1, counted from 0,
+    is lead e1 + rest (e2 + ... + e_k), formed in one allocation; dim is checked first."""
+    _check_dim(dim)
+    out = np.multiply(np.tri(dim + 1, dim, -1, dtype=bool), rest, dtype=np.complex128)
+    out[:, 0] = lead
+    out[0, 0] = first
+    return out
 
 
 def example_psi(dim: int) -> np.ndarray:
     """psi_1 = e1, psi_k = 2 e1 + e2 + ... + e_{k-1} for k >= 2."""
-    _check_dim(dim)
-    psi = _strictly_lower(dim)
-    psi[:, 0] *= 2.0
-    psi[0, 0] = 1.0
-    return psi
+    return _family(dim, 1.0, 2.0, 1.0)
 
 
 def example_psi_tilde(dim: int) -> np.ndarray:
     """psi~_1 = e1, psi~_k = 2 (e1 + ... + e_{k-1}) for k >= 2."""
-    _check_dim(dim)
-    out = 2.0 * _strictly_lower(dim)
-    out[0, 0] = 1.0
-    return out
+    return _family(dim, 1.0, 2.0, 2.0)
 
 
 def example_phi(dim: int) -> np.ndarray:
     """phi_1 = e1 / 3, phi_k = e1 + ... + e_{k-1} for k >= 2."""
-    _check_dim(dim)
-    out = _strictly_lower(dim)
-    out[0, 0] = 1.0 / 3.0
-    return out
+    return _family(dim, 1.0 / 3.0, 1.0, 1.0)
 
 
 def example_u(dim: int) -> np.ndarray:
@@ -72,9 +67,6 @@ def example_parseval_psi(dim: int) -> np.ndarray:
     plain frame operator is 2 id, the controlled one is id.
     """
     _check_dim(dim)
-    images = np.zeros((dim + 1, dim), dtype=np.complex128)
-    images[0, 0] = 1.0
-    images[1, 0] = 1.0
-    k = np.arange(2, dim + 1)
-    images[k, k - 1] = np.sqrt(2.0)
+    images = np.multiply(np.eye(dim + 1, dim, -1), np.sqrt(2.0), dtype=np.complex128)
+    images[:2, 0] = 1.0
     return apply_inverse_mapping(example_mapping(dim), images)

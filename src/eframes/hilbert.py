@@ -1,13 +1,13 @@
 """Dense complex linear algebra kernel used by every frame module.
 
-Conventions: vectors are 1-d complex128 arrays; operators on the
-d-dimensional space are (d, d) arrays; rectangular (d, N) and (N, d)
-arrays are synthesis and analysis maps between coefficient space C^N
-and the vector space. The inner product is linear in its first
-argument and conjugate-linear in the second. All functions but
-worst_residual are pure and never mutate their arguments, so values
-can be shared freely between threads. readonly is the one rule by which an
-array enters a record: kept when nobody can write it, else a frozen copy.
+Conventions: vectors are 1-d complex128 arrays; operators on the d-dimensional
+space are (d, d) arrays; rectangular (d, N) and (N, d) arrays are synthesis and
+analysis maps between coefficient space C^N and the vector space (real_part holds
+one whose imaginary parts are all 0 real). The inner product is linear in its first
+argument and conjugate-linear in the second. All functions but worst_residual are
+pure and never mutate their arguments, so values can be shared freely between
+threads. readonly is the one rule by which an array enters a record: kept when
+nobody can write it, else a frozen copy.
 
 Input is checked here, once: validated (shape, then entries) for every
 array, require_tol for every tol, which it holds to [2^-48, 1), require_positive
@@ -67,12 +67,13 @@ def validated(x, name: str = "array", shape=(None, None), square=False) -> np.nd
 
 
 def finite(form, *args):
-    """form(*args) under np.errstate(over="ignore", invalid="ignore"), then through
-    validated at its own shape: the overflow rule, so that an entry formed as inf,
-    or NaN from inf - inf, is ValueError("entries must be finite"), not a warning."""
+    """form(*args) under np.errstate(over="ignore", invalid="ignore"), then each array it
+    gives (a tuple's each) through validated at its own shape: the overflow rule, so that
+    an entry formed as inf, or NaN from inf - inf, is ValueError("entries must be finite")."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = form(*args)
-    validated(out, shape=np.shape(out))
+    for arr in out if isinstance(out, tuple) else (out,):
+        validated(arr, shape=np.shape(arr))
     return out
 
 
@@ -208,17 +209,17 @@ def frobenius(a) -> float:
     return float(_scaled_norm(a))
 
 
-def _scaled_norm(a, axis=None):
-    """np.linalg.norm(a, axis=axis) when its largest value is in (1e-100, inf),
-    where no square overflowed and each lost to underflow is under 1e-107 of
-    their sum, or when a is zero; else the norm of a over power_of_two(a), an
-    exact scaling, times that power under the overflow rule (finite)."""
+def _scaled_norm(a, norm=np.linalg.norm):
+    """norm(a), a norm or the largest of a's column norms, when it is in (1e-100, inf),
+    where no square overflowed and each lost to underflow is under 1e-107 of their sum,
+    or when a is zero; else norm(a over power_of_two(a)), an exact scaling, times that
+    power under the overflow rule (finite)."""
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(a, axis=axis)
-    if 1e-100 < (norm if axis is None else np.max(norm)) < math.inf or not a.any():
-        return norm
+        value = norm(a)
+    if 1e-100 < value < math.inf or not a.any():
+        return value
     scale = power_of_two(a)
-    return finite(np.multiply, np.linalg.norm(a / scale, axis=axis), scale)
+    return finite(np.multiply, norm(a / scale), scale)
 
 
 def power_of_two(a) -> float:
@@ -241,22 +242,31 @@ def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
     return f / np.linalg.norm(f, axis=0)
 
 
-def trial_sums(synthesis, analysis, f) -> np.ndarray:
-    """[M f | M] for the d x d mixed operator M = synthesis analysis*: the sums of the
-    trial vectors, then those of the basis, with no block of N rows. If both maps are
-    real, M and M f are real GEMMs, on C-contiguous copies of the real parts."""
-    if synthesis.imag.any() or analysis.imag.any():
-        mixed = synthesis @ analysis.conj()
-    else:
-        mixed = np.ascontiguousarray(synthesis.real) @ np.ascontiguousarray(analysis.real)
-        f = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
-    return np.concatenate([(mixed @ f).view(np.complex128), mixed], axis=1)
+def real_part(a: np.ndarray) -> np.ndarray:
+    """a itself if it is real (asked first: a float array's .imag is a fresh zero array)
+    or has a nonzero imaginary part; else a C-contiguous copy of its real part."""
+    return a if not np.iscomplexobj(a) or a.imag.any() else a.real.copy()
 
 
-def worst_residual(block: np.ndarray, f: np.ndarray, target: float) -> float:
-    """Largest column norm of block - target * [f | I], scale-safe as frobenius;
-    overwrites block."""
-    trials = f.shape[1]
-    block[:, :trials] -= target * f
-    block[:, trials:][np.diag_indices(f.shape[0])] -= target
-    return float(np.max(_scaled_norm(block, axis=0)))
+def trial_sums(synthesis, analysis, f) -> tuple[np.ndarray, np.ndarray]:
+    """(M f, M) for the d x d mixed operator M = synthesis analysis*: the sums of the trial
+    vectors and of the basis, with no block of N rows or trials + d columns. If neither map
+    has a nonzero imaginary part, both go through real_part and M and M f are real GEMMs."""
+    if any(np.iscomplexobj(m) and m.imag.any() for m in (synthesis, analysis)):
+        mixed = synthesis @ analysis.conj()  # a real_part copy of either would be cast back
+        return mixed @ f, mixed
+    mixed = real_part(synthesis) @ real_part(analysis)
+    pairs = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
+    return (mixed @ pairs).view(np.complex128), mixed
+
+
+def worst_residual(sums, f: np.ndarray, target: float) -> float:
+    """Largest column norm of [M f | M] - target * [f | I] for sums = (M f, M), each part
+    scale-safe as frobenius on its own; overwrites both. Each column's squares are summed
+    row by row, as numpy sums a block's columns (a lone column it sums pairwise)."""
+    trial, basis = sums
+    trial -= target * f
+    basis[np.diag_indices(f.shape[0])] -= target
+    norms = (_scaled_norm(part, lambda a: np.max(np.sqrt(sum((a.conj() * a).real)), initial=0.0))
+             for part in sums)
+    return float(max(norms))

@@ -89,16 +89,13 @@ class ApproximateDual:
         self._require_contraction()
         step = self.deviation.conj()  # term @ step applies id - D T_u* to each member
         term = acc = self.phi
-        history = [hilbert.frobenius(term)]
-        converged = False
-        for n in range(1, self.max_terms + 1):
+        history, converged = [hilbert.frobenius(term)], False
+        while not converged and len(history) <= self.max_terms:
             term = term @ step
             acc = acc + term
             history.append(hilbert.frobenius(term))
-            if history[-1] <= self.eps * hilbert.frobenius(acc):
-                converged = True
-                break
-        return acc, NeumannReport(self.ratio, n, tuple(history), converged)
+            converged = history[-1] <= self.eps * hilbert.frobenius(acc)
+        return acc, NeumannReport(self.ratio, len(history) - 1, tuple(history), converged)
 
     def iterative_reconstruct(self, f) -> tuple[np.ndarray, NeumannReport]:
         """Reconstruct f from the approximate pair by geometric iteration.

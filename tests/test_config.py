@@ -505,6 +505,30 @@ def test_parse_config_holds_one_slice_of_python_numbers(tmp_path):
     assert peak <= 13e6, peak
 
 
+@pytest.fixture(scope="module")
+def tall_16385(tmp_path_factory):
+    """A (16385, 16) psi and phi config, 22.7 MB of text, written once per module."""
+    path = tmp_path_factory.mktemp("tall") / "tall-16385.json"
+    path.write_text(tall_config(16385, 16))
+    return path
+
+
+def test_parse_config_peak_is_bounded_by_the_file_and_its_arrays(tall_16385):
+    """At (16385, 16) the parse peaks at about 35.4 MB: the file's bytes, one slice of
+    Python numbers, and each array twice while its blocks are joined. It must stay at
+    or under 1.3 times the file size plus twice the arrays, 46.4 MB; orjson's
+    whole-document pass took it to 47.7 MB."""
+    tracemalloc.start()
+    try:
+        cfg = parse_config(str(tall_16385))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.psi.shape == cfg.phi.shape == (16385, 16)
+    bound = 1.3 * tall_16385.stat().st_size + 2 * (cfg.psi.nbytes + cfg.phi.nbytes)
+    assert peak <= bound, (peak, bound)
+
+
 @pytest.mark.parametrize("count, kind, bound", [(257, "dense", 6e6), (16385, "banded", 11e6)],
                          ids=["dense-257", "banded-16385"])
 def test_parse_config_reads_mappings_in_slices(tmp_path, count, kind, bound):

@@ -122,7 +122,9 @@ def test_worst_residual_scales_exactly_by_powers_of_two(k):
     k = 700, no 0 at k = -700."""
     rng = np.random.default_rng(12)
     block = rng.standard_normal((16, 33)) + 1j * rng.standard_normal((16, 33))
-    worst = hilbert.worst_residual(block * 2.0**k, hilbert.trial_vectors(16, 17, 0), 0.0)
+    scaled = block * 2.0**k
+    sums = (scaled[:, :17], scaled[:, 17:])
+    worst = hilbert.worst_residual(sums, hilbert.trial_vectors(16, 17, 0), 0.0)
     assert worst == np.max(np.linalg.norm(block, axis=0)) * 2.0**k
 
 
@@ -138,7 +140,7 @@ def test_a_norm_past_the_double_range_is_an_input_error():
         with pytest.raises(ValueError, match="^entries must be finite$"):
             hilbert.frobenius(a)
     with pytest.raises(ValueError, match="^entries must be finite$"):
-        hilbert.worst_residual(big, hilbert.trial_vectors(2, 1, 0), 0.0)
+        hilbert.worst_residual((big[:, :1], big[:, 1:]), hilbert.trial_vectors(2, 1, 0), 0.0)
 
 
 def test_hermitian_bounds_sandwich():
@@ -306,7 +308,7 @@ def test_trial_sums_match_the_chain_through_the_basis(
     f = hilbert.trial_vectors(d, trials, seed)
     if strided:
         f = np.hstack([f, f])[:, ::2]
-    block = hilbert.trial_sums(synthesis, analysis, f)
+    block = np.hstack(hilbert.trial_sums(synthesis, analysis, f))
     basis = np.hstack([f, np.eye(d)])
     chain = synthesis @ (analysis.conj() @ basis)
     assert block.dtype == np.complex128
@@ -316,11 +318,10 @@ def test_trial_sums_match_the_chain_through_the_basis(
 
 
 def test_real_trial_sums_peak_no_higher_than_complex():
-    """The real route copies both maps' real parts and frees them before the
-    block is formed, so at paper-example's largest shape, (769, 768) images,
-    its peak, about 17 MB, stays at or under the complex route's, about 21 MB.
-    Forming the block while the copies were alive took it above, and raised
-    paper-example's peak by 3.5 MB."""
+    """real_part copies each map's real part and the sums are formed with no block, so
+    at paper-example's largest shape, (769, 768) images, the real route's peak, about
+    14.2 MB, stays at or under the complex route's, about 18.9 MB. Forming a block
+    while the copies were alive took it above, and raised paper-example's peak by 3.5 MB."""
     images = np.random.default_rng(0).standard_normal((769, 768)) + 0j
     f = hilbert.trial_vectors(768, 100, 1)
     peaks = []
@@ -335,8 +336,9 @@ def test_real_trial_sums_peak_no_higher_than_complex():
 
 
 def test_complex_trial_sums_peak():
-    """At (769, 768) images the complex route holds the mixed operator, its product
-    with f and the block while the block is joined: about 21.3 MB."""
+    """At (769, 768) images the complex route holds the conjugate of the analysis map
+    and the mixed operator, with no block of trials + d columns: about 18.9 MB, where
+    joining [M f | M] took it to 21.3 MB."""
     images = np.random.default_rng(0).standard_normal((769, 768)) + 1e-3j
     f = hilbert.trial_vectors(768, 100, 1)
     tracemalloc.start()
@@ -346,6 +348,28 @@ def test_complex_trial_sums_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 22e6, peak
+
+
+@pytest.mark.parametrize("real_side", ["synthesis", "analysis"])
+def test_mixed_trial_sums_copy_neither_map(real_side):
+    """One map with all imaginary parts 0 and one with a nonzero imaginary part take
+    the complex route on the maps as given: a real_part copy of the first would be cast
+    back to complex by the product, 1.5 times its size more (0.39 MB at (1025, 16))."""
+    rng = np.random.default_rng(5)
+    images = rng.standard_normal((1025, 16)) + 1j * rng.standard_normal((1025, 16))
+    real_valued = rng.standard_normal((1025, 16)) + 0j
+    f = hilbert.trial_vectors(16, 100, 1)
+    peaks = []
+    for other in (real_valued, real_valued + 1e-3j):  # mixed, then both complex
+        pair = (other.T, images) if real_side == "synthesis" else (images.T, other)
+        tracemalloc.start()
+        try:
+            sums = hilbert.trial_sums(*pair, f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sums[1].dtype == np.complex128
+    assert peaks[0] <= peaks[1] + 10_000, peaks
 
 
 def test_tall_trial_sums_hold_no_block_of_n_rows():
@@ -373,8 +397,88 @@ def test_worst_residual_is_the_largest_column_norm(d, trials, scale, seed, targe
     block = gaussian(rng, (d, trials + d), scale)
     target *= scale
     explicit = np.max(np.linalg.norm(block - target * np.hstack([f, np.eye(d)]), axis=0))
-    worst = hilbert.worst_residual(block, f, target)
+    worst = hilbert.worst_residual((block[:, :trials], block[:, trials:]), f, target)
     assert abs(worst - explicit) <= 16 * np.finfo(float).eps * scale
+
+
+def block_worst_residual(block, f, target):
+    """worst_residual as it took the (d, trials + d) block [M f | M]: one set of column
+    norms, rescaled by the block's power of two when its largest is outside (1e-100, inf)."""
+    trials = f.shape[1]
+    block[:, :trials] -= target * f
+    block[:, trials:][np.diag_indices(f.shape[0])] -= target
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(block, axis=0)
+    if not (1e-100 < np.max(norm) < np.inf or not block.any()):
+        scale = hilbert.power_of_two(block)
+        norm = np.linalg.norm(block / scale, axis=0) * scale
+    return float(np.max(norm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=dims, n=st.integers(1, 80), trials=st.integers(1, 40), seed=seeds,
+    kinds=st.tuples(map_kinds, map_kinds), target=st.floats(-2.0, 2.0),
+    scale=st.sampled_from([2.0**-600, 1.0, 2.0**600]),
+    trial_scale=st.sampled_from([1.0, 2.0**-400]),
+)
+@example(d=9, n=12, trials=1, seed=0, kinds=("real", "real"), target=2.0, scale=1.0,
+         trial_scale=1.0)  # a lone trial column, which numpy's norm sums pairwise
+@example(d=5, n=7, trials=3, seed=1, kinds=("complex", "real"), target=0.0, scale=1.0,
+         trial_scale=2.0**-400)  # the trial part alone below 1e-100
+@example(d=5, n=7, trials=3, seed=2, kinds=("zero-imaginary", "complex"), target=0.0,
+         scale=2.0**600, trial_scale=2.0**-400)  # the basis part alone past the range
+def test_pair_worst_residual_is_the_blocks_bit_for_bit(
+    d, n, trials, seed, kinds, target, scale, trial_scale
+):
+    """The pair form gives the bits of the block form it replaced, on the sums of
+    complex, real and zero-imaginary maps at scales 2^-600, 1 and 2^600, with the trial
+    part alone scaled down by 2^-400 too: each part is rescaled on its own, and a
+    part's largest column norm below 1e-100 or past the range decides nothing for the
+    other."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, kind):
+        m = gaussian(rng, shape, 1.0)
+        return {"complex": m, "real": m.real, "zero-imaginary": m.real + 0j}[kind]
+
+    f = hilbert.trial_vectors(d, trials, seed)
+    sums = hilbert.trial_sums(scale * draw((d, n), kinds[0]), draw((n, d), kinds[1]), f)
+    sums[0][:] *= trial_scale
+    block = np.hstack(sums)
+    assert hilbert.worst_residual(sums, f, target) == block_worst_residual(block, f, target)
+
+
+def test_real_part_of_a_float_array_is_itself_with_no_allocation():
+    a = np.random.default_rng(3).standard_normal((500, 400))
+    tracemalloc.start()
+    try:
+        out = hilbert.real_part(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is a
+    assert peak < a.nbytes / 100, peak  # a.imag would be a fresh zero array of a's size
+
+
+def test_real_part_keeps_a_nonzero_imaginary_part():
+    a = np.zeros((4, 3), dtype=np.complex128)
+    a[3, 2] = 1e-300j
+    assert hilbert.real_part(a) is a
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "1x1"])
+def test_real_part_of_a_zero_imaginary_array_is_a_contiguous_float64_copy(layout):
+    values = np.random.default_rng(4).standard_normal((6, 5)) + 0j
+    a = {"C": values, "F": np.asfortranarray(values), "strided": values[::2, ::2],
+         "1x1": values[:1, :1]}[layout]
+    kept = a.copy()
+    out = hilbert.real_part(a)
+    assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, a)
+    assert np.array_equal(out, a.real)
+    out[...] = 99.0
+    assert a.dtype == np.complex128 and np.array_equal(a, kept)
 
 
 CALLER_HELD = ("writeable", "read-only view", "writeable view", "bytearray", "read-only float64")
