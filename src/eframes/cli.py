@@ -31,7 +31,6 @@ from .hilbert import (
     finite,
     frobenius,
     frozen,
-    real_part,
     require_positive,
     require_seed,
     require_tol,
@@ -197,8 +196,8 @@ def cmd_neumann(args) -> tuple[dict, int]:
 def cmd_paper_example(dim: int, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     mapping, f = gallery.example_mapping(dim), trial_vectors(dim, trials, seed)
 
-    def images(family):  # held real, as the mapping and every family are real
-        return real_part(apply_mapping(mapping, family(dim)))
+    def images(family):  # real: the mapping keeps a real family's dtype
+        return apply_mapping(mapping, family(dim))
 
     def both_residuals(analysis, synthesis, target):
         plain = worst_residual(trial_sums(synthesis.T, analysis, f), f, target)

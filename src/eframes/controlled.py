@@ -101,10 +101,10 @@ class ControlledEFrame:
         trials = hilbert.require_positive(self.trials, "trials", integer=True)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", hilbert.require_seed(self.seed, "seed"))
-        psi = hilbert.validated(self.psi, "psi", (self.mapping.n, None))
+        psi = hilbert.readonly(hilbert.validated(self.psi, "psi", (self.mapping.n, None)))
         images = hilbert.frozen(apply_mapping(self.mapping, psi))
         u = hilbert.validated(self.u, "u", (images.shape[1],) * 2)
-        object.__setattr__(self, "psi", hilbert.readonly(psi))
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "u", hilbert.readonly(u))
         object.__setattr__(self, "images", images)
 

@@ -34,7 +34,7 @@ class RieszEquivalenceReport:
 def _record_at_identity(e: MatrixMapping, psi, tol: float) -> ControlledEFrame:
     """The prepared record of psi over E at U = id."""
     psi = hilbert.validated(psi, "psi", (e.n, None))
-    return ControlledEFrame(e, psi, np.eye(psi.shape[1], dtype=np.complex128), tol)
+    return ControlledEFrame(e, psi, np.eye(psi.shape[1]), tol)
 
 
 def e_frame_bounds(e: MatrixMapping, psi, tol: float = DEFAULT_TOL) -> EFrameRecord:
@@ -76,7 +76,7 @@ def riesz_equivalence(
     """
     psi = e_riesz_family(v, e, basis, tol)
     riesz = ControlledEFrame(e, psi, u, tol).bounds
-    direct_seq = np.asarray(basis, dtype=complex) @ np.asarray(v, dtype=complex).T
+    direct_seq = hilbert.validated(basis, "basis") @ hilbert.validated(v, "v").T
     direct = ControlledEFrame(identity_mapping(e.n), direct_seq, u, tol).bounds
     dev = float(max(abs(riesz.lo - direct.lo), abs(riesz.hi - direct.hi)))
     agree = dev <= tol * max(abs(riesz.hi), abs(direct.hi))

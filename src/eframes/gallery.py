@@ -33,7 +33,7 @@ def _family(dim: int, first: float, lead: float, rest: float) -> np.ndarray:
     """(dim + 1, dim) array whose row 0 is first e1 and whose row k >= 1, counted from 0,
     is lead e1 + rest (e2 + ... + e_k), formed in one allocation; dim is checked first."""
     _check_dim(dim)
-    out = np.multiply(np.tri(dim + 1, dim, -1, dtype=bool), rest, dtype=np.complex128)
+    out = np.multiply(np.tri(dim + 1, dim, -1, dtype=bool), rest)
     out[:, 0] = lead
     out[0, 0] = first
     return out
@@ -57,7 +57,7 @@ def example_phi(dim: int) -> np.ndarray:
 def example_u(dim: int) -> np.ndarray:
     """The halving control operator."""
     _check_dim(dim)
-    return CONTROL_SCALE * np.eye(dim, dtype=np.complex128)
+    return CONTROL_SCALE * np.eye(dim)
 
 
 def example_parseval_psi(dim: int) -> np.ndarray:
@@ -67,6 +67,6 @@ def example_parseval_psi(dim: int) -> np.ndarray:
     plain frame operator is 2 id, the controlled one is id.
     """
     _check_dim(dim)
-    images = np.multiply(np.eye(dim + 1, dim, -1), np.sqrt(2.0), dtype=np.complex128)
+    images = np.eye(dim + 1, dim, -1) * np.sqrt(2.0)
     images[:2, 0] = 1.0
     return apply_inverse_mapping(example_mapping(dim), images)

@@ -1,13 +1,13 @@
 """Dense complex linear algebra kernel used by every frame module.
 
-Conventions: vectors are 1-d complex128 arrays; operators on the d-dimensional
-space are (d, d) arrays; rectangular (d, N) and (N, d) arrays are synthesis and
-analysis maps between coefficient space C^N and the vector space (real_part holds
-one whose imaginary parts are all 0 real). The inner product is linear in its first
-argument and conjugate-linear in the second. All functions but worst_residual are
-pure and never mutate their arguments, so values can be shared freely between
-threads. readonly is the one rule by which an array enters a record: kept when
-nobody can write it, else a frozen copy.
+Conventions: vectors are 1-d arrays; operators on the d-dimensional space are (d, d)
+arrays; rectangular (d, N) and (N, d) arrays are synthesis and analysis maps between
+coefficient space C^N and the vector space. The one dtype rule is validated's: a
+float64 array stays float64, any other input becomes complex128. The inner product is
+linear in its first argument and conjugate-linear in the second. All functions but
+worst_residual are pure and never mutate their arguments, so values can be shared
+freely between threads. readonly is the one rule by which an array enters a record:
+kept when nobody can write it, else a frozen complex128 copy.
 
 Input is checked here, once: validated (shape, then entries) for every
 array, require_tol for every tol, which it holds to [2^-48, 1), require_positive
@@ -47,11 +47,11 @@ DEFAULT_SEED = 42
 
 
 def validated(x, name: str = "array", shape=(None, None), square=False) -> np.ndarray:
-    """x as a complex array if it is nonempty with the given shape (None for
-    a free axis; square=True also asks for equal axes), else
-    DimensionMismatchError naming the argument; then ValueError("entries must
-    be finite") for an entry that is NaN or infinite: the one check of array input."""
-    arr = np.asarray(x, dtype=np.complex128)
+    """x as an array (the dtype rule: a float64 array itself, anything else complex128)
+    if it is nonempty with the given shape (None for a free axis; square=True also asks
+    for equal axes), else DimensionMismatchError naming the argument; then ValueError(
+    "entries must be finite") for an entry that is NaN or infinite: the one array check."""
+    arr = np.asarray(x, np.float64 if getattr(x, "dtype", None) == np.float64 else np.complex128)
     sizes = zip(shape, arr.shape)
     fits = arr.ndim == len(shape) and all(n in (None, k) for n, k in sizes)
     if not fits or arr.size == 0 or (square and arr.shape[0] != arr.shape[-1]):
@@ -67,9 +67,9 @@ def validated(x, name: str = "array", shape=(None, None), square=False) -> np.nd
 
 
 def finite(form, *args):
-    """form(*args) under np.errstate(over="ignore", invalid="ignore"), then each array it
-    gives (a tuple's each) through validated at its own shape: the overflow rule, so that
-    an entry formed as inf, or NaN from inf - inf, is ValueError("entries must be finite")."""
+    """form(*args) under np.errstate(over="ignore", invalid="ignore"), then each array it gives
+    (a tuple's each) through validated at its own shape, a float64 one with no copy: the
+    overflow rule, so an entry formed as inf, or NaN from inf - inf, is a ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = form(*args)
     for arr in out if isinstance(out, tuple) else (out,):
@@ -242,20 +242,13 @@ def trial_vectors(dim: int, trials: int, seed: int) -> np.ndarray:
     return f / np.linalg.norm(f, axis=0)
 
 
-def real_part(a: np.ndarray) -> np.ndarray:
-    """a itself if it is real (asked first: a float array's .imag is a fresh zero array)
-    or has a nonzero imaginary part; else a C-contiguous copy of its real part."""
-    return a if not np.iscomplexobj(a) or a.imag.any() else a.real.copy()
-
-
 def trial_sums(synthesis, analysis, f) -> tuple[np.ndarray, np.ndarray]:
     """(M f, M) for the d x d mixed operator M = synthesis analysis*: the sums of the trial
-    vectors and of the basis, with no block of N rows or trials + d columns. If neither map
-    has a nonzero imaginary part, both go through real_part and M and M f are real GEMMs."""
-    if any(np.iscomplexobj(m) and m.imag.any() for m in (synthesis, analysis)):
-        mixed = synthesis @ analysis.conj()  # a real_part copy of either would be cast back
+    vectors and of the basis, with no block of N rows or trials + d columns. If M is real
+    (both maps float64), M f is a real GEMM on f's (re, im) pairs."""
+    mixed = synthesis @ analysis.conj()  # a float64 array's conj() is itself
+    if np.iscomplexobj(mixed):
         return mixed @ f, mixed
-    mixed = real_part(synthesis) @ real_part(analysis)
     pairs = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
     return (mixed @ pairs).view(np.complex128), mixed
 

@@ -23,9 +23,11 @@ each read from the factorization of E over hilbert.power_of_two, an exact scalin
 apply and apply_inverse take an (n, d) sequence and raise
 DimensionMismatchError naming `seq` for any other shape; every kind forms its
 result under hilbert.finite, the overflow rule, so an image past the double
-range raises ValueError("entries must be finite") and numpy warns of nothing. A mapping is an
-operator only: the dense kind alone has `entries` and `inverse`, the two
-arrays it applies, and the dense form of any kind is apply(np.eye(n)).
+range raises ValueError("entries must be finite") and numpy warns of nothing. Each
+kind's result has the dtype np.result_type of its entries (complex128 for dense and
+banded, held as hilbert.readonly holds them) and the sequence. A mapping is an operator
+only: the dense kind alone has `entries` and `inverse`, the two arrays it applies, and
+the dense form of any kind is apply(np.eye(n)).
 apply_mapping and apply_inverse_mapping are the two methods under
 module-level names, for a tracer to patch.
 """
@@ -125,7 +127,7 @@ class _Banded(MatrixMapping):
         self._kl, self._ku, self._lu, self._piv = kl, ku, hilbert.frozen(lu), piv
 
     def _apply(self, seq):
-        out = np.zeros_like(seq)
+        out = np.zeros(seq.shape, np.result_type(seq, *self._diagonals.values()))
         for off, vals in self._diagonals.items():
             if off >= 0:
                 out[: self.n - off] += vals[:, None] * seq[off:]
@@ -154,11 +156,10 @@ class _Dense(MatrixMapping):
 
 
 def build_dense(entries, tol: float = DEFAULT_TOL) -> MatrixMapping:
-    """Validate a square grid, invert it once (hilbert.invert_operator, which
-    raises SingularOperatorError) and keep both."""
-    arr = hilbert.validated(entries, "entries", square=True)
-    inverse = hilbert.invert_operator(arr, tol)
-    return _Dense(hilbert.readonly(arr), hilbert.frozen(inverse))
+    """Validate a square grid, hold it as complex128 (hilbert.readonly), invert it once
+    (hilbert.invert_operator, which raises SingularOperatorError) and keep both."""
+    arr = hilbert.readonly(hilbert.validated(entries, "entries", square=True))
+    return _Dense(arr, hilbert.frozen(hilbert.invert_operator(arr, tol)))
 
 
 def build_bidiagonal(n: int) -> MatrixMapping:

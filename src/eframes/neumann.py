@@ -57,9 +57,8 @@ class ApproximateDual:
         object.__setattr__(self, "eps", hilbert.require_positive(self.eps, "eps"))
         max_terms = hilbert.require_positive(self.max_terms, "max_terms", integer=True)
         object.__setattr__(self, "max_terms", max_terms)
-        images = self.frame.images_of(self.phi)
         object.__setattr__(self, "phi", hilbert.readonly(self.phi))
-        object.__setattr__(self, "images", hilbert.frozen(images))
+        object.__setattr__(self, "images", hilbert.frozen(self.frame.images_of(self.phi)))
 
     @cached_property
     def deviation(self) -> np.ndarray:

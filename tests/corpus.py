@@ -14,9 +14,10 @@ builds the same configurations and argv lists.
 The corpus covers the worked example with exact, near, far and wrong duals;
 Gaussian families over bidiagonal, banded and dense mappings; a Bessel-only
 family; scalar, complex-scalar, identity, commuting Hermitian, non-commuting
-Hermitian and non-Hermitian U; a family scaled by 2^-30 and by 1e6, and one whose S_E underflows or
-overflows; a tol at
-the floor; malformed configurations; and every flag, valid and not.
+Hermitian and non-Hermitian U; a family scaled by 2^-30 and by 1e6, and one whose S_E
+underflows or overflows; the worked family over a dense E = 2^1023 (I - L) and over a
+banded E = 2^-1022 (I - L); a tol at the floor; malformed configurations; and every
+flag, valid and not.
 """
 
 from __future__ import annotations
@@ -139,6 +140,7 @@ def build(directory) -> list[list[str]]:
             argvs += [["analyze", files[0], "--strict", "--tol", tol]]
             argvs += [["dual", files[0], "--mode", mode, "--tol", tol] for mode in MODES]
     argvs += _flag_argvs(directory)
+    argvs += _extreme_argvs(directory)
     argvs += [["paper-example", "--dim", dim, *fmt] for dim in ("3", "4", "16") for fmt in FORMATS]
     argvs += [["paper-example", "--dim", "3", *flags] for flags in (
         ["--tol", "1e-6"], ["--tol", "3.56e-15"], ["--tol", "1e-17"], ["--trials", "5"],
@@ -191,6 +193,28 @@ def _flag_argvs(directory: Path) -> list[list[str]]:
     }
     for name, cfg in malformed.items():
         argvs += [[command, _write(directory, name, cfg)] for command in CONFIGURED]
+    return argvs
+
+
+def _extreme_argvs(directory: Path) -> list[list[str]]:
+    """analyze --strict and every dual mode on the worked family at the ends of the
+    double range: 2^-1023 psi over a dense E = 2^1023 (I - L), and 2^1022 psi over a
+    banded E = 2^-1022 (I - L), L the shift down, so that E psi is the worked images."""
+    from eframes import gallery
+
+    worked, t = json.loads((directory / "worked.json").read_text()), 2.0**-1022
+    extremes = {
+        "dense-2^1023": (2.0**-1023, {"kind": "dense", "entries": _pairs(
+            2.0**1023 * (np.eye(4) - np.eye(4, k=-1)))}),
+        "banded-2^-1022": (2.0**1022, {"kind": "banded", "diagonals": {
+            "0": _pairs([t] * 4), "-1": _pairs([-t] * 3)}}),
+    }
+    argvs = []
+    for name, (scale, mcfg) in extremes.items():
+        psi = _pairs(scale * gallery.example_psi(3))
+        path = _write(directory, name, {**worked, "psi": psi, "mapping": mcfg})
+        argvs += [["analyze", path, "--strict"]]
+        argvs += [["dual", path, "--mode", mode] for mode in MODES]
     return argvs
 
 

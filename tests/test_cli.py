@@ -445,15 +445,16 @@ def test_paper_example_dims(capsys):
 
 
 def test_paper_example_peak_memory():
-    """Each family's images are held real, the sums are (M f, M) with M a real d x d
+    """The families are float64 and the mapping keeps their dtype, so each family's
+    images come out real from the apply; the sums are (M f, M) with M a real d x d
     array, and each pair's sums are formed once (the controlled residual is
-    CONTROL_SCALE times the plain one): about 11.6 MB at d = 512 and 25.4 MB at
-    d = 768, set by applying the mapping to a complex family while psi's real images
-    are alive. With complex images and a (d, trials + d) complex block they were 19.3
-    and 41.5 MB; a second, scaled block per pair with all three families' images alive
-    peaked at about 29 MB at d = 512, a dense U and its product at about 33 MB, and a
-    chain through N x (trials + d) coefficient blocks at about 47 MB."""
-    for dim, bound in ((512, 13e6), (768, 27e6)):
+    CONTROL_SCALE times the plain one): about 10.0 MB at d = 512 and 21.4 MB at d = 768.
+    Applying the mapping to complex families and keeping real copies of the images
+    peaked at 11.6 and 25.4 MB; with complex images and a (d, trials + d) complex block
+    they were 19.3 and 41.5 MB; a second, scaled block per pair with all three families'
+    images alive peaked at about 29 MB at d = 512, a dense U and its product at about
+    33 MB, and a chain through N x (trials + d) coefficient blocks at about 47 MB."""
+    for dim, bound in ((512, 13e6), (768, 22e6)):
         tracemalloc.start()
         try:
             report, code = cmd_paper_example(dim, 1e-10, 100, 7)
@@ -498,19 +499,20 @@ def complex_trial_sums(synthesis, analysis, f):
 
 @pytest.mark.parametrize("dim", [3, 16])
 def test_real_configs_keep_their_certificates(tmp_path, capsys, monkeypatch, dim):
-    """The worked-example config (gallery families, U = I/2) is real, so its sums
-    take the real route of trial_sums; every command's report, certificates to the
-    bit, is the one the complex route gives."""
+    """The worked-example config (gallery families, U = I/2) holds real values, but a
+    config's arrays are always complex128, so every sum takes the complex route of
+    trial_sums (read from the maps' dtype); every command's report, certificates to the
+    bit, is the one complex-only sums give."""
     path = write_config(
         tmp_path, dimension=dim, count=dim + 1, psi=pairs(gallery.example_psi(dim)),
         phi=pairs(gallery.example_psi_tilde(dim)), trials=7,
     )
     argvs = [["analyze", path], ["verify", path]]
     argvs += [["dual", path, "--mode", mode] for mode in ("canonical", "right-inverse", "offset")]
-    real_routes, trial_sums = [], hilbert.trial_sums
+    complex_routes, trial_sums = [], hilbert.trial_sums
 
     def spy(synthesis, analysis, f):
-        real_routes.append(not (synthesis.imag.any() or analysis.imag.any()))
+        complex_routes.append(np.result_type(synthesis, analysis) == np.complex128)
         return trial_sums(synthesis, analysis, f)
 
     monkeypatch.setattr(hilbert, "trial_sums", spy)
@@ -519,7 +521,7 @@ def test_real_configs_keep_their_certificates(tmp_path, capsys, monkeypatch, dim
     assert [machine(capsys, *argv) for argv in argvs] == want
     assert [code for code, _ in want] == [0] * len(argvs)
     assert all("certificates" in report for _, report in want[1:])
-    assert sum(real_routes) >= 4
+    assert len(complex_routes) >= 4 and all(complex_routes), complex_routes
 
 
 def test_paper_example_dim_1_is_input_error(capsys):

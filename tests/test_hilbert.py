@@ -233,6 +233,55 @@ def test_finite_forms_under_the_overflow_rule():
             hilbert.finite(form, *args)
 
 
+def test_validated_keeps_float64_and_casts_every_other_input_to_complex128():
+    """The dtype rule: a float64 array is returned as itself, holding no more than its
+    isfinite mask (an eighth of its size); int, bool, float32, complex64 and lists, of
+    complex numbers or of floats, become complex128. A float64 input meets the shape
+    errors and the finite error of its complex128 cast, word for word."""
+    a = np.random.default_rng(3).standard_normal((500, 400))
+    tracemalloc.start()
+    try:
+        out = hilbert.validated(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is a
+    assert peak <= a.nbytes / 4, peak  # a complex128 copy is twice a's size
+    for x in (np.arange(6).reshape(2, 3), np.ones((2, 3), bool), np.ones((2, 3), np.float32),
+              np.ones((2, 3), np.complex64) * (1 + 2j), [[1, 2j, 3.5 - 1j]], [[1.0, 2.5]]):
+        out = hilbert.validated(x)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, np.asarray(x, np.complex128))
+    for bad, kwargs in [
+        (np.ones(3), {}), (np.ones((0, 3)), {}), (np.ones((3, 2)), {"square": True}),
+        (np.ones((2, 2)), {"shape": (None,)}), (np.ones((2, 3)), {"shape": (3, None)}),
+    ]:
+        messages = []
+        for x in (bad, bad.astype(np.complex128)):
+            with pytest.raises(DimensionMismatchError) as err:
+                hilbert.validated(x, "psi", **kwargs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], messages
+    for bad in (np.array([[np.nan, 1.0]]), np.array([[1.0, -np.inf]])):
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            hilbert.validated(bad)
+
+
+def test_finite_tests_a_real_array_as_it_is():
+    """hilbert.finite tests a float64 array it formed without a copy: on a real
+    (128, 128) m it holds the isfinite mask alone, about 17.8 KB, where a complex128
+    copy and its mask took 280 KB."""
+    m = np.random.default_rng(6).standard_normal((128, 128))
+    tracemalloc.start()
+    try:
+        out = hilbert.finite(lambda: (m, m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[0] is m and out[1] is m
+    assert peak <= 32_000, peak
+
+
 def test_finite_validation():
     assert hilbert.validated([1, 2j], shape=(None,)).dtype == np.complex128
     assert hilbert.validated(np.ones((2, 3))).shape == (2, 3)
@@ -292,8 +341,8 @@ map_kinds = st.sampled_from(["complex", "real", "zero-imaginary"])
 def test_trial_sums_match_the_chain_through_the_basis(
     d, n, trials, scale, seed, kinds, transposed, strided
 ):
-    """Both routes, the real one taken when neither map has a nonzero imaginary
-    part, on a Fortran-order synthesis (as images.T is) and a strided f. The
+    """Both routes, the real one taken when both maps are float64 (a complex128 map
+    with zero imaginary parts takes the complex one), on a Fortran-order synthesis (as images.T is) and a strided f. The
     error is bounded at the normwise scale of the product, ||S||_F ||A||_F
     ||[f | I]||_F, as hilbert.backward_ok bounds it: the chain itself can cancel
     (the example's is 7.1e-4 against a scale of 18)."""
@@ -318,11 +367,12 @@ def test_trial_sums_match_the_chain_through_the_basis(
 
 
 def test_real_trial_sums_peak_no_higher_than_complex():
-    """real_part copies each map's real part and the sums are formed with no block, so
-    at paper-example's largest shape, (769, 768) images, the real route's peak, about
-    14.2 MB, stays at or under the complex route's, about 18.9 MB. Forming a block
-    while the copies were alive took it above, and raised paper-example's peak by 3.5 MB."""
-    images = np.random.default_rng(0).standard_normal((769, 768)) + 0j
+    """Two float64 maps take the real route with no copy of either, and the sums are
+    formed with no block, so at paper-example's largest shape, (769, 768) images, the
+    real route's peak, about 5.9 MB, stays at or under the complex route's, about
+    18.9 MB. Forming a block while real copies of complex maps were alive took it
+    above, and raised paper-example's peak by 3.5 MB."""
+    images = np.random.default_rng(0).standard_normal((769, 768))
     f = hilbert.trial_vectors(768, 100, 1)
     peaks = []
     for analysis in (images, images + 1e-3j):
@@ -352,9 +402,10 @@ def test_complex_trial_sums_peak():
 
 @pytest.mark.parametrize("real_side", ["synthesis", "analysis"])
 def test_mixed_trial_sums_copy_neither_map(real_side):
-    """One map with all imaginary parts 0 and one with a nonzero imaginary part take
-    the complex route on the maps as given: a real_part copy of the first would be cast
-    back to complex by the product, 1.5 times its size more (0.39 MB at (1025, 16))."""
+    """A complex128 map with all imaginary parts 0, as a config holds one, and a map
+    with a nonzero imaginary part take the complex route on the maps as given: the route
+    is read from the product's dtype, and a float64 copy of the first would be cast back
+    to complex by the product, 1.5 times its size more (0.39 MB at (1025, 16))."""
     rng = np.random.default_rng(5)
     images = rng.standard_normal((1025, 16)) + 1j * rng.standard_normal((1025, 16))
     real_valued = rng.standard_normal((1025, 16)) + 0j
@@ -449,38 +500,6 @@ def test_pair_worst_residual_is_the_blocks_bit_for_bit(
     assert hilbert.worst_residual(sums, f, target) == block_worst_residual(block, f, target)
 
 
-def test_real_part_of_a_float_array_is_itself_with_no_allocation():
-    a = np.random.default_rng(3).standard_normal((500, 400))
-    tracemalloc.start()
-    try:
-        out = hilbert.real_part(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out is a
-    assert peak < a.nbytes / 100, peak  # a.imag would be a fresh zero array of a's size
-
-
-def test_real_part_keeps_a_nonzero_imaginary_part():
-    a = np.zeros((4, 3), dtype=np.complex128)
-    a[3, 2] = 1e-300j
-    assert hilbert.real_part(a) is a
-
-
-@pytest.mark.parametrize("layout", ["C", "F", "strided", "1x1"])
-def test_real_part_of_a_zero_imaginary_array_is_a_contiguous_float64_copy(layout):
-    values = np.random.default_rng(4).standard_normal((6, 5)) + 0j
-    a = {"C": values, "F": np.asfortranarray(values), "strided": values[::2, ::2],
-         "1x1": values[:1, :1]}[layout]
-    kept = a.copy()
-    out = hilbert.real_part(a)
-    assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
-    assert not np.shares_memory(out, a)
-    assert np.array_equal(out, a.real)
-    out[...] = 99.0
-    assert a.dtype == np.complex128 and np.array_equal(a, kept)
-
-
 CALLER_HELD = ("writeable", "read-only view", "writeable view", "bytearray", "read-only float64")
 
 
@@ -492,7 +511,7 @@ def caller_held(kind, values):
     read-only array over a bytearray, or a read-only float64 array (its owner, which
     may be made writeable again)."""
     if kind == "bytearray":  # read-only down to an ndarray that does not own its memory
-        buf = bytearray(values.tobytes())
+        buf = bytearray(np.asarray(values, np.complex128).tobytes())  # values may be real
         arr = hilbert.frozen(np.frombuffer(buf, np.complex128)).reshape(values.shape)
         writable = np.frombuffer(buf, np.complex128)
     else:

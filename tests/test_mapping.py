@@ -275,6 +275,53 @@ def test_apply_returns_new_array_and_keeps_input(kind):
         e.inverse[0, 0] = 5.0
 
 
+def real_and_complex_kinds(rng, n):
+    """Each kind, banded and dense with real and with complex entries, by name, with
+    the arrays that decide its result's dtype: none for identity and bidiagonal, the
+    entries as the mapping holds them for banded and dense."""
+    diagonals = banded_diagonals(rng, n, {-1, 2})
+    real_diagonals = {off: np.abs(v) if off == 0 else v.real for off, v in diagonals.items()}
+    dense = {"dense-real": np.eye(n) + 0.1 * rng.standard_normal((n, n)),
+             "dense-complex": random_conditioned_matrix(rng, n)}
+    kinds = {"identity": (mapping.identity_mapping(n), []),
+             "bidiagonal": (mapping.build_bidiagonal(n), [])}
+    for name, diags in (("banded-real", real_diagonals), ("banded-complex", diagonals)):
+        e = mapping.build_banded(n, diags)
+        kinds[name] = e, list(e._diagonals.values())
+    for name, grid in dense.items():
+        e = mapping.build_dense(grid)
+        kinds[name] = e, [e.entries, e.inverse]
+        cast = mapping.build_dense(grid.astype(np.complex128))  # the inverse keeps its bits
+        assert np.array_equal(bits(e.inverse), bits(cast.inverse)), name
+    return kinds
+
+
+def bits(a):
+    """a's complex128 cast as integers, so that equality is bitwise (signed zeros too)."""
+    return np.ascontiguousarray(a, np.complex128).view(np.uint64)
+
+
+def test_a_real_sequence_gives_the_bits_of_its_complex_cast():
+    """Every kind applies and inverts a float64 sequence, in C and Fortran order, with
+    the bits of its complex128 cast (signed zeros too), in np.result_type of the entries
+    it holds and the sequence: float64 under identity and bidiagonal, complex128 under
+    banded and dense, whose entries are held complex128. The caller's array is left as
+    it was, through the banded inverse's zgbtrs and its overwrite_b too."""
+    rng = np.random.default_rng(12)
+    n = 9
+    for name, (e, held) in real_and_complex_kinds(rng, n).items():
+        real = rng.standard_normal((n, 3))
+        for seq in (real, np.asfortranarray(real)):
+            kept = seq.copy(order="A")
+            for apply in (mapping.apply_mapping, mapping.apply_inverse_mapping):
+                out = apply(e, seq)
+                want = apply(e, seq.astype(np.complex128))
+                assert out.dtype == np.result_type(seq, *held), (name, apply)
+                assert (out.dtype == np.float64) == (name in ("identity", "bidiagonal"))
+                assert np.array_equal(bits(out), bits(want)), (name, apply)
+                assert seq.dtype == np.float64 and np.array_equal(seq, kept), (name, apply)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 40),
