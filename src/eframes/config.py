@@ -1,6 +1,10 @@
 """Problem configuration: JSON with [re, im] complex pairs, each array read in slices
 into a read-only array, which a record keeps without a copy (hilbert.readonly).
 
+Each slice of about 64 KiB of rows must match one exact template, its first element's
+brackets and commas repeated; orjson reads its numbers as one flat list. The stdlib
+reader reads all else and alone decides every error (orjson reads 2**64 as a float).
+
 Schema (each complex entry is an [re, im] pair of JSON numbers: not
 booleans, strings or null; an integer beyond double range is an error):
 
@@ -35,8 +39,8 @@ from .mapping import MatrixMapping, build_banded, build_bidiagonal, build_dense
 _TOP_KEYS = {"dimension", "count", "psi", "mapping", "u", "phi", "tol", "trials", "seed"}
 _ARRAY = re.compile(rb":[ \t\r\n]*(?=\[)")  # a member's colon, before an array value
 _ROW_END = re.compile(rb"\][ \t\r\n]*\][ \t\r\n]*,(?=[ \t\r\n]*\[)")  # pair, row, comma, row
-_STEPS = bytes({ord("["): 1, ord("]"): 255}.get(byte, 0) for byte in range(256))  # int8 steps
-_NUMBER_TEXT, _SLICE = b",0123456789.eE+- \t\r\n", 1 << 16  # _SLICE: bytes per orjson call
+_ZEROS = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)  # each number byte to a "0"
+_BRACKETS, _SLICE = bytes.maketrans(b"[]", b"  "), 1 << 16  # _SLICE: bytes per orjson call
 
 
 class ConfigError(ValueError):
@@ -75,18 +79,27 @@ def _complex_array(raw, shape: tuple, where: str) -> np.ndarray:
 
 
 def _read_rows(data: bytes, start: int, stop: int) -> np.ndarray:
-    """The float64 array in data[start:stop], read by orjson _SLICE bytes of whole rows
-    at a time; ValueError unless it is not empty and every slice is number text, at
-    most 3 deep (orjson recurses without a limit), that parses to rows of one shape."""
+    """The float64 array in data[start:stop], read _SLICE bytes of whole rows at a time;
+    ValueError unless it is not empty and each slice, without whitespace and with each
+    number as "0"s, holds no "]0" or "0[" and, once the "0"s go, is count copies of its
+    first element's template, comma-joined: b"" for a number, b"[,]" for a pair and
+    b"[[,],[,]]" for a row of two; never deeper. orjson reads the numbers flat."""
     blocks, at = [], start + 1
     while at < stop - 1:
         cut = _ROW_END.search(data, at + _SLICE, stop - 1)
         end = cut.end() - 1 if cut else stop - 1  # the comma after a row, or the last "]"
-        text = b"[%b]" % data[at:end]
-        steps = np.frombuffer(text.translate(_STEPS, _NUMBER_TEXT), np.int8)  # 0: other text
-        if not steps.all() or steps.cumsum(dtype=np.int8).max() > 3:
-            raise ValueError("not number text at most 3 deep")  # 4 shows before int8 wraps
-        blocks.append(np.array(orjson.loads(text), np.float64))
+        bare = data[at:end].translate(_ZEROS, b" \t\r\n")
+        codes, marks = np.frombuffer(bare, np.uint8), bare.translate(None, b"0")
+        depth, shape, item = marks[:2].count(b"["), [], b""  # a deeper element fits no template
+        for level in range(1, depth + 1):  # the first element's lists, innermost first
+            shape.insert(0, (marks.find(b"]" * level) + 2 * level - depth - 1) // (len(item) + 1))
+            item = b"[%b]" % b",".join([item] * shape[0])
+        count, zero = (len(marks) + 1) // (len(item) + 1), codes == ord("0")
+        if marks != b",".join([item] * count) or (zero[1:] & (codes[:-1] == ord("]"))).any() \
+                or (zero[:-1] & (codes[1:] == ord("["))).any():  # as in "[1, ]2" or "2[, 1]"
+            raise ValueError("not number text in one template")
+        flat = orjson.loads(b"[%b]" % data[at:end].translate(_BRACKETS))
+        blocks.append(np.array(flat, np.float64).reshape(count, *shape))
         at = end + 1
     return np.concatenate(blocks)
 
@@ -114,8 +127,7 @@ def _build_mapping(spec, count: int, tol: float) -> MatrixMapping:
             for off, vals in diagonals.items():
                 if not isinstance(vals, (list, np.ndarray)):
                     raise ConfigError(f"diagonal {off} must be a list of pairs")
-                where = f"mapping.diagonals[{off}]"
-                parsed[off] = _complex_array(vals, (len(vals),), where)
+                parsed[off] = _complex_array(vals, (len(vals),), f"mapping.diagonals[{off}]")
             return build_banded(count, parsed, tol)
     except DimensionMismatchError as exc:
         raise ConfigError(str(exc)) from exc
@@ -169,9 +181,6 @@ def parse_config(path, overrides=None) -> ProblemConfig:
     --tol, --trials and --seed flags, replace the file's values before anything
     is parsed or built. Raises ConfigError on malformed input and
     SingularOperatorError when the declared mapping cannot be inverted.
-    orjson reads the file's arrays when it can, and the stdlib reader the rest, but
-    the stdlib reader alone decides every error: orjson reads an integer beyond
-    64 bits as a float, for one.
     """
     raw = _fast_json(path)
     if raw is not None:
@@ -214,6 +223,5 @@ def _problem(raw, overrides) -> ProblemConfig:
 
     mapping = _build_mapping(raw["mapping"], count, tol)
     u = _build_u(raw["u"], dimension)
-    phi = raw.get("phi")
-    phi = None if phi is None else _complex_array(phi, (count, dimension), "phi")
+    phi = None if raw.get("phi") is None else _complex_array(raw["phi"], (count, dimension), "phi")
     return ProblemConfig(psi, mapping, u, phi, tol, trials, seed)

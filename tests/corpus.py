@@ -16,7 +16,9 @@ Gaussian families over bidiagonal, banded and dense mappings; a Bessel-only
 family; scalar, complex-scalar, identity, commuting Hermitian, non-commuting
 Hermitian and non-Hermitian U; a family scaled by 2^-30 and by 1e6, and one whose S_E
 underflows or overflows; the worked family over a dense E = 2^1023 (I - L) and over a
-banded E = 2^-1022 (I - L); a tol at the floor; malformed configurations; and every
+banded E = 2^-1022 (I - L); a tol at the floor; malformed configurations; a (2049, 16)
+family that the reader takes in many slices, in three layouts, with and without its
+dual, and with a short row or a three-number pair in its second slice; and every
 flag, valid and not.
 """
 
@@ -141,6 +143,7 @@ def build(directory) -> list[list[str]]:
             argvs += [["dual", files[0], "--mode", mode, "--tol", tol] for mode in MODES]
     argvs += _flag_argvs(directory)
     argvs += _extreme_argvs(directory)
+    argvs += _tall_argvs(directory)
     argvs += [["paper-example", "--dim", dim, *fmt] for dim in ("3", "4", "16") for fmt in FORMATS]
     argvs += [["paper-example", "--dim", "3", *flags] for flags in (
         ["--tol", "1e-6"], ["--tol", "3.56e-15"], ["--tol", "1e-17"], ["--trials", "5"],
@@ -216,6 +219,34 @@ def _extreme_argvs(directory: Path) -> list[list[str]]:
         argvs += [["analyze", path, "--strict"]]
         argvs += [["dual", path, "--mode", mode] for mode in MODES]
     return argvs
+
+
+def _tall_argvs(directory: Path) -> list[list[str]]:
+    """A Gaussian (2049, 16) family over the bidiagonal mapping with U = I/2, which the
+    reader takes in about 20 slices, in three layouts, with and without its canonical
+    dual; the same config with row 120 (in its second slice in each layout) one pair
+    short, or its first pair three numbers long; and a (1025, 16) offset dual at a
+    tol below the floor."""
+    from eframes import controlled, mapping
+
+    psi = _gaussian(np.random.default_rng(SEED), (2049, 16))
+    cfg = {"dimension": 16, "count": 2049, "psi": _pairs(psi),
+           "mapping": {"kind": "paper_bidiagonal"}, "u": {"kind": "scalar", "value": 0.5}}
+    record = controlled.ControlledEFrame(mapping.build_bidiagonal(2049), psi, 0.5 * np.eye(16))
+    layouts = {"default": {}, "indent": {"indent": 1}, "compact": {"separators": (",", ":")}}
+    argvs, with_phi = [], {**cfg, "phi": _pairs(record.canonical_dual())}
+    for name, layout in layouts.items():
+        path = _write(directory, f"tall-{name}", json.dumps(cfg, **layout))
+        argvs.append(["analyze", path, "--format", "machine"])
+        argvs.append(["verify", _write(directory, f"tall-{name}-phi", json.dumps(with_phi, **layout)),
+                      "--format", "machine"])
+    short, long = _pairs(psi), _pairs(psi)
+    short[120], long[120][0] = short[120][:-1], long[120][0] + [0.0]
+    for name, rows in (("tall-short-row", short), ("tall-three-number-pair", long)):
+        argvs.append(["analyze", _write(directory, name, {**cfg, "psi": rows})])
+    wide = _gaussian(np.random.default_rng(SEED), (1025, 16))
+    path = _write(directory, "tall-1025", {**cfg, "count": 1025, "psi": _pairs(wide)})
+    return argvs + [["dual", path, "--mode", "offset", "--tol", "1e-15"]]
 
 
 def run_all(argvs) -> list[list]:

@@ -801,8 +801,9 @@ def test_mapping_at_the_top_of_the_double_range_gives_the_worked_report(tmp_path
 
 
 def test_deeply_nested_config_exits_1(tmp_path, capsys):
-    """Nesting this deep skips orjson, and json.load raises RecursionError;
-    a nesting of 500-900 is parsed and then fails the shape check."""
+    """Nesting this deep fits no slice template, so orjson never reads it, and
+    json.load raises RecursionError; a nesting of 500-900 is parsed and then
+    fails the shape check."""
     depth = 200_000
     path = tmp_path / "deep.json"
     path.write_text('{"dimension": ' + "[" * depth + "]" * depth + "}")

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import threading
 import tracemalloc
 
@@ -444,6 +445,21 @@ def mapping_config(count, kind) -> str:
     })
 
 
+def psi_edited(edit, text=None) -> str:
+    """text (the reader config by default) with edit applied to its psi rows."""
+    spec = json.loads(text or reader_config())
+    edit(spec["psi"])
+    return json.dumps(spec)
+
+
+def short_row(rows):
+    rows[1500] = rows[1500][:-1]  # in a later slice of tall_config(2049, 16)
+
+
+def deeper_row(rows):
+    rows[1] = [rows[1]]
+
+
 TWICE = '"psi": %s, "psi"' % json.dumps([[[9.0, 0.0]] * 3] * 4)  # the last one counts
 CUT_CASES = {  # name: (config text, stage)
     "indent-1": (lambda: json.dumps(json.loads(reader_config()), indent=1), "fast"),
@@ -471,6 +487,14 @@ CUT_CASES = {  # name: (config text, stage)
     "last-member-closes-into-brace": (changed, "fast"),
     "entries-4-deep": (lambda: edited("[0.5, 0.0]", "[[0.5, 0.0]]"), "scan"),
     "diagonal-200-deep": (lambda: edited('"-1": ', '"-2": %s1, 0%s, "-1": ' % ("[" * 200, "]" * 200)), "scan"),
+    "three-number-pair": (lambda: edited("[0.125, 0]", "[0.125, 0, 0]"), "scan"),
+    "one-number-pair": (lambda: edited("[0.125, 0]", "[0.125]"), "scan"),
+    "short-row-in-a-later-slice": (lambda: psi_edited(short_row, tall_config(2049, 16)), "scan"),
+    "row-one-level-deeper": (lambda: psi_edited(deeper_row), "scan"),
+    "space-inside-a-number": (lambda: edited("0.125", "0.1 25"), "scan"),
+    "number-after-its-pair": (lambda: edited("[0.125, 0]", "[0.125, ]0"), "scan"),
+    "number-before-its-pair": (lambda: edited("[0.125, 0]", "0[, 0.125]"), "scan"),
+    "number-after-its-row": (lambda: re.sub(r"([-0-9.e]+)\]\], ", r"]]\1, ", reader_config(), 1), "scan"),
 }
 
 
@@ -487,6 +511,72 @@ def test_readers_agree_on_cut_out_arrays(tmp_path, monkeypatch, name, slice_byte
     assert fast_stage(str(path)) == stage
     parsed, *_ = assert_readers_agree(str(path))
     assert stage == "scan" or (len(parsed) > 2) == (stage == "fast"), parsed
+
+
+def spy_on_orjson(monkeypatch) -> list:
+    """The (text, list) of each orjson.loads call from here on; each text must hold
+    one "[" and one "]", around it, and each list only numbers."""
+    calls, loads = [], config.orjson.loads
+
+    def spy(text):
+        flat = loads(text)
+        assert text.count(b"[") == text.count(b"]") == 1 and text[0] == ord("[") and text[-1] == ord("]")
+        assert isinstance(flat, list) and all(type(x) in (int, float) for x in flat)
+        calls.append((text, flat))
+        return flat
+
+    monkeypatch.setattr(config.orjson, "loads", spy)
+    return calls
+
+
+@pytest.mark.parametrize("layout", [{}, {"indent": 1}, {"separators": (",", ":")}],
+                         ids=["default", "indent-1", "compact"])
+def test_orjson_reads_each_slice_as_one_flat_list(tmp_path, monkeypatch, layout):
+    """A (2049, 16) psi and phi: one call per slice, each of whole rows (32 numbers),
+    every slice but an array's last over _SLICE bytes; with 1-byte slices, one
+    call per row. The values are the stdlib reader's, bit for bit."""
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(json.loads(tall_config(2049, 16)), **layout))
+    want = json.loads(path.read_text())
+    for slice_bytes in (config._SLICE, 1):
+        monkeypatch.setattr(config, "_SLICE", slice_bytes)
+        calls = spy_on_orjson(monkeypatch)
+        raw = config._fast_json(str(path))
+        monkeypatch.undo()
+        assert arrays_cut(raw, want) == 2
+        sizes = [len(flat) for _, flat in calls]
+        assert all(size % 32 == 0 for size in sizes) and sum(sizes) == 2 * 2049 * 32
+        psi_calls = next(i for i in range(len(sizes) + 1) if sum(sizes[:i]) == 2049 * 32)
+        for array in (calls[:psi_calls], calls[psi_calls:]):
+            assert all(len(text) - 2 > slice_bytes for text, _ in array[:-1])
+        if slice_bytes == 1:
+            assert sizes == [32] * 4098
+
+
+def regular_arrays():
+    """A depth 1-3 array of finite numbers, each axis 1 to 6 long, as nested lists."""
+    return st.lists(st.integers(1, 6), min_size=1, max_size=3).flatmap(lambda shape: st.lists(
+        NUMBERS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+    ).map(lambda values: np.array(values, dtype=object).reshape(shape).tolist()))
+
+
+LAYOUTS = st.fixed_dictionaries({}, optional={
+    "indent": st.sampled_from([0, 1, 2, "\t", " \r\n"]),
+    "separators": st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", ":"), ("\t,\t", ":")]),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(array=regular_arrays(), layout=LAYOUTS, slice_bytes=st.sampled_from([1, 64, 1 << 16]))
+def test_read_rows_is_the_stdlib_array_bit_for_bit(array, layout, slice_bytes):
+    """Any regular array of depth 1 to 3, in any json.dumps layout, at any slice size."""
+    text = json.dumps({"a": array}, **layout).encode()
+    start = text.index(b"[")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "_SLICE", slice_bytes)
+        got = config._read_rows(text, start, text.rindex(b"]") + 1)
+    want = np.array(json.loads(text)["a"], np.float64)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_parse_config_holds_one_slice_of_python_numbers(tmp_path):
@@ -615,8 +705,8 @@ def test_readers_agree_on_mutated_configs(tmp_path_factory, edits):
 def test_deep_nesting_never_reaches_orjson(tmp_path):
     """orjson recurses without a depth limit: this nesting, in phi, u.entries or a
     diagonal, overflows a 1 MiB thread stack and kills the process unless the
-    depth check sends the file to the stdlib reader, whose recursion limit turns
-    it into a ConfigError."""
+    template, never more than 3 deep, sends the file to the stdlib reader, whose
+    recursion limit turns it into a ConfigError."""
     depth = 50_000
     paths = []
     for key in ('"phi": ', '"entries": ', '"-1": '):
